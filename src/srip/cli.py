@@ -15,13 +15,14 @@ are written atomically (temp file + rename) and input files are never
 modified.  Every JSON report echoes the config, the seed, the package
 version, and the wall-clock duration; rerunning with the same config and
 seed reproduces every payload byte for byte (durations aside).
+``--threads`` is accepted for compatibility, echoed in the config, and
+has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -36,6 +37,7 @@ from .dictionaries import (
     coherence_report,
     load_dictionary,
     save_dictionary,
+    write_atomic,
 )
 from .errors import SripError
 from .field import PrimeField
@@ -72,28 +74,6 @@ class RunConfig:
     ladder: list[int] | None = None
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("SRIP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"SRIP_THREADS={env!r} is not an integer") from exc
-    return os.cpu_count() or 1
-
-
-def _write_atomic(path: str, data) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 def _json_payload(config: RunConfig, report: dict, started: float) -> str:
     payload = {
         "schema": 1,
@@ -105,20 +85,22 @@ def _json_payload(config: RunConfig, report: dict, started: float) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _load_or_build(config: RunConfig, threads: int) -> Dictionary:
+def _load_or_build(config: RunConfig) -> Dictionary:
     if config.input:
         return load_dictionary(config.input)
     field = PrimeField(config.p)
     if config.kind == "heisenberg":
-        return build_heisenberg_dictionary(field, threads=threads)
+        return build_heisenberg_dictionary(field)
     if config.kind == "oscillator":
-        return build_oscillator_dictionary(field, threads=threads)
+        return build_oscillator_dictionary(field)
     return build_extended_oscillator_dictionary(
         field,
         translation_subsample=config.translations,
         subsample_seed=config.subsample_seed,
-        threads=threads,
     )
+
+
+_THREADS_HELP = "accepted for compatibility; has no effect"
 
 
 def _add_dict_source(sub: argparse.ArgumentParser) -> None:
@@ -132,7 +114,7 @@ def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta-exponent", type=float, default=0.5)
     sub.add_argument("--trials", type=int, default=200)
     sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     sub.add_argument("--out-prefix", required=True)
 
 
@@ -150,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--subsample-seed", type=int, default=0)
     b.add_argument("--allow-large", action="store_true",
                    help="permit the full extended dictionary above p = 5")
-    b.add_argument("--threads", type=int, default=None)
+    b.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     c = subs.add_parser("coherence", help="scan all cross-basis pairs of a dictionary")
     c.add_argument("--in", dest="input", required=True)
@@ -178,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--epsilon", type=float, default=0.3)
     pv.add_argument("--fixed-n", type=int, default=None,
                     help="hold this support size fixed across the ladder normalizations")
-    pv.add_argument("--threads", type=int, default=None)
+    pv.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     return parser
 
 
@@ -194,18 +176,16 @@ def _validate_dict_source(args) -> None:
 
 def _cmd_build(args) -> int:
     field = PrimeField(args.p)  # validates primality before any work
-    threads = _resolve_threads(args.threads)
     if args.kind == "heisenberg":
-        D = build_heisenberg_dictionary(field, threads=threads)
+        D = build_heisenberg_dictionary(field)
     elif args.kind == "oscillator":
-        D = build_oscillator_dictionary(field, threads=threads)
+        D = build_oscillator_dictionary(field)
     else:
         D = build_extended_oscillator_dictionary(
             field,
             translation_subsample=args.translations,
             subsample_seed=args.subsample_seed,
             allow_large=args.allow_large,
-            threads=threads,
         )
     save_dictionary(args.out, D)
     print(f"wrote {args.kind} dictionary p={args.p}: {D.basis_count} bases, "
@@ -218,7 +198,7 @@ def _cmd_coherence(args, started: float) -> int:
     report = coherence_report(D)
     config = RunConfig(command="coherence", p=D.p, kind=D.kind, input=args.input)
     if args.out:
-        _write_atomic(args.out, _json_payload(config, asdict(report), started))
+        write_atomic(args.out, _json_payload(config, asdict(report), started))
     status = "pass (vacuous)" if report.vacuous else ("pass" if report.passed else "FAIL")
     print(f"{D.kind} p={D.p}: max sqrt(p)*coherence = {report.max_scaled_coherence:.9f} "
           f"(mu = {report.mu}), within-basis deviation {report.max_within_basis_deviation:.3e} "
@@ -245,9 +225,8 @@ def _run_campaign(args, command: str, started: float) -> int:
     _validate_dict_source(args)
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    threads = _resolve_threads(args.threads)
     config = _campaign_config(args, command)
-    D = _load_or_build(config, threads)
+    D = _load_or_build(config)
     if config.p is None:
         config.p = D.p
         config.kind = D.kind
@@ -261,21 +240,20 @@ def _run_campaign(args, command: str, started: float) -> int:
         trials=args.trials,
         seed=args.seed,
         delta_exponent=args.delta_exponent,
-        threads=threads,
     )
     prefix = args.out_prefix
     if command in ("spectrum",):
         lines = ["lambda"] + [repr(float(x)) for x in report.eigenvalues]
-        _write_atomic(f"{prefix}.eigenvalues.csv", "\n".join(lines) + "\n")
+        write_atomic(f"{prefix}.eigenvalues.csv", "\n".join(lines) + "\n")
     if command in ("spectrum", "moments"):
         rows = ["k,mean,variance,semicircle_moment"]
         rows += [f"{m.k},{m.mean!r},{m.variance!r},{m.semicircle!r}" for m in report.moments]
-        _write_atomic(f"{prefix}.moments.csv", "\n".join(rows) + "\n")
+        write_atomic(f"{prefix}.moments.csv", "\n".join(rows) + "\n")
     if command in ("spectrum", "srip"):
         rows = ["threshold_kind,threshold,frequency"]
         rows += [f"{t.kind},{t.threshold!r},{t.frequency!r}" for t in report.tails]
-        _write_atomic(f"{prefix}.srip.csv", "\n".join(rows) + "\n")
-    _write_atomic(f"{prefix}.report.json", _json_payload(config, report.to_dict(), started))
+        write_atomic(f"{prefix}.srip.csv", "\n".join(rows) + "\n")
+    write_atomic(f"{prefix}.report.json", _json_payload(config, report.to_dict(), started))
     print(f"{command} done: p={D.p} n={report.n} trials={report.trials} seed={report.seed} "
           f"ks_pooled={report.ks_pooled:.4f}")
     return EXIT_OK
@@ -291,7 +269,7 @@ def _cmd_paths_verify(args, started: float) -> int:
         dyck = "".join("+" if d == 1 else "-" for d in tree_to_dyck(pc)) if pc.is_tree else ""
         rows.append(f"{pc},{pc.k},{pc.vertex_count},{int(pc.is_tree)},{dyck}")
     if args.out_prefix:
-        _write_atomic(f"{args.out_prefix}.classes.csv", "\n".join(rows) + "\n")
+        write_atomic(f"{args.out_prefix}.classes.csv", "\n".join(rows) + "\n")
 
     expected = catalan_number(args.k // 2) if args.k % 2 == 0 else 0
     print(f"k={args.k}: {len(classes)} classes, {len(trees)} trees "
@@ -299,8 +277,7 @@ def _cmd_paths_verify(args, started: float) -> int:
 
     if args.ladder:
         ps = [int(x) for x in args.ladder.split(",")]
-        threads = _resolve_threads(args.threads)
-        dicts = {p: build_heisenberg_dictionary(PrimeField(p), threads=threads) for p in ps}
+        dicts = {p: build_heisenberg_dictionary(PrimeField(p)) for p in ps}
         usable = [
             pc for pc in classes
             if pc.vertex_count <= 4
@@ -313,7 +290,7 @@ def _cmd_paths_verify(args, started: float) -> int:
             for pt in row.points:
                 rows.append(f"{row.path_class},{pt.p},{pt.value.real!r},{pt.value.imag!r}")
         if args.out_prefix:
-            _write_atomic(f"{args.out_prefix}.estimates.csv", "\n".join(rows) + "\n")
+            write_atomic(f"{args.out_prefix}.estimates.csv", "\n".join(rows) + "\n")
         for row in table:
             trend = "->1" if row.is_tree else "->0"
             print(f"  {row.path_class}: tree={row.is_tree} {trend} "

@@ -12,7 +12,7 @@ A dictionary is a disjoint union of orthonormal bases of C(F_p):
 
 Atoms are unit vectors stored as matrix columns, phase-normalized so the
 largest entry is real positive, and ordered within a basis by descending
-eigenvalue phase of the defining unitary.
+eigenvalue phase of the defining unitary, phases taken in (0, 2pi].
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import io
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -43,6 +42,7 @@ ORTHONORMALITY_TOL = 1e-9
 
 KIND_CODES = {"heisenberg": 0, "oscillator": 1, "extended_oscillator": 2}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
+KIND_MU = {"heisenberg": 1.0, "oscillator": 4.0, "extended_oscillator": 4.0}
 
 MAGIC = b"SRIPDCT1"
 FORMAT_VERSION = 1
@@ -91,7 +91,7 @@ class OrthonormalBasis:
     def __post_init__(self):
         g = self.atoms.conj().T @ self.atoms
         dev = np.abs(g - np.eye(self.atoms.shape[1])).max()
-        if dev > ORTHONORMALITY_TOL:
+        if not dev <= ORTHONORMALITY_TOL:  # NaN from non-finite atoms fails too
             raise IntegrityError(f"basis {self.label!r}: orthonormality deviation {dev:.3e}")
         self.atoms.setflags(write=False)  # bases are shared read-only
 
@@ -128,11 +128,16 @@ class Dictionary:
 
 
 def _eigenbasis_of(U: np.ndarray, label: str) -> OrthonormalBasis:
-    """Phase-normalized eigenbasis of U, columns sorted by descending eigenvalue phase."""
+    """Phase-normalized eigenbasis of U, columns sorted by descending eigenvalue phase.
+
+    Phases are taken in (0, 2pi], so an eigenvalue 1 comes first.
+    """
     vecs = unitary_eigenbasis(U)
     lam = np.einsum("ij,ik,kj->j", vecs.conj(), U, vecs)
-    angles = np.mod(np.angle(lam), 2 * np.pi)
-    order = np.argsort(-angles, kind="stable")
+    # clockwise turns from 1 in [0, 1); the rounding sends the +-1e-17 angle
+    # noise of an eigenvalue 1 to 0 whatever its sign
+    turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
+    order = np.argsort(turns, kind="stable")
     return OrthonormalBasis(label, np.ascontiguousarray(vecs[:, order]))
 
 
@@ -235,26 +240,18 @@ def _check_coherence(D: Dictionary) -> float:
     return worst
 
 
-def _build_bases(jobs, threads: int | None) -> list[OrthonormalBasis]:
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: f(), jobs))
-    return [job() for job in jobs]
-
-
-def build_heisenberg_dictionary(field: PrimeField, threads: int | None = None) -> Dictionary:
+def build_heisenberg_dictionary(field: PrimeField) -> Dictionary:
     """The p+1 line bases; cross coherence is exactly 1/sqrt(p) (verified)."""
-    base_jobs = [lambda ln=ln: heisenberg_basis(field, ln) for ln in lines(field.p)]
-    D = Dictionary(field.p, "heisenberg", 1.0, _build_bases(base_jobs, threads))
+    bases = [heisenberg_basis(field, ln) for ln in lines(field.p)]
+    D = Dictionary(field.p, "heisenberg", KIND_MU["heisenberg"], bases)
     _check_coherence(D)
     return D
 
 
-def build_oscillator_dictionary(field: PrimeField, threads: int | None = None) -> Dictionary:
+def build_oscillator_dictionary(field: PrimeField) -> Dictionary:
     """One basis per non-split torus, mu = 4 (coherence verified on all pairs)."""
-    tori = nonsplit_tori(field)
-    base_jobs = [lambda t=t: oscillator_basis(field, t) for t in tori]
-    D = Dictionary(field.p, "oscillator", 4.0, _build_bases(base_jobs, threads))
+    bases = [oscillator_basis(field, t) for t in nonsplit_tori(field)]
+    D = Dictionary(field.p, "oscillator", KIND_MU["oscillator"], bases)
     _check_coherence(D)
     return D
 
@@ -264,7 +261,6 @@ def build_extended_oscillator_dictionary(
     translation_subsample: int | None = None,
     subsample_seed: int = 0,
     allow_large: bool = False,
-    threads: int | None = None,
 ) -> Dictionary:
     """Oscillator bases translated by plane elements: pi(v) B_T for each (T, v).
 
@@ -287,12 +283,9 @@ def build_extended_oscillator_dictionary(
         chosen = rng.choice(len(translations), size=translation_subsample, replace=False)
         translations = [translations[i] for i in sorted(chosen)]
 
-    tori = nonsplit_tori(field)
-    torus_jobs = [lambda t=t: oscillator_basis(field, t) for t in tori]
-    torus_bases = _build_bases(torus_jobs, threads)
-
     bases = []
-    for torus, tb in zip(tori, torus_bases):
+    for torus in nonsplit_tori(field):
+        tb = oscillator_basis(field, torus)
         for tau, w in translations:
             if tau == 0 and w == 0:
                 bases.append(tb)
@@ -302,7 +295,7 @@ def build_extended_oscillator_dictionary(
             for col in range(atoms.shape[1]):
                 atoms[:, col] = phase_normalize(atoms[:, col])
             bases.append(OrthonormalBasis(f"{tb.label};v:{tau},{w}", atoms))
-    D = Dictionary(p, "extended_oscillator", 4.0, bases)
+    D = Dictionary(p, "extended_oscillator", KIND_MU["extended_oscillator"], bases)
     _check_coherence(D)
     return D
 
@@ -448,26 +441,48 @@ def parse_dictionary(data: bytes) -> Dictionary:
         raise FormatError(f"unknown dictionary kind code {kind_code}")
     if not 5 <= p <= 100_000:
         raise FormatError(f"implausible dimension p = {p}")
+    kind = KIND_NAMES[kind_code]
+    if mu != KIND_MU[kind]:
+        raise FormatError(f"stored mu = {mu!r} does not match kind {kind} (mu = {KIND_MU[kind]})")
     if basis_count * 16 * p * p > len(data):
         raise FormatError("declared basis count exceeds the file size")
     bases = []
     for _ in range(basis_count):
         (label_len,) = struct.unpack("<I", _read_exact(buf, 4))
-        label = _read_exact(buf, label_len).decode("utf-8")
+        raw_label = _read_exact(buf, label_len)
+        try:
+            label = raw_label.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"basis label is not valid UTF-8: {exc}") from exc
         raw = _read_exact(buf, 16 * p * p)
         atoms = np.frombuffer(raw, dtype="<c16").reshape(p, p).T
         bases.append(OrthonormalBasis(label, np.ascontiguousarray(atoms)))
     if buf.read(1):
         raise FormatError("trailing bytes after the last basis")
-    return Dictionary(p, KIND_NAMES[kind_code], mu, bases)
+    return Dictionary(p, kind, mu, bases)
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename.
+
+    Missing parent directories are created.  The temp file is removed if
+    the write or the rename fails, so a failed write leaves neither a
+    partial file nor the temp file behind.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_dictionary(path, D: Dictionary) -> None:
-    data = dump_dictionary(D)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    write_atomic(path, dump_dictionary(D))
 
 
 def load_dictionary(path) -> Dictionary:

@@ -410,7 +410,12 @@ def trajectory_table(
 
 
 def support_size(p: int, epsilon: float) -> int:
-    """floor(p^(1-epsilon)), the support size used throughout the statistics."""
+    """floor(p^(1-epsilon)), the support size used throughout the statistics.
+
+    Raises ValueError unless 0 < epsilon < 1.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     return int(math.floor(p ** (1.0 - epsilon) + 1e-9))
 
 

@@ -8,14 +8,13 @@ distribution, and the comparison against the semicircle law all derive
 from the per-trial eigenvalues.
 
 Randomness comes from numpy's Philox counter-based 64-bit generator;
-trial i uses the key seed + i, so trials are order-independent and can
-run on any number of workers without changing the results.
+trial i uses the key seed + i, so each trial's draw is independent of
+every other trial and of the order the trials run in.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -85,21 +84,11 @@ def rip_deviation(sample: GramSample) -> float:
     return max(math.sqrt(lam_max) - 1.0, 1.0 - math.sqrt(lam_min), 0.0)
 
 
-def _trial_eigenvalues(
-    D: Dictionary, n: int, trials: int, seed: int, threads: int | None = None
-) -> np.ndarray:
+def _trial_eigenvalues(D: Dictionary, n: int, trials: int, seed: int) -> np.ndarray:
     """(trials, n) array of normalized-error eigenvalues, trial i seeded with seed+i."""
-
-    def one(i: int) -> np.ndarray:
-        support = sample_support(D, n, seed + i)
-        return gram_sample(D, support).eigenvalues
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(trials)))
-    else:
-        rows = [one(i) for i in range(trials)]
-    return np.vstack(rows)
+    return np.vstack(
+        [gram_sample(D, sample_support(D, n, seed + i)).eigenvalues for i in range(trials)]
+    )
 
 
 @dataclass(frozen=True)
@@ -109,13 +98,26 @@ class TailThreshold:
     frequency: float
 
 
+def _tail_rows(
+    eigs: np.ndarray, p: int, n: int, epsilon: float, delta_exponent: float
+) -> list[TailThreshold]:
+    """Fraction of trials with ||G - I|| = sqrt(n/p) max|eig(E)| at or above each threshold."""
+    norms = math.sqrt(n / p) * np.abs(eigs).max(axis=1)
+    thresholds = [
+        ("p^(-eps/2)", p ** (-epsilon / 2.0)),
+        ("(n/p)^(1/(2+e))", (n / p) ** (1.0 / (2.0 + delta_exponent))),
+    ]
+    return [
+        TailThreshold(kind, thr, float(np.mean(norms >= thr))) for kind, thr in thresholds
+    ]
+
+
 def srip_tail_frequencies(
     D: Dictionary,
     epsilon: float,
     delta_exponent: float = 0.5,
     trials: int = 200,
     seed: int = 42,
-    threads: int | None = None,
 ) -> list[TailThreshold]:
     """Fraction of trials with ||G - I|| at or above each configured threshold.
 
@@ -127,15 +129,8 @@ def srip_tail_frequencies(
     n = support_size(D.p, epsilon)
     if n < 2:
         raise ValueError(f"support size floor(p^(1-eps)) = {n} is too small; need >= 2")
-    eigs = _trial_eigenvalues(D, n, trials, seed, threads)
-    norms = math.sqrt(n / D.p) * np.abs(eigs).max(axis=1)
-    thresholds = [
-        ("p^(-eps/2)", D.p ** (-epsilon / 2.0)),
-        ("(n/p)^(1/(2+e))", (n / D.p) ** (1.0 / (2.0 + delta_exponent))),
-    ]
-    return [
-        TailThreshold(kind, thr, float(np.mean(norms >= thr))) for kind, thr in thresholds
-    ]
+    eigs = _trial_eigenvalues(D, n, trials, seed)
+    return _tail_rows(eigs, D.p, n, epsilon, delta_exponent)
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,6 @@ def moment_statistics(
     kmax: int = 6,
     trials: int = 200,
     seed: int = 42,
-    threads: int | None = None,
 ) -> list[MomentStatistics]:
     """Sample mean and unbiased variance of the spectral moments m_k, k <= kmax."""
     if kmax < 1:
@@ -170,7 +164,7 @@ def moment_statistics(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = support_size(D.p, epsilon)
-    eigs = _trial_eigenvalues(D, n, trials, seed, threads)
+    eigs = _trial_eigenvalues(D, n, trials, seed)
     return _moment_rows(eigs, kmax)
 
 
@@ -277,7 +271,11 @@ def run_spectrum(
     delta_exponent: float = 0.5,
     threads: int | None = None,
 ) -> SpectralReport:
-    """One campaign: tail frequencies, moments, pooled spectrum, KS distances."""
+    """One campaign: tail frequencies, moments, pooled spectrum, KS distances.
+
+    ``threads`` is accepted for compatibility and has no effect; trials
+    run one after another in the calling thread.
+    """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if trials < 1:
@@ -285,14 +283,7 @@ def run_spectrum(
     n = support_size(D.p, epsilon)
     if n < 2:
         raise ValueError(f"support size floor(p^(1-eps)) = {n} is too small; need >= 2")
-    eigs = _trial_eigenvalues(D, n, trials, seed, threads)
-
-    norms = math.sqrt(n / D.p) * np.abs(eigs).max(axis=1)
-    thresholds = [
-        ("p^(-eps/2)", D.p ** (-epsilon / 2.0)),
-        ("(n/p)^(1/(2+e))", (n / D.p) ** (1.0 / (2.0 + delta_exponent))),
-    ]
-    tails = [TailThreshold(kind, thr, float(np.mean(norms >= thr))) for kind, thr in thresholds]
+    eigs = _trial_eigenvalues(D, n, trials, seed)
 
     pooled = eigs.reshape(-1)
     counts, _ = np.histogram(pooled, bins=HISTOGRAM_EDGES)
@@ -308,7 +299,7 @@ def run_spectrum(
         kmax=kmax,
         trials=trials,
         seed=seed,
-        tails=tails,
+        tails=_tail_rows(eigs, D.p, n, epsilon, delta_exponent),
         moments=_moment_rows(eigs, kmax),
         eigenvalues=pooled,
         histogram_edges=[float(e) for e in HISTOGRAM_EDGES],

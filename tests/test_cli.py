@@ -1,5 +1,8 @@
 import hashlib
 import json
+import struct
+
+import pytest
 
 from srip.cli import main
 
@@ -178,3 +181,31 @@ def test_coherence_violation_exits_3(tmp_path, dh5):
 def test_paths_verify_out_of_range_k_exits_2(tmp_path):
     assert _run("paths-verify", "--k", "11") == 2
     assert _run("paths-verify", "--k", "1") == 2
+
+
+def test_non_finite_atom_is_contract_violation(tmp_path):
+    dict_file = tmp_path / "d5.srip"
+    assert _run("build", "--kind", "heisenberg", "--p", "5", "--out", str(dict_file)) == 0
+    data = bytearray(dict_file.read_bytes())
+    data[-8:] = struct.pack("<d", float("nan"))  # imaginary part of the last entry
+    broken = tmp_path / "nan.srip"
+    broken.write_bytes(bytes(data))
+    assert _run("coherence", "--in", str(broken)) == 3
+
+
+@pytest.mark.parametrize("epsilon", ["-0.5", "0", "1", "1.5", "nan"])
+def test_epsilon_outside_unit_interval_exits_2(tmp_path, epsilon):
+    prefix = tmp_path / "eps"
+    code = _run(
+        "srip", "--kind", "heisenberg", "--p", "5", "--trials", "5",
+        "--epsilon", epsilon, "--out-prefix", str(prefix),
+    )
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_onto_directory_exits_2_without_temp_file(tmp_path):
+    target = tmp_path / "out.srip"
+    target.mkdir()
+    assert _run("build", "--kind", "heisenberg", "--p", "5", "--out", str(target)) == 2
+    assert list(tmp_path.glob("*.tmp.*")) == []

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srip.dictionaries import (
     Dictionary,
     Line,
+    OrthonormalBasis,
     build_extended_oscillator_dictionary,
     build_heisenberg_dictionary,
     build_oscillator_dictionary,
@@ -23,11 +25,18 @@ from srip.errors import (
     DimensionMismatchError,
     FormatError,
     IntegrityError,
+    SripError,
     VersionMismatchError,
 )
 from srip.field import PrimeField
 from srip.linalg import unitary_eigenbasis
-from srip.operators import SL2Element, scaling_operator, weil_operator
+from srip.operators import (
+    HeisenbergElement,
+    SL2Element,
+    heisenberg_operator,
+    scaling_operator,
+    weil_operator,
+)
 
 from conftest import oscillator_dict
 
@@ -66,6 +75,19 @@ def test_line_bases_have_flat_magnitude():
             continue
         b = heisenberg_basis(f, ln)
         assert np.abs(np.abs(b.atoms) - 1 / np.sqrt(7)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_line_basis_fixed_atom_comes_first(p):
+    # the eigenvalue-1 atom leads every line basis, whatever the sign of
+    # the rounding noise in its eigenvalue's angle
+    f = PrimeField(p)
+    for ln in lines(p):
+        if ln.is_vertical:
+            continue
+        U = heisenberg_operator(f, HeisenbergElement(1, ln.slope, 0, p))
+        v = heisenberg_basis(f, ln).atoms[:, 0]
+        assert np.abs(U @ v - v).max() <= 1e-9, ln.label
 
 
 def test_heisenberg_dictionary_counts(dh7):
@@ -315,3 +337,41 @@ def test_coherence_violation_detected(dh5, tmp_path):
     rep = coherence_report(bad)
     assert not rep.passed
     assert rep.max_scaled_coherence == pytest.approx(np.sqrt(5), abs=1e-9)
+
+
+LABEL_OFFSET = 33  # magic (8) + header (21) + label length (4)
+MU_OFFSET = 21
+
+
+def test_invalid_utf8_label_raises_format_error(dh5):
+    data = bytearray(dump_dictionary(dh5))
+    data[LABEL_OFFSET] = 0xFF
+    with pytest.raises(FormatError):
+        parse_dictionary(bytes(data))
+
+
+@pytest.mark.parametrize("mu", [4.0, 100.0, float("nan")])
+def test_stored_mu_must_match_kind(dh5, mu):
+    data = bytearray(dump_dictionary(dh5))
+    data[MU_OFFSET:MU_OFFSET + 8] = np.float64(mu).tobytes()
+    with pytest.raises(FormatError):
+        parse_dictionary(bytes(data))
+
+
+def test_non_finite_atom_fails_integrity(dh5):
+    atoms = dh5.bases[1].atoms.copy()
+    atoms[2, 3] = np.nan
+    with pytest.raises(IntegrityError):
+        OrthonormalBasis("line:1", atoms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=8))
+def test_mutated_file_parses_or_raises_srip_error(dh5, edits):
+    data = bytearray(dump_dictionary(dh5))
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    try:
+        parse_dictionary(bytes(data))
+    except SripError:
+        pass
