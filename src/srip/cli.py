@@ -226,6 +226,8 @@ def _run_campaign(args, command: str, started: float) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     config = _campaign_config(args, command)
+    if config.p is not None:
+        support_size(config.p, args.epsilon)  # reject a bad epsilon before the build
     D = _load_or_build(config)
     if config.p is None:
         config.p = D.p

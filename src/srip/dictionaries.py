@@ -3,16 +3,22 @@
 A dictionary is a disjoint union of orthonormal bases of C(F_p):
 
 * ``heisenberg``: one basis per line through the origin of the plane,
-  eigenbases of a translation-modulation operator (p+1 bases, mu = 1);
+  the closed-form chirp eigenbasis of a translation-modulation operator,
+  checked against that operator (p+1 bases, mu = 1);
 * ``oscillator``: one basis per non-split maximal torus of SL_2(F_p),
   eigenbases of the torus generator's unitary operator (p(p-1)/2 bases,
-  mu = 4);
+  mu = 4); the tori come from one vectorized conjugation of the model
+  torus, keyed by the projective line of the generator's traceless part;
 * ``extended_oscillator``: every oscillator basis translated by every
   plane element (p(p-1)p^2/2 bases, mu = 4).
 
 Atoms are unit vectors stored as matrix columns, phase-normalized so the
 largest entry is real positive, and ordered within a basis by descending
 eigenvalue phase of the defining unitary, phases taken in (0, 2pi].
+
+Coherence is checked over every cross-basis atom pair by one blocked
+kernel, ``_cross_blocks``, which both the builders and
+``coherence_report`` consume.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 
 from .errors import (
     CoherenceViolationError,
+    DegenerateSpectrumError,
     DimensionMismatchError,
     FormatError,
     IntegrityError,
@@ -34,11 +41,13 @@ from .errors import (
     VersionMismatchError,
 )
 from .field import PrimeField, find_nonresidue, norm_one_generator
-from .linalg import phase_normalize, unitary_eigenbasis
+from .linalg import EIGENVECTOR_RESIDUAL_TOL, phase_normalize, unitary_eigenbasis
 from .operators import HeisenbergElement, SL2Element, heisenberg_operator, weil_operator
 
 COHERENCE_SLACK = 1e-9
 ORTHONORMALITY_TOL = 1e-9
+# inner products held at once by one block of the cross-basis scan
+CROSS_BLOCK_SIZE = 2**15
 
 KIND_CODES = {"heisenberg": 0, "oscillator": 1, "extended_oscillator": 2}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
@@ -89,9 +98,13 @@ class OrthonormalBasis:
     atoms: np.ndarray
 
     def __post_init__(self):
+        # no entry of a unit vector exceeds 1 in modulus; rejecting such
+        # entries first keeps the Gram below free of overflow
+        if not (np.abs(self.atoms) <= 1.0 + ORTHONORMALITY_TOL).all():  # NaN fails too
+            raise IntegrityError(f"basis {self.label!r}: an entry is non-finite or exceeds 1")
         g = self.atoms.conj().T @ self.atoms
         dev = np.abs(g - np.eye(self.atoms.shape[1])).max()
-        if not dev <= ORTHONORMALITY_TOL:  # NaN from non-finite atoms fails too
+        if not dev <= ORTHONORMALITY_TOL:
             raise IntegrityError(f"basis {self.label!r}: orthonormality deviation {dev:.3e}")
         self.atoms.setflags(write=False)  # bases are shared read-only
 
@@ -142,26 +155,50 @@ def _eigenbasis_of(U: np.ndarray, label: str) -> OrthonormalBasis:
 
 
 def heisenberg_basis(field: PrimeField, line: Line) -> OrthonormalBasis:
-    """Orthonormal eigenbasis attached to a line.
+    """Orthonormal eigenbasis attached to a line, in closed form.
 
     The vertical line's operator is diagonal, so its basis is the standard
-    delta basis in natural order; any other line of slope m yields the
-    eigenbasis of the translation-modulation operator of (1, m, 0).
+    delta basis in natural order.  For a line of slope m, atom j is the
+    chirp phi_j(t) = p^{-1/2} psi(-m t^2/2 - j t), the eigenvector of the
+    translation-modulation operator of (1, m, 0) with eigenvalue psi(-j).
+    Column order j = 0, 1, ..., p-1 is therefore descending eigenvalue
+    phase in (0, 2pi], and entry t = 0 is 1/sqrt(p), so every atom is
+    already phase-normalized.  Each atom is checked against the operator.
+
+    Raises
+    ------
+    DegenerateSpectrumError
+        If some atom misses its eigen-equation by more than
+        ``EIGENVECTOR_RESIDUAL_TOL``.
     """
     p = field.p
     if line.is_vertical:
         return OrthonormalBasis(line.label, np.eye(p, dtype=np.complex128))
+    t = np.arange(p, dtype=np.int64)
+    quad = ((-field.inv2 * line.slope) % p) * ((t * t) % p)
+    expo = (quad[:, None] - np.outer(t, t)) % p
+    atoms = field.char_table[expo] / np.sqrt(p)
     U = heisenberg_operator(field, HeisenbergElement(1, line.slope, 0, p))
-    return _eigenbasis_of(U, line.label)
+    lam = field.char_table[(-t) % p]
+    resid = float(np.abs(U @ atoms - atoms * lam).max())
+    if not resid <= EIGENVECTOR_RESIDUAL_TOL:
+        raise DegenerateSpectrumError(
+            f"basis {line.label!r}: chirp eigenvector residual {resid:.3e} exceeds "
+            f"{EIGENVECTOR_RESIDUAL_TOL:.1e}"
+        )
+    return OrthonormalBasis(line.label, atoms)
 
 
 def nonsplit_tori(field: PrimeField) -> list[Torus]:
     """All p(p-1)/2 non-split maximal tori of SL_2(F_p).
 
     The model torus {[[a, b*delta], [b, a]] : a^2 - delta*b^2 = 1} is
-    conjugated by every group element; conjugates are deduplicated by
-    their canonically sorted element sets.  Each torus keeps a generator
-    of exact order p+1 (the conjugate of the model generator).
+    conjugated by every group element g at once, in lexicographic
+    (a, b, c, d) order.  A torus is the norm-one part of F_p[X] for its
+    generator X, so two conjugates g t0 g^-1 span the same torus exactly
+    when the traceless parts of the generators lie on one projective
+    line; the line of (a - d, b, c) is the key.  The first g of each key
+    supplies the torus, whose generator g t0 g^-1 has exact order p+1.
 
     The subgroup count is |SL_2| / |normalizer| = p(p^2-1) / (2(p+1)):
     the normalizer contains an inverting element of determinant one, so
@@ -179,35 +216,63 @@ def nonsplit_tori(field: PrimeField) -> list[Torus]:
     if len(model) != p + 1:
         raise TorusCountError(f"model torus has {len(model)} elements, expected {p + 1}")
 
-    tori: dict[tuple, Torus] = {}
-    for g in _sl2_elements(p):
-        ginv = g.inverse()
-        conj = [g * t * ginv for t in model]
-        key = tuple(sorted((t.a, t.b, t.c, t.d) for t in conj))
-        if key not in tori:
-            gen = g * t0 * ginv
-            tori[key] = Torus(gen, tuple(sorted(conj, key=lambda t: (t.a, t.b, t.c, t.d))))
-    result = list(tori.values())
+    a, b, c, d = _sl2_entries(p)
+    x = _conjugate(a, b, c, d, np.array([t0.a, t0.b, t0.c, t0.d]), p)
+    # projective line of the traceless part: scale its first nonzero entry to 1
+    line = np.stack([(x[0] - x[3]) % p, x[1], x[2]], axis=1)
+    lead = line[np.arange(len(line)), np.argmax(line != 0, axis=1)]
+    line = (line * _inverses(p)[lead][:, None]) % p
+    _, first = np.unique((line[:, 0] * p + line[:, 1]) * p + line[:, 2], return_index=True)
+    first = np.sort(first)
     expected = p * (p - 1) // 2
-    if len(result) != expected:
-        raise TorusCountError(f"found {len(result)} non-split tori, expected {expected}")
-    return result
+    if len(first) != expected:
+        raise TorusCountError(f"found {len(first)} non-split tori, expected {expected}")
+
+    entries = np.array([[t.a, t.b, t.c, t.d] for t in model], dtype=np.int64)
+    # conj[k, e, i]: entry k of the conjugate of model element e by the i-th chosen g
+    conj = np.stack(_conjugate(a[first], b[first], c[first], d[first], entries.T[:, :, None], p))
+    conj = np.take_along_axis(conj, np.lexsort(conj[::-1], axis=0)[None], axis=1)
+    gens = np.stack(x)[:, first].T.tolist()
+    return [
+        Torus(SL2Element(*gen, p), tuple(SL2Element(*e, p) for e in elements))
+        for gen, elements in zip(gens, conj.transpose(2, 1, 0).tolist())
+    ]
 
 
-def _sl2_elements(p: int):
-    """All elements of SL_2(F_p) in lexicographic (a, b, c, d) order."""
-    for a in range(p):
-        if a == 0:
-            for b in range(1, p):
-                c = (-pow(b, p - 2, p)) % p
-                for d in range(p):
-                    yield SL2Element(0, b, c, d, p)
-        else:
-            ainv = pow(a, p - 2, p)
-            for b in range(p):
-                for c in range(p):
-                    d = ((1 + b * c) * ainv) % p
-                    yield SL2Element(a, b, c, d, p)
+def _inverses(p: int) -> np.ndarray:
+    """Multiplicative inverses mod p of 0..p-1, with 0 standing in for 1/0."""
+    return np.array([0] + [pow(k, p - 2, p) for k in range(1, p)], dtype=np.int64)
+
+
+def _sl2_entries(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries a, b, c, d of every element of SL_2(F_p), in lexicographic order."""
+    r = np.arange(p, dtype=np.int64)
+    inverse = _inverses(p)[1:]
+    # a = 0: b != 0 and c = -1/b, with d free
+    b0 = np.repeat(r[1:], p)
+    c0 = (-np.repeat(inverse, p)) % p
+    d0 = np.tile(r, p - 1)
+    # a != 0: b and c free, d = (1 + b c) / a
+    a1 = np.repeat(r[1:], p * p)
+    b1 = np.tile(np.repeat(r, p), p - 1)
+    c1 = np.tile(r, p * (p - 1))
+    d1 = ((1 + b1 * c1) % p) * np.repeat(inverse, p * p) % p
+    a = np.concatenate([np.zeros_like(b0), a1])
+    return a, np.concatenate([b0, b1]), np.concatenate([c0, c1]), np.concatenate([d0, d1])
+
+
+def _conjugate(a, b, c, d, t, p: int) -> tuple[np.ndarray, ...]:
+    """Entries of g t g^-1 mod p for g = [[a, b], [c, d]] in SL_2; broadcasts."""
+    ta, tb, tc, td = t
+    # m = g t, then m g^-1 with g^-1 = [[d, -b], [-c, a]]
+    ma, mb = (a * ta + b * tc) % p, (a * tb + b * td) % p
+    mc, md = (c * ta + d * tc) % p, (c * tb + d * td) % p
+    return (
+        (ma * d - mb * c) % p,
+        (mb * a - ma * b) % p,
+        (mc * d - md * c) % p,
+        (md * a - mc * b) % p,
+    )
 
 
 def oscillator_basis(field: PrimeField, torus: Torus) -> OrthonormalBasis:
@@ -216,21 +281,24 @@ def oscillator_basis(field: PrimeField, torus: Torus) -> OrthonormalBasis:
     return _eigenbasis_of(U, torus.label)
 
 
-def _cross_coherence_max(D: Dictionary) -> float:
-    """Max |<phi, psi>| over all cross-basis atom pairs."""
-    worst = 0.0
+def _cross_blocks(D: Dictionary):
+    """Yield |<phi, psi>| over every cross-basis atom pair, block by block.
+
+    Each basis meets the bases after it in groups of about
+    ``CROSS_BLOCK_SIZE / p^2`` (at least one), so a block holds about
+    ``CROSS_BLOCK_SIZE`` inner products: the atoms of basis x as rows
+    against the atoms of the group as columns.
+    """
     nb = D.basis_count
+    step = max(1, CROSS_BLOCK_SIZE // (D.p * D.p))
     for x in range(nb):
-        for y in range(x + 1, nb):
-            block = np.abs(D.bases[x].atoms.conj().T @ D.bases[y].atoms)
-            m = float(block.max())
-            if m > worst:
-                worst = m
-    return worst
+        rows = D.bases[x].atoms.conj().T
+        for y in range(x + 1, nb, step):
+            yield np.abs(rows @ np.hstack([b.atoms for b in D.bases[y:y + step]]))
 
 
 def _check_coherence(D: Dictionary) -> float:
-    worst = _cross_coherence_max(D)
+    worst = max((float(block.max()) for block in _cross_blocks(D)), default=0.0)
     bound = D.mu / np.sqrt(D.p) + COHERENCE_SLACK
     if worst > bound:
         raise CoherenceViolationError(
@@ -339,13 +407,13 @@ def coherence_report(D: Dictionary, histogram_bins: int = 40) -> CoherenceReport
     worst = 0.0
     least = float("inf")
     pairs = 0
-    for x in range(nb):
-        for y in range(x + 1, nb):
-            block = sqrt_p * np.abs(D.bases[x].atoms.conj().T @ D.bases[y].atoms)
-            pairs += block.size
-            worst = max(worst, float(block.max()))
-            least = min(least, float(block.min()))
-            counts += np.histogram(block, bins=edges)[0]
+    for block in _cross_blocks(D):
+        block *= sqrt_p
+        pairs += block.size
+        worst = max(worst, float(block.max()))
+        least = min(least, float(block.min()))
+        # uniform bins over the range of ``edges`` bin exactly as the edges themselves
+        counts += np.histogram(block, bins=histogram_bins, range=(edges[0], edges[-1]))[0]
     vacuous = nb < 2
     passed = bool(vacuous or worst <= D.mu + COHERENCE_SLACK * float(sqrt_p))
     return CoherenceReport(

@@ -85,3 +85,57 @@ def random_sl2(rng, p: int):
             c = (-pow(b, p - 2, p)) % p
             d = int(rng.integers(0, p))
             return 0, b, c, d
+
+
+def _sl2_mul(x, y, p: int):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def conjugation_tori(p: int):
+    """Non-split tori of SL_2(F_p) by conjugating the model torus with every element.
+
+    Elements g run over SL_2 in lexicographic (a, b, c, d) order and
+    conjugates are keyed by their sorted element sets.  Returns one
+    (generator, elements) pair of (a, b, c, d) tuples per torus, in order of
+    first appearance; the generator is the conjugate of the model generator.
+    """
+    from srip.field import find_nonresidue, norm_one_generator
+
+    delta = find_nonresidue(p)
+    g0 = norm_one_generator(p, delta)
+    t0 = (g0.a, g0.b * delta % p, g0.b, g0.a)
+    one = (1, 0, 0, 1)
+    model = [one]
+    while (acc := _sl2_mul(model[-1], t0, p)) != one:
+        model.append(acc)
+    tori = {}
+    for g in itertools.product(range(p), repeat=4):
+        a, b, c, d = g
+        if (a * d - b * c) % p != 1:
+            continue
+        ginv = (d, -b % p, -c % p, a)
+        key = tuple(sorted(_sl2_mul(_sl2_mul(g, t, p), ginv, p) for t in model))
+        if key not in tori:
+            tori[key] = _sl2_mul(_sl2_mul(g, t0, p), ginv, p)
+    return [(gen, key) for key, gen in tori.items()]
+
+
+def pairwise_coherence(D, bins: int = 40):
+    """Cross-basis scan one basis pair at a time, binned on explicit edges.
+
+    Returns (pairs, max, min, histogram counts) of sqrt(p)*|<phi, psi>| over
+    every atom pair from two different bases.
+    """
+    sqrt_p = np.sqrt(D.p)
+    edges = np.linspace(0.0, max(D.mu, 1.0) + 0.5, bins + 1)
+    counts = np.zeros(bins, dtype=np.int64)
+    pairs, worst, least = 0, 0.0, float("inf")
+    for x, y in itertools.combinations(range(D.basis_count), 2):
+        block = sqrt_p * np.abs(D.bases[x].atoms.conj().T @ D.bases[y].atoms)
+        pairs += block.size
+        worst = max(worst, float(block.max()))
+        least = min(least, float(block.min()))
+        counts += np.histogram(block, bins=edges)[0]
+    return pairs, worst, least, [int(c) for c in counts]

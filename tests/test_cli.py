@@ -209,3 +209,18 @@ def test_build_onto_directory_exits_2_without_temp_file(tmp_path):
     target.mkdir()
     assert _run("build", "--kind", "heisenberg", "--p", "5", "--out", str(target)) == 2
     assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+def test_bad_epsilon_exits_2_before_building(tmp_path, monkeypatch):
+    import srip.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dictionary was built before epsilon was checked")
+
+    monkeypatch.setattr(srip.cli, "build_oscillator_dictionary", refuse)
+    code = _run(
+        "srip", "--kind", "oscillator", "--p", "31", "--trials", "5",
+        "--epsilon", "-0.5", "--out-prefix", str(tmp_path / "eps"),
+    )
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []

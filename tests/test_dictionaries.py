@@ -375,3 +375,88 @@ def test_mutated_file_parses_or_raises_srip_error(dh5, edits):
         parse_dictionary(bytes(data))
     except SripError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# closed forms and vectorized scans against independent oracles
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_nonsplit_tori_match_conjugation_oracle(p):
+    from oracles import conjugation_tori
+
+    found = [
+        ((t.generator.a, t.generator.b, t.generator.c, t.generator.d),
+         tuple((e.a, e.b, e.c, e.d) for e in t.elements))
+        for t in nonsplit_tori(PrimeField(p))
+    ]
+    assert found == conjugation_tori(p)
+
+
+def _heisenberg(p):
+    return build_heisenberg_dictionary(PrimeField(p))
+
+
+def _extended7():
+    return build_extended_oscillator_dictionary(PrimeField(7), translation_subsample=8)
+
+
+def _duplicated5():
+    b = _heisenberg(5).bases[0]
+    return Dictionary(5, "heisenberg", 1.0, [b, b])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _heisenberg(31), lambda: _heisenberg(61), lambda: oscillator_dict(13),
+     _extended7, _duplicated5],
+    ids=["heisenberg31", "heisenberg61", "oscillator13", "extended7", "duplicated5"],
+)
+def test_coherence_report_matches_pairwise_oracle(make):
+    from oracles import pairwise_coherence
+
+    D = make()
+    rep = coherence_report(D)
+    pairs, worst, least, counts = pairwise_coherence(D)
+    assert rep.cross_pairs_checked == pairs
+    assert rep.histogram_counts == counts
+    assert abs(rep.max_scaled_coherence - worst) <= 1e-14
+    assert abs(rep.min_scaled_coherence - least) <= 1e-14
+
+
+def test_cross_blocks_are_bounded_and_cover_every_pair():
+    from srip.dictionaries import CROSS_BLOCK_SIZE, _cross_blocks
+
+    D = _heisenberg(61)  # 8 bases per group, so several groups per basis
+    sizes = [block.size for block in _cross_blocks(D)]
+    assert max(sizes) <= CROSS_BLOCK_SIZE
+    assert sum(sizes) == 62 * 61 // 2 * 61 * 61
+    assert len(sizes) > D.basis_count
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
+def test_heisenberg_basis_matches_eigensolve(p):
+    from srip.dictionaries import _eigenbasis_of
+
+    f = PrimeField(p)
+    for ln in lines(p):
+        if ln.is_vertical:
+            continue
+        U = heisenberg_operator(f, HeisenbergElement(1, ln.slope, 0, p))
+        solved = _eigenbasis_of(U, ln.label).atoms
+        assert np.abs(heisenberg_basis(f, ln).atoms - solved).max() <= 1e-12, ln.label
+
+
+def test_huge_atoms_raise_integrity_error_without_warnings(dh5):
+    import struct
+    import warnings
+
+    data = bytearray(dump_dictionary(dh5))
+    (label_len,) = struct.unpack("<I", data[LABEL_OFFSET - 4:LABEL_OFFSET])
+    start = LABEL_OFFSET + label_len
+    data[start:start + 16 * 25] = np.full(25, 1e200 + 1e200j, dtype="<c16").tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrityError):
+            parse_dictionary(bytes(data))
