@@ -43,11 +43,11 @@ from .errors import SripError
 from .field import PrimeField
 from .paths import (
     enumerate_path_classes,
-    support_size,
     tree_to_dyck,
     trajectory_table,
+    within_budget,
 )
-from .spectra import catalan_number, run_spectrum
+from .spectra import campaign_size, catalan_number, run_spectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,19 +85,14 @@ def _json_payload(config: RunConfig, report: dict, started: float) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _load_or_build(config: RunConfig) -> Dictionary:
-    if config.input:
-        return load_dictionary(config.input)
-    field = PrimeField(config.p)
-    if config.kind == "heisenberg":
+def _build(kind: str, p: int, **extended) -> Dictionary:
+    """Build a dictionary of ``kind``; ``extended`` goes to the extended builder only."""
+    field = PrimeField(p)  # validates primality before any work
+    if kind == "heisenberg":
         return build_heisenberg_dictionary(field)
-    if config.kind == "oscillator":
+    if kind == "oscillator":
         return build_oscillator_dictionary(field)
-    return build_extended_oscillator_dictionary(
-        field,
-        translation_subsample=config.translations,
-        subsample_seed=config.subsample_seed,
-    )
+    return build_extended_oscillator_dictionary(field, **extended)
 
 
 _THREADS_HELP = "accepted for compatibility; has no effect"
@@ -175,18 +170,13 @@ def _validate_dict_source(args) -> None:
 
 
 def _cmd_build(args) -> int:
-    field = PrimeField(args.p)  # validates primality before any work
-    if args.kind == "heisenberg":
-        D = build_heisenberg_dictionary(field)
-    elif args.kind == "oscillator":
-        D = build_oscillator_dictionary(field)
-    else:
-        D = build_extended_oscillator_dictionary(
-            field,
-            translation_subsample=args.translations,
-            subsample_seed=args.subsample_seed,
-            allow_large=args.allow_large,
-        )
+    D = _build(
+        args.kind,
+        args.p,
+        translation_subsample=args.translations,
+        subsample_seed=args.subsample_seed,
+        allow_large=args.allow_large,
+    )
     save_dictionary(args.out, D)
     print(f"wrote {args.kind} dictionary p={args.p}: {D.basis_count} bases, "
           f"{D.atom_count} atoms -> {args.out}")
@@ -209,9 +199,9 @@ def _cmd_coherence(args, started: float) -> int:
 def _campaign_config(args, command: str) -> RunConfig:
     return RunConfig(
         command=command,
-        p=getattr(args, "p", None),
-        kind=getattr(args, "kind", None),
-        input=getattr(args, "input", None),
+        p=args.p,
+        kind=args.kind,
+        input=args.input,
         epsilon=args.epsilon,
         delta_exponent=args.delta_exponent,
         kmax=getattr(args, "kmax", 6),
@@ -223,18 +213,14 @@ def _campaign_config(args, command: str) -> RunConfig:
 
 def _run_campaign(args, command: str, started: float) -> int:
     _validate_dict_source(args)
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     config = _campaign_config(args, command)
-    if config.p is not None:
-        support_size(config.p, args.epsilon)  # reject a bad epsilon before the build
-    D = _load_or_build(config)
-    if config.p is None:
+    if config.input:
+        D = load_dictionary(config.input)
         config.p = D.p
         config.kind = D.kind
-    n = support_size(D.p, args.epsilon)
-    if n < 2 or n > D.atom_count:
-        raise ValueError(f"support size n={n} invalid for |D|={D.atom_count}")
+    else:
+        campaign_size(config.p, args.epsilon, args.trials)  # fail before the build
+        D = _build(config.kind, config.p)
     report = run_spectrum(
         D,
         epsilon=args.epsilon,
@@ -244,7 +230,7 @@ def _run_campaign(args, command: str, started: float) -> int:
         delta_exponent=args.delta_exponent,
     )
     prefix = args.out_prefix
-    if command in ("spectrum",):
+    if command == "spectrum":
         lines = ["lambda"] + [repr(float(x)) for x in report.eigenvalues]
         write_atomic(f"{prefix}.eigenvalues.csv", "\n".join(lines) + "\n")
     if command in ("spectrum", "moments"):
@@ -282,9 +268,7 @@ def _cmd_paths_verify(args, started: float) -> int:
         dicts = {p: build_heisenberg_dictionary(PrimeField(p)) for p in ps}
         usable = [
             pc for pc in classes
-            if pc.vertex_count <= 4
-            and all(d.atom_count <= (2000 if pc.vertex_count <= 2 else 400)
-                    for d in dicts.values())
+            if all(within_budget(pc.vertex_count, d.atom_count) for d in dicts.values())
         ]
         table = trajectory_table(dicts, usable, epsilon=args.epsilon, fixed_n=args.fixed_n)
         rows = ["class,p,n_tau_Ew_real,n_tau_Ew_imag"]

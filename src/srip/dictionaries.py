@@ -48,6 +48,8 @@ COHERENCE_SLACK = 1e-9
 ORTHONORMALITY_TOL = 1e-9
 # inner products held at once by one block of the cross-basis scan
 CROSS_BLOCK_SIZE = 2**15
+# bins of the coherence_report histogram of sqrt(p)|<phi, psi>| over [0, max(mu, 1) + 0.5]
+HISTOGRAM_BINS = 40
 
 KIND_CODES = {"heisenberg": 0, "oscillator": 1, "extended_oscillator": 2}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
@@ -79,10 +81,18 @@ def lines(p: int) -> list[Line]:
 
 @dataclass(frozen=True)
 class Torus:
-    """A non-split maximal torus: a generator of order p+1 and its element set."""
+    """A non-split maximal torus, given by a generator of order p+1."""
 
     generator: SL2Element
-    elements: tuple[SL2Element, ...]
+
+    @cached_property
+    def elements(self) -> tuple[SL2Element, ...]:
+        """The powers of the generator, in lexicographic (a, b, c, d) order."""
+        g = self.generator
+        powers = [SL2Element.identity(g.p)]
+        while (acc := powers[-1] * g) != powers[0]:
+            powers.append(acc)
+        return tuple(sorted(powers, key=lambda e: (e.a, e.b, e.c, e.d)))
 
     @property
     def label(self) -> str:
@@ -92,10 +102,14 @@ class Torus:
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """p unit vectors as columns of ``atoms``, labelled by their origin."""
+    """p unit vectors as columns of ``atoms``, labelled by their origin.
+
+    ``orthonormality_deviation`` is max|A^H A - I|, measured on construction.
+    """
 
     label: str
     atoms: np.ndarray
+    orthonormality_deviation: float = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # no entry of a unit vector exceeds 1 in modulus; rejecting such
@@ -106,6 +120,7 @@ class OrthonormalBasis:
         dev = np.abs(g - np.eye(self.atoms.shape[1])).max()
         if not dev <= ORTHONORMALITY_TOL:
             raise IntegrityError(f"basis {self.label!r}: orthonormality deviation {dev:.3e}")
+        object.__setattr__(self, "orthonormality_deviation", float(dev))
         self.atoms.setflags(write=False)  # bases are shared read-only
 
 
@@ -208,13 +223,9 @@ def nonsplit_tori(field: PrimeField) -> list[Torus]:
     delta = find_nonresidue(p)
     g0 = norm_one_generator(p, delta)
     t0 = SL2Element(g0.a, (g0.b * delta) % p, g0.b, g0.a, p)
-    model = [SL2Element.identity(p)]
-    acc = t0
-    while acc != SL2Element.identity(p):
-        model.append(acc)
-        acc = acc * t0
-    if len(model) != p + 1:
-        raise TorusCountError(f"model torus has {len(model)} elements, expected {p + 1}")
+    order = len(Torus(t0).elements)
+    if order != p + 1:
+        raise TorusCountError(f"model torus has {order} elements, expected {p + 1}")
 
     a, b, c, d = _sl2_entries(p)
     x = _conjugate(a, b, c, d, np.array([t0.a, t0.b, t0.c, t0.d]), p)
@@ -227,16 +238,7 @@ def nonsplit_tori(field: PrimeField) -> list[Torus]:
     expected = p * (p - 1) // 2
     if len(first) != expected:
         raise TorusCountError(f"found {len(first)} non-split tori, expected {expected}")
-
-    entries = np.array([[t.a, t.b, t.c, t.d] for t in model], dtype=np.int64)
-    # conj[k, e, i]: entry k of the conjugate of model element e by the i-th chosen g
-    conj = np.stack(_conjugate(a[first], b[first], c[first], d[first], entries.T[:, :, None], p))
-    conj = np.take_along_axis(conj, np.lexsort(conj[::-1], axis=0)[None], axis=1)
-    gens = np.stack(x)[:, first].T.tolist()
-    return [
-        Torus(SL2Element(*gen, p), tuple(SL2Element(*e, p) for e in elements))
-        for gen, elements in zip(gens, conj.transpose(2, 1, 0).tolist())
-    ]
+    return [Torus(SL2Element(*gen, p)) for gen in np.stack(x)[:, first].T.tolist()]
 
 
 def _inverses(p: int) -> np.ndarray:
@@ -388,7 +390,7 @@ class CoherenceReport:
     passed: bool = True
 
 
-def coherence_report(D: Dictionary, histogram_bins: int = 40) -> CoherenceReport:
+def coherence_report(D: Dictionary) -> CoherenceReport:
     """Scan every cross-basis pair: max and histogram of sqrt(p)*|<phi, psi>|.
 
     Violations are reported, not raised.  A single-basis dictionary has no
@@ -397,13 +399,8 @@ def coherence_report(D: Dictionary, histogram_bins: int = 40) -> CoherenceReport
     p = D.p
     sqrt_p = np.sqrt(p)
     nb = D.basis_count
-    within_dev = 0.0
-    for b in D.bases:
-        g = b.atoms.conj().T @ b.atoms
-        within_dev = max(within_dev, float(np.abs(g - np.eye(g.shape[0])).max()))
-
-    edges = np.linspace(0.0, max(D.mu, 1.0) + 0.5, histogram_bins + 1)
-    counts = np.zeros(histogram_bins, dtype=np.int64)
+    edges = np.linspace(0.0, max(D.mu, 1.0) + 0.5, HISTOGRAM_BINS + 1)
+    counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
     worst = 0.0
     least = float("inf")
     pairs = 0
@@ -413,7 +410,7 @@ def coherence_report(D: Dictionary, histogram_bins: int = 40) -> CoherenceReport
         worst = max(worst, float(block.max()))
         least = min(least, float(block.min()))
         # uniform bins over the range of ``edges`` bin exactly as the edges themselves
-        counts += np.histogram(block, bins=histogram_bins, range=(edges[0], edges[-1]))[0]
+        counts += np.histogram(block, bins=HISTOGRAM_BINS, range=(edges[0], edges[-1]))[0]
     vacuous = nb < 2
     passed = bool(vacuous or worst <= D.mu + COHERENCE_SLACK * float(sqrt_p))
     return CoherenceReport(
@@ -426,7 +423,9 @@ def coherence_report(D: Dictionary, histogram_bins: int = 40) -> CoherenceReport
         max_cross_coherence=float(worst / sqrt_p) if pairs else 0.0,
         max_scaled_coherence=float(worst),
         min_scaled_coherence=float(least) if pairs else 0.0,
-        max_within_basis_deviation=within_dev,
+        max_within_basis_deviation=max(
+            (b.orthonormality_deviation for b in D.bases), default=0.0
+        ),
         histogram_edges=[float(e) for e in edges],
         histogram_counts=[int(c) for c in counts],
         vacuous=vacuous,

@@ -208,16 +208,19 @@ def _set_partitions(items: list[int]):
         yield [[first]] + partition
 
 
-def _check_budget(vertex_count: int, atom_count: int) -> None:
-    if vertex_count > MAX_VERTICES:
-        raise BudgetExceededError(
-            f"class has {vertex_count} vertices; exact expectations support at most {MAX_VERTICES}"
-        )
+def within_budget(vertex_count: int, atom_count: int) -> bool:
+    """Whether ``expected_weight`` evaluates a class of ``vertex_count`` vertices on
+    ``atom_count`` atoms; outside this budget it raises BudgetExceededError."""
     limit = MAX_ATOMS_SMALL_CLASS if vertex_count <= 2 else MAX_ATOMS
-    if atom_count > limit:
+    return vertex_count <= MAX_VERTICES and atom_count <= limit
+
+
+def _check_budget(vertex_count: int, atom_count: int) -> None:
+    if not within_budget(vertex_count, atom_count):
         raise BudgetExceededError(
-            f"dictionary has {atom_count} atoms; the budget for {vertex_count}-vertex "
-            f"classes is {limit}"
+            f"a {vertex_count}-vertex class on {atom_count} atoms exceeds the exact-expectation "
+            f"budget: at most {MAX_VERTICES} vertices, and at most {MAX_ATOMS_SMALL_CLASS} atoms "
+            f"for 2 vertices or fewer, {MAX_ATOMS} otherwise"
         )
 
 

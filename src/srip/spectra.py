@@ -5,7 +5,8 @@ uniformly at random, forms the Gram matrix G of the selected atoms and
 the normalized error E = sqrt(p/n) (G - I), and records the spectrum of
 E.  Tail frequencies of ||G - I||, sample moments of the spectral
 distribution, and the comparison against the semicircle law all derive
-from the per-trial eigenvalues.
+from the per-trial eigenvalues, which one core, ``_campaign``, draws
+under the campaign rules: trials >= 1, 0 < eps < 1 and 2 <= n <= |D|.
 
 Randomness comes from numpy's Philox counter-based 64-bit generator;
 trial i uses the key seed + i, so each trial's draw is independent of
@@ -84,11 +85,32 @@ def rip_deviation(sample: GramSample) -> float:
     return max(math.sqrt(lam_max) - 1.0, 1.0 - math.sqrt(lam_min), 0.0)
 
 
-def _trial_eigenvalues(D: Dictionary, n: int, trials: int, seed: int) -> np.ndarray:
-    """(trials, n) array of normalized-error eigenvalues, trial i seeded with seed+i."""
-    return np.vstack(
+def campaign_size(p: int, epsilon: float, trials: int) -> int:
+    """Support size n = floor(p^(1-eps)) of a campaign of ``trials`` trials.
+
+    Raises ValueError unless trials >= 1, 0 < epsilon < 1 and n >= 2.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n = support_size(p, epsilon)
+    if n < 2:
+        raise ValueError(f"support size floor(p^(1-eps)) = {n} is too small; need >= 2")
+    return n
+
+
+def _campaign(D: Dictionary, epsilon: float, trials: int, seed: int) -> tuple[int, np.ndarray]:
+    """(n, eigs): the support size and the (trials, n) normalized-error eigenvalues.
+
+    Checks ``campaign_size``, then n <= |D|; trial i draws its support
+    with the key seed + i.
+    """
+    n = campaign_size(D.p, epsilon, trials)
+    if n > D.atom_count:
+        raise ValueError(f"support size n={n} invalid for |D|={D.atom_count}")
+    eigs = np.vstack(
         [gram_sample(D, sample_support(D, n, seed + i)).eigenvalues for i in range(trials)]
     )
+    return n, eigs
 
 
 @dataclass(frozen=True)
@@ -124,12 +146,7 @@ def srip_tail_frequencies(
     Two threshold families are reported: p^(-eps/2), and
     (n/p)^(1/(2+e)) with e = ``delta_exponent``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = support_size(D.p, epsilon)
-    if n < 2:
-        raise ValueError(f"support size floor(p^(1-eps)) = {n} is too small; need >= 2")
-    eigs = _trial_eigenvalues(D, n, trials, seed)
+    n, eigs = _campaign(D, epsilon, trials, seed)
     return _tail_rows(eigs, D.p, n, epsilon, delta_exponent)
 
 
@@ -142,6 +159,8 @@ class MomentStatistics:
 
 
 def _moment_rows(eigs: np.ndarray, kmax: int) -> list[MomentStatistics]:
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     rows = []
     for k in range(1, kmax + 1):
         mk = np.mean(eigs**k, axis=1)
@@ -159,12 +178,7 @@ def moment_statistics(
     seed: int = 42,
 ) -> list[MomentStatistics]:
     """Sample mean and unbiased variance of the spectral moments m_k, k <= kmax."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = support_size(D.p, epsilon)
-    eigs = _trial_eigenvalues(D, n, trials, seed)
+    _, eigs = _campaign(D, epsilon, trials, seed)
     return _moment_rows(eigs, kmax)
 
 
@@ -276,15 +290,7 @@ def run_spectrum(
     ``threads`` is accepted for compatibility and has no effect; trials
     run one after another in the calling thread.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = support_size(D.p, epsilon)
-    if n < 2:
-        raise ValueError(f"support size floor(p^(1-eps)) = {n} is too small; need >= 2")
-    eigs = _trial_eigenvalues(D, n, trials, seed)
-
+    n, eigs = _campaign(D, epsilon, trials, seed)
     pooled = eigs.reshape(-1)
     counts, _ = np.histogram(pooled, bins=HISTOGRAM_EDGES)
     outside = int(pooled.size - counts.sum())

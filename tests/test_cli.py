@@ -224,3 +224,32 @@ def test_bad_epsilon_exits_2_before_building(tmp_path, monkeypatch):
     )
     assert code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_moments_on_zero_basis_file_exits_2(tmp_path, capsys):
+    from srip.dictionaries import Dictionary, save_dictionary
+
+    empty = tmp_path / "empty.srip"
+    save_dictionary(empty, Dictionary(5, "heisenberg", 1.0, []))
+    prefix = tmp_path / "out" / "m"
+    code = _run("moments", "--in", str(empty), "--trials", "5", "--out-prefix", str(prefix))
+    assert code == 2
+    assert "support size n=3 invalid for |D|=0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--trials", "0", "--epsilon", "0.3"),
+    ("--trials", "5", "--epsilon", "0.99"),  # floor(31^0.01) = 1
+])
+def test_bad_campaign_size_exits_2_before_building(tmp_path, monkeypatch, argv):
+    import srip.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dictionary was built before the campaign rules were checked")
+
+    monkeypatch.setattr(srip.cli, "build_oscillator_dictionary", refuse)
+    code = _run("srip", "--kind", "oscillator", "--p", "31", *argv,
+                "--out-prefix", str(tmp_path / "bad"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []

@@ -22,6 +22,7 @@ from srip.paths import (
     tail_bound_exponent,
     trajectory_table,
     tree_to_dyck,
+    within_budget,
 )
 from srip.spectra import catalan_number, moment_statistics
 
@@ -230,6 +231,28 @@ def test_expected_weight_budgets(dh5):
     # but two-vertex classes are allowed on the large dictionary
     value = expected_weight(PathClass((1, 2, 1)), big)
     assert abs(value - 31 / (31 * 31 + 31 - 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [5, 31])
+def test_budget_predicate_agrees_with_expected_weight(p):
+    D = heisenberg_dict(p)
+    verdicts = set()
+    for k in range(2, 6):
+        for pc in enumerate_path_classes(k):
+            allowed = within_budget(pc.vertex_count, D.atom_count)
+            verdicts.add(allowed)
+            if allowed:
+                expected_weight(pc, D)
+            else:
+                with pytest.raises(BudgetExceededError):
+                    expected_weight(pc, D)
+    assert verdicts == {True, False}
+
+
+def test_budget_predicate_edges():
+    assert within_budget(2, 2000) and not within_budget(2, 2001)
+    assert within_budget(4, 400) and not within_budget(3, 401)
+    assert not within_budget(5, 1)
 
 
 def test_class_size_and_normalization_examples():

@@ -174,6 +174,22 @@ def test_moment_statistics_first_moment_vanishes(dh11):
     assert stats[1].variance >= 0.0
 
 
+def test_moment_statistics_rejects_support_below_two(dh5):
+    # floor(5^0.1) = 1: a 1 x 1 Gram matrix has no spectrum to speak of
+    with pytest.raises(ValueError, match="too small"):
+        moment_statistics(dh5, epsilon=0.9, kmax=2, trials=5, seed=0)
+
+
+def test_campaign_rules_agree_across_reductions(dh5):
+    for call in (moment_statistics, srip_tail_frequencies, run_spectrum):
+        with pytest.raises(ValueError, match="too small"):
+            call(dh5, epsilon=0.9, trials=5)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            call(dh5, epsilon=0.3, trials=0)
+        with pytest.raises(ValueError, match="epsilon"):
+            call(dh5, epsilon=1.5, trials=5)
+
+
 def test_catalan_examples():
     assert [catalan_number(m) for m in range(5)] == [1, 1, 2, 5, 14]
     with pytest.raises(ValueError):
