@@ -47,7 +47,7 @@ from .paths import (
     trajectory_table,
     within_budget,
 )
-from .spectra import campaign_size, catalan_number, run_spectrum
+from .spectra import campaign_size, catalan_number, check_kmax, run_spectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -214,6 +214,7 @@ def _campaign_config(args, command: str) -> RunConfig:
 def _run_campaign(args, command: str, started: float) -> int:
     _validate_dict_source(args)
     config = _campaign_config(args, command)
+    check_kmax(config.kmax)  # fail before the load or the build
     if config.input:
         D = load_dictionary(config.input)
         config.p = D.p
@@ -224,7 +225,7 @@ def _run_campaign(args, command: str, started: float) -> int:
     report = run_spectrum(
         D,
         epsilon=args.epsilon,
-        kmax=getattr(args, "kmax", 6),
+        kmax=config.kmax,
         trials=args.trials,
         seed=args.seed,
         delta_exponent=args.delta_exponent,

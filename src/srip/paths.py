@@ -17,6 +17,7 @@ combinatorial quantities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -260,8 +261,27 @@ def _merged_walk_sum(edges, blocks: int, G: np.ndarray) -> complex:
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
 
 
-def _exact_weight_sum(labels, G: np.ndarray) -> tuple[complex, int]:
-    """(sum over injective assignments of the walk weight, number of vertices)."""
+def _walk_key(edges, blocks: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Canonical form of a merged walk: the block count and the directed edge
+    list, sorted and minimised over every relabelling of the blocks.
+
+    ``_merged_walk_sum`` depends only on this form: the walk weight is a
+    product over the edge multiset and every block index is summed freely.
+    Directions are kept, since u->v contributes G[u, v] and v->u contributes
+    G[v, u].
+    """
+    return blocks, min(
+        tuple(sorted((perm[u], perm[v]) for u, v in edges))
+        for perm in itertools.permutations(range(blocks))
+    )
+
+
+def _exact_weight_sum(labels, G: np.ndarray, sums: dict) -> tuple[complex, int]:
+    """(sum over injective assignments of the walk weight, number of vertices).
+
+    ``sums`` memoises ``_merged_walk_sum`` by ``_walk_key``, so a merged walk
+    shared by several partitions or classes is contracted once.
+    """
     order: dict = {}
     for x in labels:
         if x not in order:
@@ -279,9 +299,37 @@ def _exact_weight_sum(labels, G: np.ndarray) -> tuple[complex, int]:
         for block in partition:
             s = len(block)
             weight *= (-1) ** (s - 1) * math.factorial(s - 1)
-        merged_edges = [(block_of[u], block_of[v]) for u, v in edges]
-        total += weight * _merged_walk_sum(merged_edges, len(partition), G)
+        key = _walk_key([(block_of[u], block_of[v]) for u, v in edges], len(partition))
+        if key not in sums:
+            sums[key] = _merged_walk_sum(key[1], key[0], G)
+        total += weight * sums[key]
     return total, m
+
+
+def _expected_weights(walks, D: Dictionary) -> list[complex]:
+    """``expected_weight`` of every walk on one dictionary.
+
+    Every budget is checked first; then one Gram serves all walks, and each
+    distinct merged walk is contracted once.  The Gram and the memo live
+    only for this call.
+    """
+    walks = [pc.steps if isinstance(pc, PathClass) else tuple(pc) for pc in walks]
+    N = D.atom_count
+    for labels in walks:
+        _check_budget(len(set(labels)), N)
+    if not walks:
+        return []  # form no Gram: a large dictionary's would not fit in memory
+    M = D.atoms_matrix
+    G = M.T @ M.conj()
+    sums: dict = {}
+    out = []
+    for labels in walks:
+        total, m = _exact_weight_sum(labels, G, sums)
+        denom = 1
+        for i in range(m):
+            denom *= N - i
+        out.append(total / denom)
+    return out
 
 
 def expected_weight(pc: PathClass | tuple, D: Dictionary) -> complex:
@@ -291,20 +339,7 @@ def expected_weight(pc: PathClass | tuple, D: Dictionary) -> complex:
     supports to an average over assignments of the path's own vertices,
     which is what makes exact evaluation feasible.
     """
-    labels = pc.steps if isinstance(pc, PathClass) else tuple(pc)
-    N = D.atom_count
-    order: dict = {}
-    for x in labels:
-        if x not in order:
-            order[x] = len(order)
-    _check_budget(len(order), N)
-    M = D.atoms_matrix
-    G = M.T @ M.conj()
-    total, m = _exact_weight_sum(labels, G)
-    denom = 1
-    for i in range(m):
-        denom *= N - i
-    return total / denom
+    return _expected_weights([pc], D)[0]
 
 
 def class_size(pc: PathClass, n: int) -> int:
@@ -344,12 +379,10 @@ def exact_spectral_moment(D: Dictionary, n: int, k: int) -> float:
     if k > MAX_VERTICES:
         raise BudgetExceededError(f"exact moments support k <= {MAX_VERTICES}")
     p = D.p
+    classes = [pc for pc in enumerate_path_classes(k) if class_size(pc, n)]
     total = 0.0 + 0.0j
-    for pc in enumerate_path_classes(k):
-        size = class_size(pc, n)
-        if size == 0:
-            continue
-        total += (p / n) ** (k / 2) / n * size * expected_weight(pc, D)
+    for pc, weight in zip(classes, _expected_weights(classes, D)):
+        total += (p / n) ** (k / 2) / n * class_size(pc, n) * weight
     if abs(total.imag) > 1e-8:
         raise AssertionError(f"spectral moment came out non-real: {total}")
     return float(total.real)
@@ -394,12 +427,14 @@ def trajectory_table(
     vanishing estimates describe.
     """
     ps = sorted(dictionaries)
+    classes = list(classes)
+    weights = {p: _expected_weights(classes, dictionaries[p]) for p in ps}
     rows = []
-    for pc in classes:
+    for i, pc in enumerate(classes):
         pts = []
         for p in ps:
             n = fixed_n if fixed_n is not None else support_size(p, epsilon)
-            value = class_normalization(pc, n, p) * expected_weight(pc, dictionaries[p])
+            value = class_normalization(pc, n, p) * weights[p][i]
             pts.append(TrajectoryPoint(p, n, value))
         if len(pts) >= 2:
             if pc.is_tree:

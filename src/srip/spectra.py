@@ -158,9 +158,14 @@ class MomentStatistics:
     semicircle: float
 
 
-def _moment_rows(eigs: np.ndarray, kmax: int) -> list[MomentStatistics]:
+def check_kmax(kmax: int) -> None:
+    """The moment-table rule: raises ValueError unless kmax >= 1."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+
+
+def _moment_rows(eigs: np.ndarray, kmax: int) -> list[MomentStatistics]:
+    check_kmax(kmax)
     rows = []
     for k in range(1, kmax + 1):
         mk = np.mean(eigs**k, axis=1)

@@ -253,3 +253,19 @@ def test_bad_campaign_size_exits_2_before_building(tmp_path, monkeypatch, argv):
                 "--out-prefix", str(tmp_path / "bad"))
     assert code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["moments", "spectrum"])
+@pytest.mark.parametrize("source", [("--kind", "oscillator", "--p", "31"), ("--in", "absent.srip")])
+def test_kmax_zero_exits_2_before_loading_or_building(tmp_path, monkeypatch, command, source):
+    import srip.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dictionary was made before kmax was checked")
+
+    monkeypatch.setattr(srip.cli, "build_oscillator_dictionary", refuse)
+    monkeypatch.setattr(srip.cli, "load_dictionary", refuse)
+    code = _run(command, *source, "--kmax", "0", "--trials", "5",
+                "--out-prefix", str(tmp_path / "k0"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []

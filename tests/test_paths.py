@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from srip import paths
 from srip.dictionaries import Dictionary
 from srip.errors import BudgetExceededError, NotATreeError, SingleVisitError
 from srip.paths import (
@@ -253,6 +256,62 @@ def test_budget_predicate_edges():
     assert within_budget(2, 2000) and not within_budget(2, 2001)
     assert within_budget(4, 400) and not within_budget(3, 401)
     assert not within_budget(5, 1)
+
+
+def _merged_walks(max_k: int):
+    """(edges, block count) of every vertex-merge pattern of every class up to max_k."""
+    for k in range(2, max_k + 1):
+        for pc in enumerate_path_classes(k):
+            if pc.vertex_count > paths.MAX_VERTICES:
+                continue
+            edges = [(u - 1, v - 1) for u, v in zip(pc.steps, pc.steps[1:])]
+            for partition in paths._set_partitions(list(range(pc.vertex_count))):
+                block_of = {v: b for b, block in enumerate(partition) for v in block}
+                yield [(block_of[u], block_of[v]) for u, v in edges], len(partition)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_merged_walk_sum_is_invariant_under_block_relabelling(hermitian):
+    # the memo of merged-walk sums keys a walk by its canonical form
+    rng = np.random.default_rng(21)
+    n = 6
+    if hermitian:
+        G = random_hermitian(rng, n)
+    else:
+        G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for edges, blocks in _merged_walks(5):
+        value = paths._merged_walk_sum(edges, blocks, G)
+        for perm in itertools.permutations(range(blocks)):
+            relabelled = [(perm[u], perm[v]) for u, v in edges]
+            assert paths._walk_key(relabelled, blocks) == paths._walk_key(edges, blocks)
+            other = paths._merged_walk_sum(relabelled, blocks, G)
+            assert abs(other - value) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_batch_weights_match_per_class_and_bruteforce(dh5):
+    classes = [pc for k in (2, 3, 4) for pc in enumerate_path_classes(k)]
+    batch = paths._expected_weights(classes, dh5)
+    assert len(batch) == len(classes)
+    for pc, value in zip(classes, batch):
+        assert abs(value - expected_weight(pc, dh5)) <= 1e-12
+        assert abs(value - brute_expected_weight(pc.steps, dh5.atoms_matrix)) <= 1e-12
+
+
+def test_trajectory_table_contracts_each_distinct_walk_once(dh5, monkeypatch):
+    # 352 vertex-merge patterns over the k = 6 classes, 21 distinct merged walks
+    calls = []
+    contract = paths._merged_walk_sum
+
+    def counting(edges, blocks, G):
+        calls.append(blocks)
+        return contract(edges, blocks, G)
+
+    monkeypatch.setattr(paths, "_merged_walk_sum", counting)
+    usable = [
+        pc for pc in enumerate_path_classes(6) if within_budget(pc.vertex_count, dh5.atom_count)
+    ]
+    trajectory_table({5: dh5}, usable, fixed_n=3)
+    assert 0 < len(calls) <= 21
 
 
 def test_class_size_and_normalization_examples():
