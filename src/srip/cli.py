@@ -68,10 +68,6 @@ class RunConfig:
     trials: int = 200
     seed: int = 42
     threads: int | None = None
-    translations: int | None = None
-    subsample_seed: int = 0
-    k: int | None = None
-    ladder: list[int] | None = None
 
 
 def _json_payload(config: RunConfig, report: dict, started: float) -> str:
@@ -83,6 +79,10 @@ def _json_payload(config: RunConfig, report: dict, started: float) -> str:
         "duration_seconds": time.perf_counter() - started,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    write_atomic(path, "\n".join([header, *rows]) + "\n")
 
 
 def _build(kind: str, p: int, **extended) -> Dictionary:
@@ -232,16 +232,14 @@ def _run_campaign(args, command: str, started: float) -> int:
     )
     prefix = args.out_prefix
     if command == "spectrum":
-        lines = ["lambda"] + [repr(float(x)) for x in report.eigenvalues]
-        write_atomic(f"{prefix}.eigenvalues.csv", "\n".join(lines) + "\n")
+        _write_csv(f"{prefix}.eigenvalues.csv", "lambda",
+                   [repr(float(x)) for x in report.eigenvalues])
     if command in ("spectrum", "moments"):
-        rows = ["k,mean,variance,semicircle_moment"]
-        rows += [f"{m.k},{m.mean!r},{m.variance!r},{m.semicircle!r}" for m in report.moments]
-        write_atomic(f"{prefix}.moments.csv", "\n".join(rows) + "\n")
+        _write_csv(f"{prefix}.moments.csv", "k,mean,variance,semicircle_moment",
+                   [f"{m.k},{m.mean!r},{m.variance!r},{m.semicircle!r}" for m in report.moments])
     if command in ("spectrum", "srip"):
-        rows = ["threshold_kind,threshold,frequency"]
-        rows += [f"{t.kind},{t.threshold!r},{t.frequency!r}" for t in report.tails]
-        write_atomic(f"{prefix}.srip.csv", "\n".join(rows) + "\n")
+        _write_csv(f"{prefix}.srip.csv", "threshold_kind,threshold,frequency",
+                   [f"{t.kind},{t.threshold!r},{t.frequency!r}" for t in report.tails])
     write_atomic(f"{prefix}.report.json", _json_payload(config, report.to_dict(), started))
     print(f"{command} done: p={D.p} n={report.n} trials={report.trials} seed={report.seed} "
           f"ks_pooled={report.ks_pooled:.4f}")
@@ -253,12 +251,12 @@ def _cmd_paths_verify(args, started: float) -> int:
         raise ValueError(f"--k must be between 2 and 10, got {args.k}")
     classes = enumerate_path_classes(args.k)
     trees = [pc for pc in classes if pc.is_tree]
-    rows = ["class,k,vertices,is_tree,dyck"]
+    rows = []
     for pc in classes:
         dyck = "".join("+" if d == 1 else "-" for d in tree_to_dyck(pc)) if pc.is_tree else ""
         rows.append(f"{pc},{pc.k},{pc.vertex_count},{int(pc.is_tree)},{dyck}")
     if args.out_prefix:
-        write_atomic(f"{args.out_prefix}.classes.csv", "\n".join(rows) + "\n")
+        _write_csv(f"{args.out_prefix}.classes.csv", "class,k,vertices,is_tree,dyck", rows)
 
     expected = catalan_number(args.k // 2) if args.k % 2 == 0 else 0
     print(f"k={args.k}: {len(classes)} classes, {len(trees)} trees "
@@ -272,12 +270,12 @@ def _cmd_paths_verify(args, started: float) -> int:
             if all(within_budget(pc.vertex_count, d.atom_count) for d in dicts.values())
         ]
         table = trajectory_table(dicts, usable, epsilon=args.epsilon, fixed_n=args.fixed_n)
-        rows = ["class,p,n_tau_Ew_real,n_tau_Ew_imag"]
-        for row in table:
-            for pt in row.points:
-                rows.append(f"{row.path_class},{pt.p},{pt.value.real!r},{pt.value.imag!r}")
         if args.out_prefix:
-            write_atomic(f"{args.out_prefix}.estimates.csv", "\n".join(rows) + "\n")
+            _write_csv(
+                f"{args.out_prefix}.estimates.csv", "class,p,n_tau_Ew_real,n_tau_Ew_imag",
+                [f"{row.path_class},{pt.p},{pt.value.real!r},{pt.value.imag!r}"
+                 for row in table for pt in row.points],
+            )
         for row in table:
             trend = "->1" if row.is_tree else "->0"
             print(f"  {row.path_class}: tree={row.is_tree} {trend} "

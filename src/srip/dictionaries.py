@@ -17,8 +17,9 @@ largest entry is real positive, and ordered within a basis by descending
 eigenvalue phase of the defining unitary, phases taken in (0, 2pi].
 
 Coherence is checked over every cross-basis atom pair by one blocked
-kernel, ``_cross_blocks``, which both the builders and
-``coherence_report`` consume.
+kernel, ``_cross_blocks``, and decided by one rule,
+``within_coherence_bound``; both the builders and ``coherence_report``
+use the two.
 """
 
 from __future__ import annotations
@@ -145,11 +146,6 @@ class Dictionary:
     def atoms_matrix(self) -> np.ndarray:
         """p x atom_count matrix whose columns are all atoms in basis order."""
         return np.hstack([b.atoms for b in self.bases])
-
-    @cached_property
-    def basis_of_atom(self) -> np.ndarray:
-        """Basis index of each atom column."""
-        return np.repeat(np.arange(self.basis_count), [b.atoms.shape[1] for b in self.bases])
 
     def atom(self, index: int) -> np.ndarray:
         return self.atoms_matrix[:, index]
@@ -299,10 +295,14 @@ def _cross_blocks(D: Dictionary):
             yield np.abs(rows @ np.hstack([b.atoms for b in D.bases[y:y + step]]))
 
 
+def within_coherence_bound(max_abs: float, mu: float, p: int) -> bool:
+    """The coherence rule: max|<phi, psi>| <= mu/sqrt(p) + COHERENCE_SLACK."""
+    return bool(max_abs <= mu / np.sqrt(p) + COHERENCE_SLACK)
+
+
 def _check_coherence(D: Dictionary) -> float:
     worst = max((float(block.max()) for block in _cross_blocks(D)), default=0.0)
-    bound = D.mu / np.sqrt(D.p) + COHERENCE_SLACK
-    if worst > bound:
+    if not within_coherence_bound(worst, D.mu, D.p):
         raise CoherenceViolationError(
             f"{D.kind} dictionary p={D.p}: cross coherence {worst:.12f} exceeds "
             f"mu/sqrt(p) = {D.mu / np.sqrt(D.p):.12f}"
@@ -343,7 +343,8 @@ def build_extended_oscillator_dictionary(
     if translation_subsample is None and p > 5 and not allow_large:
         raise ValueError(
             f"full extended dictionary at p={p} has {p * (p - 1) * p * p // 2} bases; "
-            "pass translation_subsample or allow_large=True"
+            "pass translation_subsample or allow_large=True; from the command line, "
+            "`srip build --translations N` or `--allow-large`, then pass the file with `--in`"
         )
     translations = [(tau, w) for tau in range(p) for w in range(p)]
     if translation_subsample is not None:
@@ -401,18 +402,20 @@ def coherence_report(D: Dictionary) -> CoherenceReport:
     nb = D.basis_count
     edges = np.linspace(0.0, max(D.mu, 1.0) + 0.5, HISTOGRAM_BINS + 1)
     counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-    worst = 0.0
+    raw_worst = 0.0
     least = float("inf")
     pairs = 0
     for block in _cross_blocks(D):
+        raw_worst = max(raw_worst, float(block.max()))
         block *= sqrt_p
         pairs += block.size
-        worst = max(worst, float(block.max()))
         least = min(least, float(block.min()))
         # uniform bins over the range of ``edges`` bin exactly as the edges themselves
         counts += np.histogram(block, bins=HISTOGRAM_BINS, range=(edges[0], edges[-1]))[0]
+    # rounding is monotone, so this is the largest scaled entry bit for bit
+    worst = float(raw_worst * sqrt_p)
     vacuous = nb < 2
-    passed = bool(vacuous or worst <= D.mu + COHERENCE_SLACK * float(sqrt_p))
+    passed = vacuous or within_coherence_bound(raw_worst, D.mu, p)
     return CoherenceReport(
         p=p,
         kind=D.kind,

@@ -60,12 +60,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("0 has no inverse in F_p")
@@ -78,10 +72,6 @@ class PrimeField:
     def additive_character(self, z: int) -> complex:
         """e^(2*pi*i*z/p), the unit character of the additive group."""
         return complex(self.char_table[z % self.p])
-
-    def character_values(self, exponents: np.ndarray) -> np.ndarray:
-        """Vectorized additive character over an integer exponent array."""
-        return self.char_table[np.mod(exponents, self.p)]
 
     def legendre(self, a: int) -> int:
         """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0."""

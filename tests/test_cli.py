@@ -269,3 +269,33 @@ def test_kmax_zero_exits_2_before_loading_or_building(tmp_path, monkeypatch, com
                 "--out-prefix", str(tmp_path / "k0"))
     assert code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_full_extended_campaign_error_names_the_cli_route(tmp_path, capsys):
+    prefix = tmp_path / "e7"
+    code = _run(
+        "spectrum", "--kind", "extended_oscillator", "--p", "7", "--trials", "5",
+        "--out-prefix", str(prefix),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "srip build --translations N" in err
+    assert "--allow-large" in err
+    assert "--in" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reports_echo_no_unset_config_keys(tmp_path):
+    dict_file = tmp_path / "d5.srip"
+    assert _run("build", "--kind", "heisenberg", "--p", "5", "--out", str(dict_file)) == 0
+    assert _run("coherence", "--in", str(dict_file), "--out", str(tmp_path / "c.json")) == 0
+    reports = [tmp_path / "c.json"]
+    for command in ("spectrum", "srip", "moments"):
+        prefix = tmp_path / command
+        assert _run(command, "--in", str(dict_file), "--trials", "3",
+                    "--out-prefix", str(prefix)) == 0
+        reports.append(tmp_path / f"{command}.report.json")
+    for report in reports:
+        config = json.loads(report.read_text())["config"]
+        assert not {"translations", "subsample_seed", "k", "ladder"} & set(config), report.name
+        assert "threads" in config

@@ -460,3 +460,34 @@ def test_huge_atoms_raise_integrity_error_without_warnings(dh5):
         warnings.simplefilter("error")
         with pytest.raises(IntegrityError):
             parse_dictionary(bytes(data))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 31])
+@pytest.mark.parametrize("mu", [1.0, 4.0])
+def test_coherence_rule_at_float_neighbours_of_the_bound(p, mu):
+    from srip.dictionaries import COHERENCE_SLACK, within_coherence_bound
+
+    bound = mu / np.sqrt(p) + COHERENCE_SLACK
+    assert within_coherence_bound(bound, mu, p)
+    assert within_coherence_bound(np.nextafter(bound, 0.0), mu, p)
+    assert not within_coherence_bound(np.nextafter(bound, np.inf), mu, p)
+    assert not within_coherence_bound(float("nan"), mu, p)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _heisenberg(5), lambda: oscillator_dict(7), _duplicated5],
+    ids=["heisenberg5", "oscillator7", "duplicated5"],
+)
+def test_build_check_raises_exactly_when_report_fails(make):
+    from srip.dictionaries import _check_coherence
+    from srip.errors import CoherenceViolationError
+
+    D = make()
+    try:
+        _check_coherence(D)
+        raised = False
+    except CoherenceViolationError:
+        raised = True
+    assert raised == (not coherence_report(D).passed)
+    assert raised == (D.basis_count == 2)  # only the duplicated basis violates
