@@ -43,6 +43,7 @@ from .errors import SripError
 from .field import PrimeField
 from .paths import (
     enumerate_path_classes,
+    ladder_support_sizes,
     tree_to_dyck,
     trajectory_table,
     within_budget,
@@ -249,6 +250,10 @@ def _run_campaign(args, command: str, started: float) -> int:
 def _cmd_paths_verify(args, started: float) -> int:
     if not 2 <= args.k <= 10:
         raise ValueError(f"--k must be between 2 and 10, got {args.k}")
+    fields = []
+    if args.ladder:  # check the whole ladder before any write or build
+        fields = [PrimeField(int(x)) for x in args.ladder.split(",")]
+        ladder_support_sizes([f.p for f in fields], args.epsilon, args.fixed_n)
     classes = enumerate_path_classes(args.k)
     trees = [pc for pc in classes if pc.is_tree]
     rows = []
@@ -263,8 +268,7 @@ def _cmd_paths_verify(args, started: float) -> int:
           f"(catalan count {expected}) -> {'ok' if len(trees) == expected else 'MISMATCH'}")
 
     if args.ladder:
-        ps = [int(x) for x in args.ladder.split(",")]
-        dicts = {p: build_heisenberg_dictionary(PrimeField(p)) for p in ps}
+        dicts = {f.p: build_heisenberg_dictionary(f) for f in fields}
         usable = [
             pc for pc in classes
             if all(within_budget(pc.vertex_count, d.atom_count) for d in dicts.values())

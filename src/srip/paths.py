@@ -10,9 +10,11 @@ The weight of a path, given an injective assignment of its vertices to
 dictionary atoms, is the product of consecutive inner products around the
 cycle.  Expectations of these weights over uniformly random injective
 assignments are computed exactly (by Moebius inversion over vertex
-coincidence patterns, evaluated as tensor contractions of the dictionary
-Gram matrix), which ties the Monte Carlo spectral statistics to closed
-combinatorial quantities.
+coincidence patterns, reduced through the tight-frame identity
+sum_a phi_a phi_a^H = (basis count) * I, and evaluated as tensor
+contractions of the dictionary Gram matrix or, in p dimensions, of its
+degree-2 moment operator), which ties the Monte Carlo spectral statistics
+to closed combinatorial quantities.
 """
 
 from __future__ import annotations
@@ -276,11 +278,110 @@ def _walk_key(edges, blocks: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     )
 
 
-def _exact_weight_sum(labels, G: np.ndarray, sums: dict) -> tuple[complex, int]:
-    """(sum over injective assignments of the walk weight, number of vertices).
+def _reduce_walk(edges, blocks: int) -> tuple[int, int, list[tuple[int, int]], int]:
+    """Sum out the blocks of a merged walk on a tight frame of unit atoms.
 
-    ``sums`` memoises ``_merged_walk_sum`` by ``_walk_key``, so a merged walk
-    shared by several partitions or classes is contracted once.
+    Returns (s, z, core, m): the walk sum is nb^s * N^z times the sum of the
+    core walk ``core`` on m blocks.  Loops drop, since G[a, a] = 1.  A block
+    with one in-edge u->b and one out-edge b->v sums out to nb * G[u, v],
+    since sum_b phi_b phi_b^H = nb * I; a block left with no edge gives N.
+    Repeated until nothing changes, so every core block has in- and
+    out-degree at least 2 (they are equal: a merged walk is closed).
+    """
+    edges = [(u, v) for u, v in edges if u != v]
+    alive = list(range(blocks))
+    summed = isolated = 0
+    changed = True
+    while changed:
+        changed = False
+        for b in list(alive):
+            ins = [e for e in edges if e[1] == b]
+            outs = [e for e in edges if e[0] == b]
+            if len(ins) > 1 or len(outs) > 1:
+                continue
+            alive.remove(b)
+            changed = True
+            if not ins:
+                isolated += 1
+                continue
+            edges.remove(ins[0])
+            edges.remove(outs[0])
+            u, v = ins[0][0], outs[0][1]
+            if u != v:
+                edges.append((u, v))
+            summed += 1
+    index = {b: i for i, b in enumerate(alive)}
+    return summed, isolated, [(index[u], index[v]) for u, v in edges], len(alive)
+
+
+def _degree2_core_sum(edges, blocks: int, S2: np.ndarray) -> complex:
+    """``_merged_walk_sum`` of a walk whose blocks all have in- and out-degree 2,
+    contracted in p dimensions.
+
+    G[u, v] = phi_v^H phi_u, so summing block b over the atoms gives one copy of
+    S2[i, j, k, l] = sum_a phi_a[i] phi_a[j] conj(phi_a[k] phi_a[l]): its ket
+    legs i, j carry the out-edges of b and its bra legs k, l the in-edges.
+    """
+    kets: list[list[int]] = [[] for _ in range(blocks)]
+    bras: list[list[int]] = [[] for _ in range(blocks)]
+    for e, (u, v) in enumerate(edges):
+        kets[u].append(e)
+        bras[v].append(e)
+    operands = []
+    for b in range(blocks):
+        operands += [S2, kets[b] + bras[b]]
+    return complex(np.einsum(*operands, [], optimize=True))
+
+
+class _CoreSums:
+    """Memoised free sums of merged walks (or of their cores) on one dictionary.
+
+    Keyed by ``_walk_key``.  On a tight frame, a core of three or more
+    degree-2 blocks is contracted in p dimensions while p^2 <= N; every other
+    walk is ``_merged_walk_sum`` in atom space.  The Gram and S2 are formed
+    on first use.
+    """
+
+    def __init__(self, D: Dictionary):
+        self.D = D
+        self.tight = all(b.atoms.shape[1] == D.p for b in D.bases)
+        self.memo: dict = {}
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        M = self.D.atoms_matrix
+        return M.T @ M.conj()
+
+    @cached_property
+    def s2(self) -> np.ndarray:
+        """sum_a (phi_a (x) phi_a)(phi_a (x) phi_a)^H as a p x p x p x p tensor."""
+        M = self.D.atoms_matrix
+        p = self.D.p
+        Y = (M[:, None, :] * M[None, :, :]).reshape(p * p, -1)
+        return (Y @ Y.conj().T).reshape(p, p, p, p)
+
+    def __call__(self, key) -> complex:
+        if key not in self.memo:
+            blocks, edges = key
+            out_degrees = {sum(u == b for u, _ in edges) for b in range(blocks)}
+            in_p_dims = self.D.p**2 <= self.D.atom_count
+            if self.tight and blocks >= 3 and in_p_dims and out_degrees == {2}:
+                self.memo[key] = _degree2_core_sum(edges, blocks, self.s2)
+            else:
+                self.memo[key] = _merged_walk_sum(edges, blocks, self.gram)
+        return self.memo[key]
+
+
+def _expansion(labels, tight: bool) -> tuple[int, dict]:
+    """(number of vertices, Moebius expansion of the injective walk sum).
+
+    Moebius inversion over the vertex coincidence patterns turns the sum
+    over injective assignments into free sums of merged walks.  The
+    expansion maps (s, z, key) to an integer coefficient, for the term
+    nb^s * N^z * (free sum of the walk ``key``), where ``key`` is a
+    ``_walk_key``.  On a tight frame each merged walk is reduced by
+    ``_reduce_walk`` and ``key`` is its core (a core of no blocks is 1);
+    otherwise s = z = 0 and ``key`` is the merged walk itself.
     """
     order: dict = {}
     for x in labels:
@@ -288,8 +389,7 @@ def _exact_weight_sum(labels, G: np.ndarray, sums: dict) -> tuple[complex, int]:
             order[x] = len(order)
     m = len(order)
     verts = [order[x] for x in labels]
-    edges = list(zip(verts, verts[1:]))
-    total = 0.0 + 0.0j
+    terms: dict = {}
     for partition in _set_partitions(list(range(m))):
         block_of = {}
         for b, block in enumerate(partition):
@@ -299,36 +399,51 @@ def _exact_weight_sum(labels, G: np.ndarray, sums: dict) -> tuple[complex, int]:
         for block in partition:
             s = len(block)
             weight *= (-1) ** (s - 1) * math.factorial(s - 1)
-        key = _walk_key([(block_of[u], block_of[v]) for u, v in edges], len(partition))
-        if key not in sums:
-            sums[key] = _merged_walk_sum(key[1], key[0], G)
-        total += weight * sums[key]
-    return total, m
+        edges = [(block_of[u], block_of[v]) for u, v in zip(verts, verts[1:])]
+        summed, isolated, blocks = 0, 0, len(partition)
+        if tight:
+            summed, isolated, edges, blocks = _reduce_walk(edges, blocks)
+        term = (summed, isolated, _walk_key(edges, blocks))
+        terms[term] = terms.get(term, 0) + weight
+    return m, terms
 
 
 def _expected_weights(walks, D: Dictionary) -> list[complex]:
-    """``expected_weight`` of every walk on one dictionary.
+    """``expected_weight`` of every walk on one dictionary."""
+    return _ladder_weights(walks, [D])[0]
 
-    Every budget is checked first; then one Gram serves all walks, and each
-    distinct merged walk is contracted once.  The Gram and the memo live
-    only for this call.
+
+def _ladder_weights(walks, dictionaries) -> list[list[complex]]:
+    """``expected_weight`` of every walk on each dictionary.
+
+    Every budget is checked first.  Each walk is expanded once per call (once
+    for the tight frames, once for the rest), and each dictionary's
+    ``_CoreSums`` sums every distinct core once; the Grams, S2s and memos
+    live only for this call.
     """
     walks = [pc.steps if isinstance(pc, PathClass) else tuple(pc) for pc in walks]
-    N = D.atom_count
-    for labels in walks:
-        _check_budget(len(set(labels)), N)
-    if not walks:
-        return []  # form no Gram: a large dictionary's would not fit in memory
-    M = D.atoms_matrix
-    G = M.T @ M.conj()
-    sums: dict = {}
+    for D in dictionaries:
+        for labels in walks:
+            _check_budget(len(set(labels)), D.atom_count)
+    expansions: dict = {}
     out = []
-    for labels in walks:
-        total, m = _exact_weight_sum(labels, G, sums)
-        denom = 1
-        for i in range(m):
-            denom *= N - i
-        out.append(total / denom)
+    for D in dictionaries:
+        core_sum = _CoreSums(D)
+        if core_sum.tight not in expansions:
+            expansions[core_sum.tight] = [_expansion(labels, core_sum.tight) for labels in walks]
+        N, nb = D.atom_count, D.basis_count
+        weights = []
+        for m, terms in expansions[core_sum.tight]:
+            total = 0.0 + 0.0j
+            for (summed, isolated, key), coefficient in terms.items():
+                if coefficient:
+                    scale = coefficient * nb**summed * N**isolated
+                    total += scale * core_sum(key) if key[0] else scale
+            denom = 1
+            for i in range(m):
+                denom *= N - i
+            weights.append(total / denom)
+        out.append(weights)
     return out
 
 
@@ -427,15 +542,15 @@ def trajectory_table(
     vanishing estimates describe.
     """
     ps = sorted(dictionaries)
+    sizes = ladder_support_sizes(ps, epsilon, fixed_n)
     classes = list(classes)
-    weights = {p: _expected_weights(classes, dictionaries[p]) for p in ps}
+    weights = _ladder_weights(classes, [dictionaries[p] for p in ps])
     rows = []
     for i, pc in enumerate(classes):
-        pts = []
-        for p in ps:
-            n = fixed_n if fixed_n is not None else support_size(p, epsilon)
-            value = class_normalization(pc, n, p) * weights[p][i]
-            pts.append(TrajectoryPoint(p, n, value))
+        pts = [
+            TrajectoryPoint(p, n, class_normalization(pc, n, p) * w[i])
+            for p, n, w in zip(ps, sizes, weights)
+        ]
         if len(pts) >= 2:
             if pc.is_tree:
                 converging = abs(pts[-1].value - 1) < abs(pts[-2].value - 1)
@@ -445,6 +560,19 @@ def trajectory_table(
             converging = True
         rows.append(ClassTrajectory(pc, pc.is_tree, tuple(pts), converging))
     return rows
+
+
+def ladder_support_sizes(ps, epsilon: float, fixed_n: int | None = None) -> list[int]:
+    """The support size n that ``trajectory_table`` normalizes by at each prime.
+
+    ``fixed_n`` when given, else ``support_size(p, epsilon)``.  Raises
+    ValueError for a ``fixed_n`` below 1 or, without one, a bad ``epsilon``.
+    """
+    if fixed_n is None:
+        return [support_size(p, epsilon) for p in ps]
+    if fixed_n < 1:
+        raise ValueError(f"the fixed support size must be at least 1, got {fixed_n}")
+    return [fixed_n] * len(ps)
 
 
 def support_size(p: int, epsilon: float) -> int:

@@ -183,6 +183,25 @@ def test_paths_verify_out_of_range_k_exits_2(tmp_path):
     assert _run("paths-verify", "--k", "1") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--ladder", "5,7", "--fixed-n", "0"),
+    ("--ladder", "5,7", "--fixed-n", "-2"),
+    ("--ladder", "5,7", "--epsilon", "1.5"),
+    ("--ladder", "5,9"),
+])
+def test_bad_ladder_exits_2_before_writing_or_building(tmp_path, monkeypatch, capsys, argv):
+    import srip.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ladder dictionary was built before the ladder was checked")
+
+    monkeypatch.setattr(srip.cli, "build_heisenberg_dictionary", refuse)
+    code = _run("paths-verify", "--k", "4", *argv, "--out-prefix", str(tmp_path / "pv"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_atom_is_contract_violation(tmp_path):
     dict_file = tmp_path / "d5.srip"
     assert _run("build", "--kind", "heisenberg", "--p", "5", "--out", str(dict_file)) == 0

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from srip import paths
-from srip.dictionaries import Dictionary
+from srip.dictionaries import Dictionary, OrthonormalBasis, diagonal_torus_system
 from srip.errors import BudgetExceededError, NotATreeError, SingleVisitError
+from srip.field import PrimeField
 from srip.paths import (
     PathClass,
     canonicalize,
@@ -314,6 +315,71 @@ def test_trajectory_table_contracts_each_distinct_walk_once(dh5, monkeypatch):
     assert 0 < len(calls) <= 21
 
 
+def test_reduced_walk_sums_match_the_atom_space_contraction(dh5, monkeypatch):
+    # every merge pattern up to k = 8: the tight-frame reduction, and the S2
+    # contraction of the degree-2 cores it leaves, against the unreduced einsum
+    G = dh5.atoms_matrix.T @ dh5.atoms_matrix.conj()
+    in_p_dims = []
+    contract = paths._degree2_core_sum
+
+    def counting(edges, blocks, S2):
+        in_p_dims.append(blocks)
+        return contract(edges, blocks, S2)
+
+    monkeypatch.setattr(paths, "_degree2_core_sum", counting)
+    core_sum = paths._CoreSums(dh5)
+    oracle = {}
+    for edges, blocks in _merged_walks(8):
+        key = paths._walk_key(edges, blocks)
+        if key not in oracle:
+            oracle[key] = paths._merged_walk_sum(edges, blocks, G)
+        summed, isolated, core, m = paths._reduce_walk(edges, blocks)
+        value = dh5.basis_count**summed * dh5.atom_count**isolated
+        if m:
+            value *= core_sum(paths._walk_key(core, m))
+        assert abs(value - oracle[key]) <= 1e-12 * abs(oracle[key])
+    assert sorted(set(in_p_dims)) == [3, 4]
+
+
+def test_non_square_dictionary_keeps_the_unreduced_sums(dh5, monkeypatch):
+    # the diagonal-torus system has fewer than p vectors, so the union is no
+    # tight frame and the one-in/one-out rule would be wrong
+    vectors, _ = diagonal_torus_system(PrimeField(5))
+    D = Dictionary(5, "heisenberg", 1.0, dh5.bases + [OrthonormalBasis("diagonal", vectors)])
+    M = D.atoms_matrix
+    assert np.abs(M @ M.conj().T - D.basis_count * np.eye(5)).max() > 0.1
+
+    def refuse(edges, blocks):
+        raise AssertionError("a walk on a non-square dictionary was reduced")
+
+    monkeypatch.setattr(paths, "_reduce_walk", refuse)
+    for steps in [(1, 2, 1), (1, 2, 3, 1), (1, 2, 3, 2, 1), (1, 2, 1, 2, 1), (1, 2, 3, 1, 3, 2, 1)]:
+        assert abs(expected_weight(PathClass(steps), D) - brute_expected_weight(steps, M)) <= 1e-12
+
+
+def test_k8_contracts_no_degree2_core_in_atom_space(dh5, monkeypatch):
+    # the K4-like four-block walks, and every core of degree-2 blocks, are
+    # contracted in p dimensions; the atom-space einsum sees only two-block
+    # cores and three-block cores with a block of degree 3 or more
+    atom_space = []
+    contract = paths._merged_walk_sum
+
+    def recording(edges, blocks, G):
+        atom_space.append((list(edges), blocks))
+        return contract(edges, blocks, G)
+
+    monkeypatch.setattr(paths, "_merged_walk_sum", recording)
+    usable = [
+        pc for pc in enumerate_path_classes(8) if within_budget(pc.vertex_count, dh5.atom_count)
+    ]
+    paths._expected_weights(usable, dh5)
+    assert atom_space
+    for edges, blocks in atom_space:
+        assert blocks <= 3
+        if blocks == 3:
+            assert max(sum(u == b for u, _ in edges) for b in range(blocks)) >= 3
+
+
 def test_class_size_and_normalization_examples():
     pc = PathClass((1, 2, 3, 1, 2, 1))
     assert class_size(pc, 10) == 720
@@ -331,6 +397,12 @@ def test_tail_bound_exponent_sign():
                 assert exponent < 0
             else:
                 assert exponent >= 0
+
+
+@pytest.mark.parametrize("fixed_n", [0, -2])
+def test_trajectory_table_rejects_nonpositive_fixed_n(dh5, fixed_n):
+    with pytest.raises(ValueError, match="at least 1"):
+        trajectory_table({5: dh5}, [PathClass((1, 2, 1))], fixed_n=fixed_n)
 
 
 def test_support_size_values():
