@@ -152,17 +152,8 @@ class Dictionary:
 
 
 def _eigenbasis_of(U: np.ndarray, label: str) -> OrthonormalBasis:
-    """Phase-normalized eigenbasis of U, columns sorted by descending eigenvalue phase.
-
-    Phases are taken in (0, 2pi], so an eigenvalue 1 comes first.
-    """
-    vecs = unitary_eigenbasis(U)
-    lam = np.einsum("ij,ik,kj->j", vecs.conj(), U, vecs)
-    # clockwise turns from 1 in [0, 1); the rounding sends the +-1e-17 angle
-    # noise of an eigenvalue 1 to 0 whatever its sign
-    turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
-    order = np.argsort(turns, kind="stable")
-    return OrthonormalBasis(label, np.ascontiguousarray(vecs[:, order]))
+    """The eigenbasis of U as ``unitary_eigenbasis`` orders and normalizes it."""
+    return OrthonormalBasis(label, unitary_eigenbasis(U))
 
 
 def heisenberg_basis(field: PrimeField, line: Line) -> OrthonormalBasis:
@@ -354,18 +345,19 @@ def build_extended_oscillator_dictionary(
         chosen = rng.choice(len(translations), size=translation_subsample, replace=False)
         translations = [translations[i] for i in sorted(chosen)]
 
+    shifts = [
+        None if tau == w == 0 else heisenberg_operator(field, HeisenbergElement(tau, w, 0, p))
+        for tau, w in translations
+    ]
     bases = []
     for torus in nonsplit_tori(field):
         tb = oscillator_basis(field, torus)
-        for tau, w in translations:
-            if tau == 0 and w == 0:
+        for (tau, w), shift in zip(translations, shifts):
+            if shift is None:
                 bases.append(tb)
-                continue
-            shift = heisenberg_operator(field, HeisenbergElement(tau, w, 0, p))
-            atoms = shift @ tb.atoms
-            for col in range(atoms.shape[1]):
-                atoms[:, col] = phase_normalize(atoms[:, col])
-            bases.append(OrthonormalBasis(f"{tb.label};v:{tau},{w}", atoms))
+            else:
+                atoms = phase_normalize(shift @ tb.atoms)
+                bases.append(OrthonormalBasis(f"{tb.label};v:{tau},{w}", atoms))
     D = Dictionary(p, "extended_oscillator", KIND_MU["extended_oscillator"], bases)
     _check_coherence(D)
     return D
@@ -449,10 +441,10 @@ def synthesize(coefficients: np.ndarray, D: Dictionary) -> np.ndarray:
 def diagonal_torus_system(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form orthonormal system attached to the diagonal (split) torus.
 
-    Returns (vectors, characters): p-1 columns phi(t) = chi(t)/sqrt(p-1)
+    Returns (vectors, characters): p-2 columns phi(t) = chi(t)/sqrt(p-1)
     on t != 0, one for every multiplicative character chi except the
     quadratic one, together with the character value table.  This system
-    has p-1 < p vectors and is deliberately not part of any dictionary;
+    has p-2 < p vectors and is deliberately not part of any dictionary;
     it exists as a validation target (each column is an eigenvector of
     every scaling operator).
     """

@@ -81,10 +81,6 @@ class PrimeField:
         r = pow(a, (self.p - 1) // 2, self.p)
         return 1 if r == 1 else -1
 
-    def nonresidue(self) -> int:
-        """Smallest positive quadratic non-residue (deterministic)."""
-        return find_nonresidue(self.p)
-
     def primitive_root(self) -> int:
         """Smallest generator of the multiplicative group F_p^x."""
         order = self.p - 1

@@ -4,7 +4,8 @@ Hermitian eigenproblems go to LAPACK through ``np.linalg.eigh``, with the
 result flipped to descending eigenvalue order.  Unitary operators are
 diagonalized by reducing to the Hermitian problem through a fixed linear
 combination of U and its adjoint; the resulting vectors are verified
-against U directly.
+against U directly, ordered by descending eigenvalue phase in (0, 2pi]
+and phase-normalized column by column.
 """
 
 from __future__ import annotations
@@ -88,29 +89,34 @@ def gram(vectors: np.ndarray) -> np.ndarray:
     return V.T @ V.conj()
 
 
-def anchor_index(v: np.ndarray, rtol: float = 1e-9) -> int:
+def anchor_index(v: np.ndarray, rtol: float = 1e-9) -> int | np.ndarray:
     """Lowest index whose magnitude ties the maximum within a relative window.
 
+    Taken per column of a matrix, so a matrix gives one index per column.
     The window makes the choice stable for flat-magnitude vectors, where
     exact argmax would land on rounding noise.
     """
     mags = np.abs(v)
-    return int(np.argmax(mags >= mags.max() * (1.0 - rtol)))
+    return np.argmax(mags >= mags.max(axis=0) * (1.0 - rtol), axis=0)
 
 
 def phase_normalize(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-magnitude entry is real and positive.
+    """Rotate each column so its largest-magnitude entry is real and positive.
 
-    Ties in magnitude resolve to the lowest index.  The chosen entry is
-    set to its modulus exactly.
+    A vector is treated as one column.  Ties in magnitude resolve to the
+    lowest index, and the chosen entry is set to its modulus exactly.  A
+    zero column comes back unchanged.
     """
-    v = np.asarray(v, dtype=np.complex128).copy()
-    k = anchor_index(v)
-    m = abs(v[k])
-    if m == 0.0:
-        return v
-    v *= np.conj(v[k]) / m
-    v[k] = m
+    v = np.array(v, dtype=np.complex128)
+    cols = v.reshape(v.shape[0], -1)  # a view, also of a vector
+    j = np.arange(cols.shape[1])
+    k = anchor_index(cols)
+    anchor = cols[k, j]
+    # hypot is how abs() of one complex scalar rounds; np.abs on an array can
+    # differ from it in the last bit
+    m = np.hypot(anchor.real, anchor.imag)
+    cols *= np.divide(anchor.conj(), m, out=np.ones_like(anchor), where=m > 0)
+    cols[k, j] = m
     return v
 
 
@@ -121,7 +127,8 @@ def unitary_eigenbasis(U: np.ndarray) -> np.ndarray:
     checks every resulting vector against U itself.  When two distinct
     unitary eigenvalues collapse onto one real part of H, the phase is
     doubled and the reduction retried (at most 3 retries).  Columns are
-    phase-normalized; their order follows the Hermitian solver output.
+    ordered by descending eigenvalue phase, phases taken in (0, 2pi], so an
+    eigenvalue 1 comes first; each column is phase-normalized.
 
     Raises
     ------
@@ -141,14 +148,14 @@ def unitary_eigenbasis(U: np.ndarray) -> np.ndarray:
         alpha = np.exp(1j * _BASE_PHASE * (2**attempt))
         H = alpha * U + np.conj(alpha) * Uh
         vecs = hermitian_eig(H).eigenvectors
-        lam = np.einsum("ij,ik,kj->j", vecs.conj(), U, vecs)
-        resid = np.abs(U @ vecs - vecs * lam).max(axis=0)
-        worst = float(resid.max())
+        UV = U @ vecs
+        lam = np.einsum("ij,ij->j", vecs.conj(), UV)  # Rayleigh quotients
+        worst = float(np.abs(UV - vecs * lam).max())
         if worst <= EIGENVECTOR_RESIDUAL_TOL:
-            out = np.empty_like(vecs)
-            for col in range(n):
-                out[:, col] = phase_normalize(vecs[:, col])
-            return out
+            # clockwise turns from 1 in [0, 1); the rounding sends the +-1e-17
+            # angle noise of an eigenvalue 1 to 0 whatever its sign
+            turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
+            return phase_normalize(vecs[:, np.argsort(turns, kind="stable")])
     raise DegenerateSpectrumError(
         f"eigenvector residual {worst:.3e} exceeds {EIGENVECTOR_RESIDUAL_TOL:.1e} "
         f"after {_MAX_RETRIES} retries; spectrum may be degenerate"

@@ -590,13 +590,20 @@ def support_size(p: int, epsilon: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _single_visit_position(steps: tuple[int, ...], vertex: int) -> int:
+def _single_visit(steps: tuple[int, ...], vertex: int) -> tuple[tuple[int, ...], int]:
+    """The walk and the position of a once-crossed vertex, which is not the start.
+
+    A walk that starts at the vertex is rotated by one, so the vertex has
+    a neighbour on either side.
+    """
     positions = [i for i in range(len(steps) - 1) if steps[i] == vertex]
     if len(positions) != 1:
         raise SingleVisitError(
             f"vertex {vertex} is crossed {len(positions)} times in {steps}; need exactly 1"
         )
-    return positions[0]
+    if positions[0] == 0:
+        return _rotate(steps, 1), len(steps) - 2
+    return steps, positions[0]
 
 
 def _rotate(steps: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -610,10 +617,7 @@ def delete_vertex(steps: tuple[int, ...], vertex: int) -> tuple[int, ...]:
     Distinct neighbours are joined by a new edge (length drops by 1);
     equal neighbours collapse the detour (length drops by 2).
     """
-    i0 = _single_visit_position(steps, vertex)
-    if i0 == 0:
-        steps = _rotate(steps, 1)
-        i0 = _single_visit_position(steps, vertex)
+    steps, i0 = _single_visit(steps, vertex)
     vl, vr = steps[i0 - 1], steps[i0 + 1]
     if vl != vr:
         return steps[:i0] + steps[i0 + 1 :]
@@ -622,10 +626,7 @@ def delete_vertex(steps: tuple[int, ...], vertex: int) -> tuple[int, ...]:
 
 def replace_vertex(steps: tuple[int, ...], vertex: int, replacement: int) -> tuple[int, ...]:
     """Surgery rerouting a once-crossed vertex through another vertex."""
-    i0 = _single_visit_position(steps, vertex)
-    if i0 == 0:
-        steps = _rotate(steps, 1)
-        i0 = _single_visit_position(steps, vertex)
+    steps, i0 = _single_visit(steps, vertex)
     return steps[:i0] + (replacement,) + steps[i0 + 1 :]
 
 
@@ -649,10 +650,7 @@ def completeness_residual(
     (it is Parseval applied within each orthonormal basis).
     """
     steps = pc.steps
-    i0 = _single_visit_position(steps, vertex)
-    if i0 == 0:
-        steps = _rotate(steps, 1)
-        i0 = _single_visit_position(steps, vertex)
+    steps, i0 = _single_visit(steps, vertex)
     vl, vr = steps[i0 - 1], steps[i0 + 1]
     reduced = delete_vertex(steps, vertex)
     others = []

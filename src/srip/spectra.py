@@ -28,20 +28,14 @@ from .paths import support_size
 HISTOGRAM_EDGES = np.linspace(-3.0, 3.0, 61)
 
 
-def _generator(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.Generator(np.random.Philox(key=int(seed_or_rng)))
-
-
-def sample_support(D: Dictionary, n: int, seed_or_rng) -> np.ndarray:
+def sample_support(D: Dictionary, n: int, seed: int) -> np.ndarray:
     """Uniform random injective ordered support via a partial Fisher-Yates shuffle."""
     N = D.atom_count
     if n > N:
         raise SupportTooLargeError(f"support size {n} exceeds dictionary size {N}")
     if n < 1:
         raise ValueError("support size must be at least 1")
-    rng = _generator(seed_or_rng)
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
     idx = np.arange(N)
     for i in range(n):
         j = int(rng.integers(i, N))
@@ -217,13 +211,13 @@ def semicircle_cdf(x) -> np.ndarray:
     return (xc * np.sqrt(4.0 - xc**2) / 4.0 + np.arcsin(xc / 2.0)) / np.pi + 0.5
 
 
-def ks_statistic(sample: np.ndarray, cdf=semicircle_cdf) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic of a sample against a CDF."""
+def ks_statistic(sample: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov statistic of a sample against the semicircle law."""
     x = np.sort(np.asarray(sample, dtype=float))
     m = len(x)
     if m == 0:
         raise ValueError("empty sample")
-    F = np.asarray(cdf(x), dtype=float)
+    F = semicircle_cdf(x)
     i = np.arange(m)
     return float(np.maximum(F - i / m, (i + 1) / m - F).max())
 

@@ -262,6 +262,7 @@ def _exact_triangle_weight(D):
     return (tr3 - m_ab - m_bc - m_ac + 2 * m_all) / (N * (N - 1) * (N - 2))
 
 
+@pytest.mark.slow
 def test_odd_moment_matches_exact_and_decays_at_fixed_n(campaign_reports):
     # The third moment has one class (the triangle).  Its exact expectation
     # pins the Monte Carlo mean at both ladder ends, and the decay toward 0

@@ -164,6 +164,19 @@ def test_oscillator_basis_independent_of_generator():
     assert np.allclose(np.sort(overlap.max(axis=1)), 1.0, atol=1e-7)
 
 
+@pytest.mark.parametrize("p", [7, 13])
+def test_oscillator_atoms_ordered_eigenvectors_of_torus_generator(p):
+    f = PrimeField(p)
+    for torus, basis in zip(nonsplit_tori(f), oscillator_dict(p).bases):
+        U = weil_operator(f, torus.generator)
+        A = basis.atoms
+        lam = np.einsum("ij,ij->j", A.conj(), U @ A)
+        assert np.abs(U @ A - A * lam).max() <= 1e-8, basis.label
+        turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
+        assert (turns >= 0).all() and (turns < 1).all()
+        assert (np.diff(turns) > 0).all(), basis.label
+
+
 def test_oscillator_dictionary_counts_and_coherence():
     D5 = oscillator_dict(5)
     assert D5.basis_count == 10
@@ -215,6 +228,22 @@ def test_extended_oscillator_subsample_p7():
     rep = coherence_report(D)
     assert rep.cross_pairs_checked >= 10_000
     assert rep.max_scaled_coherence <= 4.0
+
+
+def test_extended_oscillator_builds_each_translation_once(monkeypatch):
+    import srip.dictionaries as dictionaries
+
+    calls = []
+
+    def counting(field, element):
+        calls.append((element.tau, element.w))
+        return heisenberg_operator(field, element)
+
+    monkeypatch.setattr(dictionaries, "heisenberg_operator", counting)
+    D = build_extended_oscillator_dictionary(PrimeField(7), translation_subsample=8)
+    assert D.basis_count == 21 * 8
+    assert len(calls) <= 8
+    assert len(set(calls)) == len(calls)
 
 
 def test_coherence_report_single_basis_vacuous(single_basis5):

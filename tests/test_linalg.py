@@ -3,6 +3,7 @@ import pytest
 
 from srip.errors import DimensionMismatchError, NotHermitianError
 from srip.linalg import (
+    anchor_index,
     gram,
     hermitian_eig,
     op_norm,
@@ -176,3 +177,26 @@ def test_phase_normalize():
     k = np.argmax(np.abs(out))
     assert out[k].imag == 0.0 and out[k].real > 0
     assert abs(np.vdot(out, out) - np.vdot(v, v)) < 1e-12
+
+
+def test_phase_normalize_matrix_matches_columns():
+    rng = np.random.default_rng(3)
+    V = rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6))
+    V[:, 4] = 0.0
+    before = V.copy()
+    out = phase_normalize(V)
+    k = anchor_index(V)
+    for j in range(V.shape[1]):
+        v = V[:, j]
+        m = abs(v[k[j]])
+        expected = v if m == 0 else v * np.conj(v[k[j]]) / m
+        assert np.abs(out[:, j] - expected).max() <= 1e-15
+        assert out[k[j], j] == m
+    assert np.array_equal(out[:, 4], V[:, 4])
+    assert np.array_equal(V, before)
+
+
+def test_unitary_eigenbasis_descending_phase_order():
+    t = np.array([0.0, 0.6, 0.2, 0.8, 0.4])
+    V = unitary_eigenbasis(np.diag(np.exp(-2j * np.pi * t)))
+    assert np.abs(V - np.eye(5)[:, [0, 2, 4, 1, 3]]).max() <= 1e-12
