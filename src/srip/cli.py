@@ -48,7 +48,13 @@ from .paths import (
     trajectory_table,
     within_budget,
 )
-from .spectra import campaign_size, catalan_number, check_kmax, run_spectrum
+from .spectra import (
+    campaign_size,
+    catalan_number,
+    check_delta_exponent,
+    check_kmax,
+    run_spectrum,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -216,6 +222,7 @@ def _run_campaign(args, command: str, started: float) -> int:
     _validate_dict_source(args)
     config = _campaign_config(args, command)
     check_kmax(config.kmax)  # fail before the load or the build
+    check_delta_exponent(config.delta_exponent)
     if config.input:
         D = load_dictionary(config.input)
         config.p = D.p

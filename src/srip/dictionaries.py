@@ -127,12 +127,18 @@ class OrthonormalBasis:
 
 @dataclass
 class Dictionary:
-    """A disjoint union of pairwise mu-coherent orthonormal bases."""
+    """A disjoint union of pairwise mu-coherent p x p orthonormal bases: a tight frame."""
 
     p: int
     kind: str
     mu: float
     bases: list[OrthonormalBasis]
+
+    def __post_init__(self):
+        for b in self.bases:
+            if b.atoms.shape != (self.p, self.p):
+                raise DimensionMismatchError(
+                    f"basis {b.label!r} has shape {b.atoms.shape}, not {self.p} x {self.p}")
 
     @property
     def basis_count(self) -> int:
@@ -140,7 +146,7 @@ class Dictionary:
 
     @property
     def atom_count(self) -> int:
-        return sum(b.atoms.shape[1] for b in self.bases)
+        return self.p * len(self.bases)
 
     @cached_property
     def atoms_matrix(self) -> np.ndarray:
@@ -444,7 +450,7 @@ def diagonal_torus_system(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     Returns (vectors, characters): p-2 columns phi(t) = chi(t)/sqrt(p-1)
     on t != 0, one for every multiplicative character chi except the
     quadratic one, together with the character value table.  This system
-    has p-2 < p vectors and is deliberately not part of any dictionary;
+    has p-2 < p vectors, so no dictionary accepts it as a basis;
     it exists as a validation target (each column is an eigenvector of
     every scaling operator).
     """

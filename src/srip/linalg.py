@@ -132,13 +132,17 @@ def unitary_eigenbasis(U: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    DimensionMismatchError
+        If U is not square or is empty.
     DegenerateSpectrumError
         If some vector still fails the eigenvector residual check after
         all retries.
     """
     U = _as_square_complex(U)
     n = U.shape[0]
-    dev = np.abs(U.conj().T @ U - np.eye(n)).max() if n else 0.0
+    if not n:
+        raise DimensionMismatchError("expected a nonempty matrix, got shape (0, 0)")
+    dev = np.abs(U.conj().T @ U - np.eye(n)).max()
     if dev > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: max |U^H U - I| = {dev:.3e}")
 

@@ -334,9 +334,9 @@ def _degree2_core_sum(edges, blocks: int, S2: np.ndarray) -> complex:
 
 
 class _CoreSums:
-    """Memoised free sums of merged walks (or of their cores) on one dictionary.
+    """Memoised free sums of merged-walk cores on one dictionary.
 
-    Keyed by ``_walk_key``.  On a tight frame, a core of three or more
+    Keyed by ``_walk_key``.  A core of three or more
     degree-2 blocks is contracted in p dimensions while p^2 <= N; every other
     walk is ``_merged_walk_sum`` in atom space.  The Gram and S2 are formed
     on first use.
@@ -344,7 +344,6 @@ class _CoreSums:
 
     def __init__(self, D: Dictionary):
         self.D = D
-        self.tight = all(b.atoms.shape[1] == D.p for b in D.bases)
         self.memo: dict = {}
 
     @cached_property
@@ -365,23 +364,22 @@ class _CoreSums:
             blocks, edges = key
             out_degrees = {sum(u == b for u, _ in edges) for b in range(blocks)}
             in_p_dims = self.D.p**2 <= self.D.atom_count
-            if self.tight and blocks >= 3 and in_p_dims and out_degrees == {2}:
+            if blocks >= 3 and in_p_dims and out_degrees == {2}:
                 self.memo[key] = _degree2_core_sum(edges, blocks, self.s2)
             else:
                 self.memo[key] = _merged_walk_sum(edges, blocks, self.gram)
         return self.memo[key]
 
 
-def _expansion(labels, tight: bool) -> tuple[int, dict]:
+def _expansion(labels) -> tuple[int, dict]:
     """(number of vertices, Moebius expansion of the injective walk sum).
 
     Moebius inversion over the vertex coincidence patterns turns the sum
     over injective assignments into free sums of merged walks.  The
     expansion maps (s, z, key) to an integer coefficient, for the term
     nb^s * N^z * (free sum of the walk ``key``), where ``key`` is a
-    ``_walk_key``.  On a tight frame each merged walk is reduced by
-    ``_reduce_walk`` and ``key`` is its core (a core of no blocks is 1);
-    otherwise s = z = 0 and ``key`` is the merged walk itself.
+    ``_walk_key``.  Each merged walk is reduced by ``_reduce_walk`` and
+    ``key`` is its core (a core of no blocks is 1).
     """
     order: dict = {}
     for x in labels:
@@ -400,10 +398,8 @@ def _expansion(labels, tight: bool) -> tuple[int, dict]:
             s = len(block)
             weight *= (-1) ** (s - 1) * math.factorial(s - 1)
         edges = [(block_of[u], block_of[v]) for u, v in zip(verts, verts[1:])]
-        summed, isolated, blocks = 0, 0, len(partition)
-        if tight:
-            summed, isolated, edges, blocks = _reduce_walk(edges, blocks)
-        term = (summed, isolated, _walk_key(edges, blocks))
+        summed, isolated, core, blocks = _reduce_walk(edges, len(partition))
+        term = (summed, isolated, _walk_key(core, blocks))
         terms[term] = terms.get(term, 0) + weight
     return m, terms
 
@@ -416,24 +412,21 @@ def _expected_weights(walks, D: Dictionary) -> list[complex]:
 def _ladder_weights(walks, dictionaries) -> list[list[complex]]:
     """``expected_weight`` of every walk on each dictionary.
 
-    Every budget is checked first.  Each walk is expanded once per call (once
-    for the tight frames, once for the rest), and each dictionary's
-    ``_CoreSums`` sums every distinct core once; the Grams, S2s and memos
-    live only for this call.
+    Every budget is checked first.  Each walk is expanded once per call, and
+    each dictionary's ``_CoreSums`` sums every distinct core once; the Grams,
+    S2s and memos live only for this call.
     """
     walks = [pc.steps if isinstance(pc, PathClass) else tuple(pc) for pc in walks]
     for D in dictionaries:
         for labels in walks:
             _check_budget(len(set(labels)), D.atom_count)
-    expansions: dict = {}
+    expansions = [_expansion(labels) for labels in walks]
     out = []
     for D in dictionaries:
         core_sum = _CoreSums(D)
-        if core_sum.tight not in expansions:
-            expansions[core_sum.tight] = [_expansion(labels, core_sum.tight) for labels in walks]
         N, nb = D.atom_count, D.basis_count
         weights = []
-        for m, terms in expansions[core_sum.tight]:
+        for m, terms in expansions:
             total = 0.0 + 0.0j
             for (summed, isolated, key), coefficient in terms.items():
                 if coefficient:
@@ -575,6 +568,16 @@ def ladder_support_sizes(ps, epsilon: float, fixed_n: int | None = None) -> list
     return [fixed_n] * len(ps)
 
 
+def _distinct_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
+    """n distinct indices of range(N), uniform and ordered: a partial Fisher-Yates
+    shuffle, one ``rng.integers(i, N)`` draw per position i < n."""
+    idx = np.arange(N)
+    for i in range(n):
+        j = int(rng.integers(i, N))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:n].copy()
+
+
 def support_size(p: int, epsilon: float) -> int:
     """floor(p^(1-epsilon)), the support size used throughout the statistics.
 
@@ -659,15 +662,10 @@ def completeness_residual(
             others.append(x)
 
     M = D.atoms_matrix
-    N = D.atom_count
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
     for _ in range(samples):
-        idx = np.arange(N)
-        for i in range(len(others)):
-            j = int(rng.integers(i, N))
-            idx[i], idx[j] = idx[j], idx[i]
-        assign = {u: int(idx[i]) for i, u in enumerate(others)}
+        assign = dict(zip(others, _distinct_indices(rng, D.atom_count, len(others)).tolist()))
 
         scalar = 1.0 + 0.0j
         for u, v in zip(steps, steps[1:]):

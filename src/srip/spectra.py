@@ -23,7 +23,7 @@ import numpy as np
 from .dictionaries import Dictionary
 from .errors import SupportTooLargeError
 from .linalg import hermitian_eig
-from .paths import support_size
+from .paths import _distinct_indices, support_size
 
 HISTOGRAM_EDGES = np.linspace(-3.0, 3.0, 61)
 
@@ -35,12 +35,7 @@ def sample_support(D: Dictionary, n: int, seed: int) -> np.ndarray:
         raise SupportTooLargeError(f"support size {n} exceeds dictionary size {N}")
     if n < 1:
         raise ValueError("support size must be at least 1")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    idx = np.arange(N)
-    for i in range(n):
-        j = int(rng.integers(i, N))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:n].copy()
+    return _distinct_indices(np.random.Generator(np.random.Philox(key=int(seed))), N, n)
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,17 @@ def _tail_rows(
     ]
 
 
+def check_delta_exponent(delta_exponent: float) -> None:
+    """The tail-threshold rule: raises ValueError unless the exponent e is finite and e > -2.
+
+    The threshold (n/p)^(1/(2+e)) divides by 2 + e.
+    """
+    if not (math.isfinite(delta_exponent) and delta_exponent > -2.0):
+        raise ValueError(
+            f"delta exponent must be finite and greater than -2, got {delta_exponent!r}"
+        )
+
+
 def srip_tail_frequencies(
     D: Dictionary,
     epsilon: float,
@@ -138,8 +144,10 @@ def srip_tail_frequencies(
     """Fraction of trials with ||G - I|| at or above each configured threshold.
 
     Two threshold families are reported: p^(-eps/2), and
-    (n/p)^(1/(2+e)) with e = ``delta_exponent``.
+    (n/p)^(1/(2+e)) with e = ``delta_exponent``, checked by
+    ``check_delta_exponent`` before any trial is drawn.
     """
+    check_delta_exponent(delta_exponent)
     n, eigs = _campaign(D, epsilon, trials, seed)
     return _tail_rows(eigs, D.p, n, epsilon, delta_exponent)
 
@@ -287,8 +295,10 @@ def run_spectrum(
     """One campaign: tail frequencies, moments, pooled spectrum, KS distances.
 
     ``threads`` is accepted for compatibility and has no effect; trials
-    run one after another in the calling thread.
+    run one after another in the calling thread.  ``delta_exponent`` is
+    checked by ``check_delta_exponent`` before any trial is drawn.
     """
+    check_delta_exponent(delta_exponent)
     n, eigs = _campaign(D, epsilon, trials, seed)
     pooled = eigs.reshape(-1)
     counts, _ = np.histogram(pooled, bins=HISTOGRAM_EDGES)

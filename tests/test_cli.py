@@ -290,6 +290,22 @@ def test_kmax_zero_exits_2_before_loading_or_building(tmp_path, monkeypatch, com
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("e", ["-2", "-3", "nan", "inf"])
+@pytest.mark.parametrize("source", [("--kind", "oscillator", "--p", "31"), ("--in", "absent.srip")])
+def test_bad_delta_exponent_exits_2_before_loading_or_building(tmp_path, monkeypatch, source, e):
+    import srip.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dictionary was made before the delta exponent was checked")
+
+    monkeypatch.setattr(srip.cli, "build_oscillator_dictionary", refuse)
+    monkeypatch.setattr(srip.cli, "load_dictionary", refuse)
+    code = _run("srip", *source, "--delta-exponent", e, "--trials", "3",
+                "--out-prefix", str(tmp_path / "out" / "d"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_full_extended_campaign_error_names_the_cli_route(tmp_path, capsys):
     prefix = tmp_path / "e7"
     code = _run(

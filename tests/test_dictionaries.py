@@ -520,3 +520,26 @@ def test_build_check_raises_exactly_when_report_fails(make):
         raised = True
     assert raised == (not coherence_report(D).passed)
     assert raised == (D.basis_count == 2)  # only the duplicated basis violates
+
+
+def test_dictionary_rejects_a_basis_that_is_not_p_by_p(dh5):
+    # an orthonormal system of p - 2 vectors, and p = 5 bases declared under p = 7
+    vectors, _ = diagonal_torus_system(PrimeField(5))
+    with pytest.raises(DimensionMismatchError, match=r"'diagonal' has shape \(5, 3\)"):
+        Dictionary(5, "heisenberg", 1.0, dh5.bases + [OrthonormalBasis("diagonal", vectors)])
+    with pytest.raises(DimensionMismatchError, match=r"'line:0' has shape \(5, 5\), not 7 x 7"):
+        Dictionary(7, "heisenberg", 1.0, dh5.bases)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _heisenberg(5), lambda: oscillator_dict(7),
+     lambda: build_extended_oscillator_dictionary(PrimeField(5)), _extended7],
+    ids=["heisenberg5", "oscillator7", "extended5", "extended7"],
+)
+def test_atom_count_and_file_round_trip_of_every_kind(make):
+    D = make()
+    assert D.atom_count == D.p * D.basis_count == D.atoms_matrix.shape[1]
+    D2 = parse_dictionary(dump_dictionary(D))
+    assert [b.label for b in D2.bases] == [b.label for b in D.bases]
+    assert all(b2.atoms.tobytes() == b.atoms.tobytes() for b, b2 in zip(D.bases, D2.bases))

@@ -157,6 +157,11 @@ def test_unitary_eigenbasis_rejects_non_unitary():
         unitary_eigenbasis(2.0 * np.eye(3, dtype=complex))
 
 
+def test_unitary_eigenbasis_rejects_empty_matrix():
+    with pytest.raises(DimensionMismatchError):
+        unitary_eigenbasis(np.zeros((0, 0), dtype=complex))
+
+
 def test_unitary_eigenbasis_survives_phase_collision():
     # two eigenvalues symmetric about the first reduction phase collide in
     # H(alpha); the retry with a doubled phase must separate them

@@ -39,6 +39,24 @@ def test_sample_support_too_large(dh5):
         sample_support(dh5, dh5.atom_count + 1, 0)
 
 
+def test_sample_support_draws_are_pinned(dh5):
+    assert sample_support(dh5, 7, 123).tolist() == [8, 15, 13, 7, 9, 10, 4]
+
+
+@pytest.mark.parametrize("e", [-2.0, -3.0, math.nan, math.inf])
+def test_bad_delta_exponent_raises_before_any_trial(dh11, monkeypatch, e):
+    import srip.spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial was drawn before the delta exponent was checked")
+
+    monkeypatch.setattr(srip.spectra, "gram_sample", refuse)
+    with pytest.raises(ValueError, match="delta exponent"):
+        srip_tail_frequencies(dh11, 0.3, delta_exponent=e)
+    with pytest.raises(ValueError, match="delta exponent"):
+        run_spectrum(dh11, 0.3, delta_exponent=e)
+
+
 def test_sample_support_inclusion_frequencies(dh5):
     # per-atom inclusion frequency over many draws stays inside 3-sigma
     # binomial bands around n/N
