@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True)
     b.add_argument("--translations", type=int, default=None,
                    help="extended dictionary: keep this many seeded translations")
-    b.add_argument("--subsample-seed", type=int, default=0)
+    b.add_argument("--subsample-seed", type=int, default=None,
+                   help="extended dictionary: seed of the translation subsample (default 0)")
     b.add_argument("--allow-large", action="store_true",
                    help="permit the full extended dictionary above p = 5")
     b.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
@@ -177,11 +178,16 @@ def _validate_dict_source(args) -> None:
 
 
 def _cmd_build(args) -> int:
+    extended_only = (args.translations is not None or args.subsample_seed is not None
+                     or args.allow_large)
+    if extended_only and args.kind != "extended_oscillator":
+        raise ValueError("--translations, --subsample-seed and --allow-large apply to "
+                         "--kind extended_oscillator only")
     D = _build(
         args.kind,
         args.p,
         translation_subsample=args.translations,
-        subsample_seed=args.subsample_seed,
+        subsample_seed=args.subsample_seed or 0,
         allow_large=args.allow_large,
     )
     save_dictionary(args.out, D)

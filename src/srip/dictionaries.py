@@ -8,7 +8,9 @@ A dictionary is a disjoint union of orthonormal bases of C(F_p):
 * ``oscillator``: one basis per non-split maximal torus of SL_2(F_p),
   eigenbases of the torus generator's unitary operator (p(p-1)/2 bases,
   mu = 4); the tori come from one vectorized conjugation of the model
-  torus, keyed by the projective line of the generator's traceless part;
+  torus, keyed by the projective line of the generator's traceless part,
+  and each basis is the model torus's eigenbasis carried over by the
+  Weil operator of the conjugator;
 * ``extended_oscillator``: every oscillator basis translated by every
   plane element (p(p-1)p^2/2 bases, mu = 4).
 
@@ -16,10 +18,13 @@ Atoms are unit vectors stored as matrix columns, phase-normalized so the
 largest entry is real positive, and ordered within a basis by descending
 eigenvalue phase of the defining unitary, phases taken in (0, 2pi].
 
-Coherence is checked over every cross-basis atom pair by one blocked
-kernel, ``_cross_blocks``, and decided by one rule,
-``within_coherence_bound``; both the builders and ``coherence_report``
-use the two.
+Cross-basis inner products are formed by one blocked kernel,
+``_cross_blocks``, and judged by one rule, ``within_coherence_bound``.
+``coherence_report`` scans every cross-basis pair.  The builders of the
+full kinds scan only the pairs of the anchor basis ``bases[0]``: the
+Heisenberg-Weil group carries every pair of their bases, up to atom
+phases and order, to a pair that contains the anchor, and a unitary keeps
+|<phi, psi>|, so the anchor's maximum is the maximum over all pairs.
 """
 
 from __future__ import annotations
@@ -42,7 +47,13 @@ from .errors import (
     VersionMismatchError,
 )
 from .field import PrimeField, find_nonresidue, norm_one_generator
-from .linalg import EIGENVECTOR_RESIDUAL_TOL, phase_normalize, unitary_eigenbasis
+from .linalg import (
+    EIGENVECTOR_RESIDUAL_TOL,
+    eigen_residual,
+    order_eigenbasis,
+    phase_normalize,
+    unitary_eigenbasis,
+)
 from .operators import HeisenbergElement, SL2Element, heisenberg_operator, weil_operator
 
 COHERENCE_SLACK = 1e-9
@@ -82,9 +93,11 @@ def lines(p: int) -> list[Line]:
 
 @dataclass(frozen=True)
 class Torus:
-    """A non-split maximal torus, given by a generator of order p+1."""
+    """A non-split maximal torus, given by a generator of order p+1, and a
+    conjugator g that carries the model torus onto it: generator = g t0 g^-1."""
 
     generator: SL2Element
+    conjugator: SL2Element
 
     @cached_property
     def elements(self) -> tuple[SL2Element, ...]:
@@ -206,17 +219,16 @@ def nonsplit_tori(field: PrimeField) -> list[Torus]:
     generator X, so two conjugates g t0 g^-1 span the same torus exactly
     when the traceless parts of the generators lie on one projective
     line; the line of (a - d, b, c) is the key.  The first g of each key
-    supplies the torus, whose generator g t0 g^-1 has exact order p+1.
+    is the torus's conjugator, and its generator g t0 g^-1 has exact
+    order p+1.
 
     The subgroup count is |SL_2| / |normalizer| = p(p^2-1) / (2(p+1)):
     the normalizer contains an inverting element of determinant one, so
     it is twice the torus.
     """
     p = field.p
-    delta = find_nonresidue(p)
-    g0 = norm_one_generator(p, delta)
-    t0 = SL2Element(g0.a, (g0.b * delta) % p, g0.b, g0.a, p)
-    order = len(Torus(t0).elements)
+    t0 = _model_generator(p)
+    order = len(Torus(t0, SL2Element.identity(p)).elements)
     if order != p + 1:
         raise TorusCountError(f"model torus has {order} elements, expected {p + 1}")
 
@@ -231,7 +243,17 @@ def nonsplit_tori(field: PrimeField) -> list[Torus]:
     expected = p * (p - 1) // 2
     if len(first) != expected:
         raise TorusCountError(f"found {len(first)} non-split tori, expected {expected}")
-    return [Torus(SL2Element(*gen, p)) for gen in np.stack(x)[:, first].T.tolist()]
+    gens = np.stack(x)[:, first].T.tolist()
+    conjugators = np.stack([a, b, c, d])[:, first].T.tolist()
+    return [Torus(SL2Element(*gen, p), SL2Element(*g, p)) for gen, g in zip(gens, conjugators)]
+
+
+def _model_generator(p: int) -> SL2Element:
+    """The generator t0 = [[a, b*delta], [b, a]] of the model torus, from a
+    generator a + b*sqrt(delta) of the norm-one circle of F_p(sqrt(delta))."""
+    delta = find_nonresidue(p)
+    g0 = norm_one_generator(p, delta)
+    return SL2Element(g0.a, (g0.b * delta) % p, g0.b, g0.a, p)
 
 
 def _inverses(p: int) -> np.ndarray:
@@ -272,21 +294,51 @@ def _conjugate(a, b, c, d, t, p: int) -> tuple[np.ndarray, ...]:
 
 def oscillator_basis(field: PrimeField, torus: Torus) -> OrthonormalBasis:
     """Eigenbasis of the unitary operator of the torus generator."""
-    U = weil_operator(field, torus.generator)
-    return _eigenbasis_of(U, torus.label)
+    return _oscillator_bases(field, [torus])[0]
 
 
-def _cross_blocks(D: Dictionary):
+def _oscillator_bases(field: PrimeField, tori: list[Torus]) -> list[OrthonormalBasis]:
+    """The eigenbasis of each torus's generator, from one eigensolve.
+
+    U(g) U(t0) U(g)^-1 is U(g t0 g^-1) up to a global phase, so the Weil
+    operator of a torus's conjugator g carries the model torus's eigenbasis
+    onto an eigenbasis of the torus generator, with the model eigenvalues
+    times that phase.  Each carried basis is checked against the
+    generator's own operator, then ordered and phase-normalized by
+    ``order_eigenbasis``, as ``unitary_eigenbasis`` orders a solved basis.
+
+    Raises
+    ------
+    DegenerateSpectrumError
+        If some atom misses its eigen-equation by more than
+        ``EIGENVECTOR_RESIDUAL_TOL``.
+    """
+    model = unitary_eigenbasis(weil_operator(field, _model_generator(field.p)))
+    bases = []
+    for torus in tori:
+        carried = weil_operator(field, torus.conjugator) @ model
+        lam, resid = eigen_residual(weil_operator(field, torus.generator), carried)
+        if not resid <= EIGENVECTOR_RESIDUAL_TOL:
+            raise DegenerateSpectrumError(
+                f"basis {torus.label!r}: carried eigenvector residual {resid:.3e} exceeds "
+                f"{EIGENVECTOR_RESIDUAL_TOL:.1e}"
+            )
+        bases.append(OrthonormalBasis(torus.label, order_eigenbasis(carried, lam)))
+    return bases
+
+
+def _cross_blocks(D: Dictionary, anchor: bool = False):
     """Yield |<phi, psi>| over every cross-basis atom pair, block by block.
 
     Each basis meets the bases after it in groups of about
     ``CROSS_BLOCK_SIZE / p^2`` (at least one), so a block holds about
     ``CROSS_BLOCK_SIZE`` inner products: the atoms of basis x as rows
-    against the atoms of the group as columns.
+    against the atoms of the group as columns.  With ``anchor``, only
+    basis 0 is a row basis, so only the pairs that contain it are formed.
     """
     nb = D.basis_count
     step = max(1, CROSS_BLOCK_SIZE // (D.p * D.p))
-    for x in range(nb):
+    for x in range(min(nb, 1) if anchor else nb):
         rows = D.bases[x].atoms.conj().T
         for y in range(x + 1, nb, step):
             yield np.abs(rows @ np.hstack([b.atoms for b in D.bases[y:y + step]]))
@@ -297,8 +349,10 @@ def within_coherence_bound(max_abs: float, mu: float, p: int) -> bool:
     return bool(max_abs <= mu / np.sqrt(p) + COHERENCE_SLACK)
 
 
-def _check_coherence(D: Dictionary) -> float:
-    worst = max((float(block.max()) for block in _cross_blocks(D)), default=0.0)
+def _check_coherence(D: Dictionary, anchor: bool = False) -> float:
+    """Raise CoherenceViolationError unless every pair that ``_cross_blocks``
+    forms obeys ``within_coherence_bound``; returns their max |<phi, psi>|."""
+    worst = max((float(block.max()) for block in _cross_blocks(D, anchor)), default=0.0)
     if not within_coherence_bound(worst, D.mu, D.p):
         raise CoherenceViolationError(
             f"{D.kind} dictionary p={D.p}: cross coherence {worst:.12f} exceeds "
@@ -308,18 +362,33 @@ def _check_coherence(D: Dictionary) -> float:
 
 
 def build_heisenberg_dictionary(field: PrimeField) -> Dictionary:
-    """The p+1 line bases; cross coherence is exactly 1/sqrt(p) (verified)."""
+    """The p+1 line bases; cross coherence is exactly 1/sqrt(p) (verified).
+
+    The check scans the p pairs of the anchor basis ``bases[0]``.  A Weil
+    operator U(g) conjugates pi(v) to pi(gv), so it carries the basis of a
+    line L onto the basis of the line gL up to atom phases and order, and
+    SL_2(F_p) acts 2-transitively on the p+1 lines: every pair of line
+    bases is carried to a pair that contains line 0.
+    """
     bases = [heisenberg_basis(field, ln) for ln in lines(field.p)]
     D = Dictionary(field.p, "heisenberg", KIND_MU["heisenberg"], bases)
-    _check_coherence(D)
+    _check_coherence(D, anchor=True)
     return D
 
 
 def build_oscillator_dictionary(field: PrimeField) -> Dictionary:
-    """One basis per non-split torus, mu = 4 (coherence verified on all pairs)."""
-    bases = [oscillator_basis(field, t) for t in nonsplit_tori(field)]
+    """One basis per non-split torus, mu = 4 (coherence verified).
+
+    The bases come from one eigensolve (``_oscillator_bases``).  The check
+    scans the nb - 1 pairs of the anchor basis ``bases[0]``: SL_2(F_p) acts
+    transitively on the non-split tori by conjugation, and U(h) carries the
+    basis of a torus T onto the basis of h T h^-1 up to atom phases and
+    order, so every pair of torus bases is carried to a pair that contains
+    the first torus.
+    """
+    bases = _oscillator_bases(field, nonsplit_tori(field))
     D = Dictionary(field.p, "oscillator", KIND_MU["oscillator"], bases)
-    _check_coherence(D)
+    _check_coherence(D, anchor=True)
     return D
 
 
@@ -334,7 +403,14 @@ def build_extended_oscillator_dictionary(
     The full construction has p(p-1)p^2/2 bases and is gated behind
     ``allow_large`` above p = 5; ``translation_subsample`` selects a
     deterministic seeded subset of translations for desk-scale runs.
-    Coherence is verified over all retained basis pairs.
+
+    With every translation, the check scans the nb - 1 pairs of the anchor
+    basis ``bases[0]`` (the first torus, v = 0).  pi(v)^-1 carries a pair
+    (pi(v) B_T, pi(w) B_S) to (B_T, pi(w - v) B_S) up to phases, and a Weil
+    operator U(h) with h T h^-1 equal to the first torus carries that to
+    (B_{hTh^-1}, pi(h(w - v)) B_{hSh^-1}), since U(h) pi(u) U(h)^-1 = pi(hu).
+    A seeded subsample is not closed under this action, so its check scans
+    every pair of retained bases.
     """
     p = field.p
     if translation_subsample is None and p > 5 and not allow_large:
@@ -356,8 +432,7 @@ def build_extended_oscillator_dictionary(
         for tau, w in translations
     ]
     bases = []
-    for torus in nonsplit_tori(field):
-        tb = oscillator_basis(field, torus)
+    for tb in _oscillator_bases(field, nonsplit_tori(field)):
         for (tau, w), shift in zip(translations, shifts):
             if shift is None:
                 bases.append(tb)
@@ -365,7 +440,7 @@ def build_extended_oscillator_dictionary(
                 atoms = phase_normalize(shift @ tb.atoms)
                 bases.append(OrthonormalBasis(f"{tb.label};v:{tau},{w}", atoms))
     D = Dictionary(p, "extended_oscillator", KIND_MU["extended_oscillator"], bases)
-    _check_coherence(D)
+    _check_coherence(D, anchor=translation_subsample is None)
     return D
 
 
@@ -478,17 +553,25 @@ def diagonal_torus_system(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def dump_dictionary(D: Dictionary) -> bytes:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<IIBId", FORMAT_VERSION, D.p, KIND_CODES[D.kind], D.basis_count, D.mu))
-    for b in D.bases:
-        label = b.label.encode("utf-8")
-        buf.write(struct.pack("<I", len(label)))
-        buf.write(label)
+def dump_dictionary(D: Dictionary) -> bytearray:
+    """The file image of ``D``, written into one buffer of the exact file size."""
+    header = MAGIC + struct.pack(
+        "<IIBId", FORMAT_VERSION, D.p, KIND_CODES[D.kind], D.basis_count, D.mu)
+    labels = [b.label.encode("utf-8") for b in D.bases]
+    atom_bytes = 16 * D.p * D.p
+    buf = bytearray(len(header) + sum(4 + len(label) + atom_bytes for label in labels))
+    buf[:len(header)] = header
+    pos = len(header)
+    for b, label in zip(D.bases, labels):
+        struct.pack_into("<I", buf, pos, len(label))
+        pos += 4
+        buf[pos:pos + len(label)] = label
+        pos += len(label)
         # atom-major: atom 0's p entries, then atom 1's, ...
-        buf.write(np.ascontiguousarray(b.atoms.T).astype("<c16", copy=False).tobytes())
-    return buf.getvalue()
+        out = np.frombuffer(buf, dtype="<c16", count=D.p * D.p, offset=pos)
+        out.reshape(D.p, D.p)[...] = b.atoms.T
+        pos += atom_bytes
+    return buf
 
 
 def _read_exact(buf, count: int) -> bytes:
@@ -530,7 +613,7 @@ def parse_dictionary(data: bytes) -> Dictionary:
     return Dictionary(p, kind, mu, bases)
 
 
-def write_atomic(path, data: bytes | str) -> None:
+def write_atomic(path, data: bytes | bytearray | str) -> None:
     """Write ``data`` to ``path`` through a temp file and a rename.
 
     Missing parent directories are created.  The temp file is removed if
@@ -540,7 +623,7 @@ def write_atomic(path, data: bytes | str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+        with open(tmp, "w" if isinstance(data, str) else "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

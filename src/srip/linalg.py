@@ -120,15 +120,34 @@ def phase_normalize(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def eigen_residual(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rayleigh quotients of the unit columns of V under U, and the largest
+    entry of the eigenvector residual |U V - V diag(lambda)|."""
+    UV = U @ V
+    lam = np.einsum("ij,ij->j", V.conj(), UV)
+    return lam, float(np.abs(UV - V * lam).max())
+
+
+def order_eigenbasis(V: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The eigenvector columns of V in descending eigenvalue phase, phases taken
+    in (0, 2pi] so an eigenvalue 1 comes first, each column phase-normalized.
+
+    ``lam`` holds the column eigenvalues, unit complex numbers.
+    """
+    # clockwise turns from 1 in [0, 1); the rounding sends the +-1e-17 angle
+    # noise of an eigenvalue 1 to 0 whatever its sign
+    turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
+    return phase_normalize(V[:, np.argsort(turns, kind="stable")])
+
+
 def unitary_eigenbasis(U: np.ndarray) -> np.ndarray:
     """Orthonormal eigenbasis of a unitary matrix with distinct eigenvalues.
 
     Diagonalizes H = alpha*U + conj(alpha)*U^H for a fixed phase alpha and
-    checks every resulting vector against U itself.  When two distinct
-    unitary eigenvalues collapse onto one real part of H, the phase is
-    doubled and the reduction retried (at most 3 retries).  Columns are
-    ordered by descending eigenvalue phase, phases taken in (0, 2pi], so an
-    eigenvalue 1 comes first; each column is phase-normalized.
+    checks every resulting vector against U itself (``eigen_residual``).
+    When two distinct unitary eigenvalues collapse onto one real part of H,
+    the phase is doubled and the reduction retried (at most 3 retries).
+    Columns are ordered and phase-normalized by ``order_eigenbasis``.
 
     Raises
     ------
@@ -152,14 +171,9 @@ def unitary_eigenbasis(U: np.ndarray) -> np.ndarray:
         alpha = np.exp(1j * _BASE_PHASE * (2**attempt))
         H = alpha * U + np.conj(alpha) * Uh
         vecs = hermitian_eig(H).eigenvectors
-        UV = U @ vecs
-        lam = np.einsum("ij,ij->j", vecs.conj(), UV)  # Rayleigh quotients
-        worst = float(np.abs(UV - vecs * lam).max())
+        lam, worst = eigen_residual(U, vecs)
         if worst <= EIGENVECTOR_RESIDUAL_TOL:
-            # clockwise turns from 1 in [0, 1); the rounding sends the +-1e-17
-            # angle noise of an eigenvalue 1 to 0 whatever its sign
-            turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
-            return phase_normalize(vecs[:, np.argsort(turns, kind="stable")])
+            return order_eigenbasis(vecs, lam)
     raise DegenerateSpectrumError(
         f"eigenvector residual {worst:.3e} exceeds {EIGENVECTOR_RESIDUAL_TOL:.1e} "
         f"after {_MAX_RETRIES} retries; spectrum may be degenerate"

@@ -35,6 +35,8 @@ MAX_VERTICES = 4
 # atom_count^3 once three or more vertices are free
 MAX_ATOMS_SMALL_CLASS = 2000  # |V| <= 2
 MAX_ATOMS = 400  # |V| in {3, 4}
+# Gram entries held at once by one row block of a two-block walk sum
+_ROW_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,12 @@ def _merged_walk_sum(edges, blocks: int, G: np.ndarray) -> complex:
     """Sum over all (unrestricted) block assignments of the walk weight.
 
     ``edges`` lists directed block pairs; equal pairs contribute diagonal
-    factors.  Evaluated as one einsum contraction of the Gram matrix.
+    factors.  A walk on two blocks without loops is ``_two_block_sum``;
+    any other walk is one einsum contraction of the Gram matrix.
     """
+    if blocks == 2 and edges and all(u != v for u, v in edges):
+        forward = sum(u == 0 for u, _ in edges)
+        return _two_block_sum(G, forward, len(edges) - forward)
     letters = "abcd"
     pair_factors: dict[tuple[int, int], np.ndarray] = {}
     loop_counts = [0] * blocks
@@ -261,6 +267,17 @@ def _merged_walk_sum(edges, blocks: int, G: np.ndarray) -> complex:
             operands.append(np.ones(G.shape[0]))
             subs.append(letters[u])
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
+
+
+def _two_block_sum(G: np.ndarray, x: int, y: int) -> complex:
+    """sum_{a,b} G[a, b]^x G[b, a]^y, taken over row blocks of G so that no
+    temporary holds more than ``_ROW_BLOCK_ENTRIES`` entries."""
+    N = G.shape[0]
+    step = max(1, _ROW_BLOCK_ENTRIES // max(N, 1))
+    total = 0j
+    for r in range(0, N, step):
+        total += complex((G[r:r + step] ** x * G[:, r:r + step].T ** y).sum())
+    return total
 
 
 def _walk_key(edges, blocks: int) -> tuple[int, tuple[tuple[int, int], ...]]:

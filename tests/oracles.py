@@ -139,3 +139,25 @@ def pairwise_coherence(D, bins: int = 40):
         least = min(least, float(block.min()))
         counts += np.histogram(block, bins=edges)[0]
     return pairs, worst, least, [int(c) for c in counts]
+
+
+def eigensolved_oscillator_bases(field, tori, translations=((0, 0),)):
+    """(label, atoms) of pi(v) B_T for every torus T and translation v, torus-major.
+
+    B_T is solved on its own, as the eigenbasis of the Weil operator of T's
+    generator (one eigensolve per torus); pi(v) B_T is phase-normalized
+    again, and labelled as the extended dictionary labels it.
+    """
+    from srip.linalg import phase_normalize, unitary_eigenbasis
+    from srip.operators import HeisenbergElement, heisenberg_operator, weil_operator
+
+    out = []
+    for torus in tori:
+        atoms = unitary_eigenbasis(weil_operator(field, torus.generator))
+        for tau, w in translations:
+            if tau == w == 0:
+                out.append((torus.label, atoms))
+            else:
+                shift = heisenberg_operator(field, HeisenbergElement(tau, w, 0, field.p))
+                out.append((f"{torus.label};v:{tau},{w}", phase_normalize(shift @ atoms)))
+    return out

@@ -334,3 +334,20 @@ def test_reports_echo_no_unset_config_keys(tmp_path):
         config = json.loads(report.read_text())["config"]
         assert not {"translations", "subsample_seed", "k", "ladder"} & set(config), report.name
         assert "threads" in config
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "oscillator"])
+@pytest.mark.parametrize("flag", [
+    ("--translations", "3"), ("--subsample-seed", "0"), ("--allow-large",),
+])
+def test_extended_only_build_flags_exit_2_for_other_kinds(tmp_path, monkeypatch, kind, flag):
+    import srip.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dictionary was built before its flags were checked")
+
+    monkeypatch.setattr(srip.cli, "build_heisenberg_dictionary", refuse)
+    monkeypatch.setattr(srip.cli, "build_oscillator_dictionary", refuse)
+    out = tmp_path / "d.srip"
+    assert _run("build", "--kind", kind, "--p", "5", *flag, "--out", str(out)) == 2
+    assert list(tmp_path.iterdir()) == []

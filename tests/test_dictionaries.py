@@ -543,3 +543,89 @@ def test_atom_count_and_file_round_trip_of_every_kind(make):
     D2 = parse_dictionary(dump_dictionary(D))
     assert [b.label for b in D2.bases] == [b.label for b in D.bases]
     assert all(b2.atoms.tobytes() == b.atoms.tobytes() for b, b2 in zip(D.bases, D2.bases))
+
+
+# the group-action build and the anchor-row coherence check
+# ---------------------------------------------------------------------------
+
+
+def _assert_bases_match(D, expected):
+    assert [b.label for b in D.bases] == [label for label, _ in expected]
+    for b, (_, atoms) in zip(D.bases, expected):
+        assert np.abs(b.atoms - atoms).max() <= 1e-12, b.label
+
+
+@pytest.mark.parametrize("p", [7, 13, 17])
+def test_group_action_bases_match_per_torus_eigensolve(p):
+    from oracles import eigensolved_oscillator_bases
+
+    f = PrimeField(p)
+    _assert_bases_match(oscillator_dict(p), eigensolved_oscillator_bases(f, nonsplit_tori(f)))
+
+
+def test_extended_bases_match_per_torus_eigensolve():
+    from oracles import eigensolved_oscillator_bases
+
+    f = PrimeField(7)
+    D = _extended7()
+    # the seeded translations, read off the first torus's bases
+    translations = [
+        tuple(int(x) for x in b.label.split(";v:")[1].split(",")) if ";v:" in b.label else (0, 0)
+        for b in D.bases[:8]
+    ]
+    _assert_bases_match(D, eigensolved_oscillator_bases(f, nonsplit_tori(f), translations))
+
+
+def test_wrong_conjugator_fails_the_build(monkeypatch):
+    import srip.dictionaries as dictionaries
+    from srip.errors import DegenerateSpectrumError
+
+    real = dictionaries.nonsplit_tori
+
+    def skewed(field):
+        tori = real(field)
+        # torus 3 keeps its generator but is given the conjugator of torus 5
+        tori[3] = dictionaries.Torus(tori[3].generator, tori[5].conjugator)
+        return tori
+
+    monkeypatch.setattr(dictionaries, "nonsplit_tori", skewed)
+    label = real(PrimeField(7))[3].label
+    with pytest.raises(DegenerateSpectrumError, match=label):
+        build_oscillator_dictionary(PrimeField(7))
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("heisenberg", p) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)]
+    + [("oscillator", p) for p in (5, 7, 11, 13, 17, 19)]
+    + [pytest.param("oscillator", p, marks=pytest.mark.slow) for p in (23, 29, 31)]
+    + [("extended_oscillator", 5)],
+)
+def test_anchor_maximum_equals_pairwise_maximum(kind, p):
+    from oracles import pairwise_coherence
+    from srip.dictionaries import _check_coherence
+
+    build = {"heisenberg": build_heisenberg_dictionary,
+             "oscillator": build_oscillator_dictionary,
+             "extended_oscillator": build_extended_oscillator_dictionary}
+    D = build[kind](PrimeField(p))
+    anchor = np.sqrt(p) * _check_coherence(D, anchor=True)
+    assert abs(anchor - pairwise_coherence(D)[1]) <= 1e-12
+
+
+def test_heisenberg_build_check_covers_only_the_anchor_row(monkeypatch):
+    import srip.dictionaries as dictionaries
+
+    blocks = []
+    real = dictionaries._cross_blocks
+
+    def spy(D, *args, **kwargs):
+        for block in real(D, *args, **kwargs):
+            blocks.append(block.copy())
+            yield block
+
+    monkeypatch.setattr(dictionaries, "_cross_blocks", spy)
+    D = build_heisenberg_dictionary(PrimeField(61))
+    others = np.hstack([b.atoms for b in D.bases[1:]])
+    anchor_row = np.abs(D.bases[0].atoms.conj().T @ others)
+    assert np.abs(np.hstack(blocks) - anchor_row).max() <= 1e-15
