@@ -183,6 +183,9 @@ def _cmd_build(args) -> int:
     if extended_only and args.kind != "extended_oscillator":
         raise ValueError("--translations, --subsample-seed and --allow-large apply to "
                          "--kind extended_oscillator only")
+    if args.subsample_seed is not None and args.translations is None:
+        raise ValueError("--subsample-seed picks the --translations subsample; "
+                         "pass --translations with it")
     D = _build(
         args.kind,
         args.p,

@@ -35,8 +35,9 @@ class HermitianEig:
 
 
 def _as_square_complex(A: np.ndarray) -> np.ndarray:
+    """A as complex128, checked to be a square matrix or a (..., n, n) stack of them."""
     A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
@@ -45,7 +46,7 @@ def _as_square_complex(A: np.ndarray) -> np.ndarray:
 
 def _check_hermitian(A: np.ndarray) -> np.ndarray:
     A = _as_square_complex(A)
-    dev = np.abs(A - A.conj().T).max() if A.size else 0.0
+    dev = np.abs(A - A.conj().swapaxes(-1, -2)).max() if A.size else 0.0
     if dev > HERMITIAN_ATOL:
         raise NotHermitianError(f"max |A - A^H| = {dev:.3e} exceeds {HERMITIAN_ATOL:.1e}")
     return A
@@ -54,13 +55,16 @@ def _check_hermitian(A: np.ndarray) -> np.ndarray:
 def hermitian_eig(A: np.ndarray) -> HermitianEig:
     """Full spectral decomposition of a Hermitian matrix by LAPACK.
 
+    A (..., n, n) stack is solved in one call, matrix by matrix, with the
+    same checks and the same results as solving each matrix alone.
+
     Raises
     ------
     NotHermitianError
-        If ``max |A - A^H|`` exceeds 1e-12.
+        If ``max |A - A^H|`` exceeds 1e-12 in any matrix.
     """
     w, V = np.linalg.eigh(_check_hermitian(A))
-    return HermitianEig(w[::-1].copy(), np.ascontiguousarray(V[:, ::-1]))
+    return HermitianEig(w[..., ::-1].copy(), np.ascontiguousarray(V[..., ::-1]))
 
 
 def op_norm(A: np.ndarray) -> float:
@@ -80,13 +84,14 @@ def trace_power(A: np.ndarray, k: int) -> float:
 def gram(vectors: np.ndarray) -> np.ndarray:
     """Gram matrix G_ij = <v_i, v_j> = sum_t v_i(t) * conj(v_j(t)).
 
-    ``vectors`` holds the vectors as columns.  The result is Hermitian by
-    construction.
+    ``vectors`` holds the vectors as columns; a (..., p, n) stack gives the
+    (..., n, n) stack of Gram matrices in one product.  The result is
+    Hermitian by construction.
     """
     V = np.asarray(vectors, dtype=np.complex128)
-    if V.ndim != 2:
-        raise DimensionMismatchError("expected a 2-D array with vectors as columns")
-    return V.T @ V.conj()
+    if V.ndim < 2:
+        raise DimensionMismatchError("expected vectors as the columns of a matrix or a stack")
+    return V.swapaxes(-1, -2) @ V.conj()
 
 
 def anchor_index(v: np.ndarray, rtol: float = 1e-9) -> int | np.ndarray:
@@ -152,15 +157,15 @@ def unitary_eigenbasis(U: np.ndarray) -> np.ndarray:
     Raises
     ------
     DimensionMismatchError
-        If U is not square or is empty.
+        If U is not one nonempty square matrix.
     DegenerateSpectrumError
         If some vector still fails the eigenvector residual check after
         all retries.
     """
     U = _as_square_complex(U)
+    if U.ndim != 2 or not U.shape[0]:
+        raise DimensionMismatchError(f"expected a nonempty matrix, got shape {U.shape}")
     n = U.shape[0]
-    if not n:
-        raise DimensionMismatchError("expected a nonempty matrix, got shape (0, 0)")
     dev = np.abs(U.conj().T @ U - np.eye(n)).max()
     if dev > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: max |U^H U - I| = {dev:.3e}")

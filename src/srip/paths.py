@@ -587,12 +587,18 @@ def ladder_support_sizes(ps, epsilon: float, fixed_n: int | None = None) -> list
 
 def _distinct_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
     """n distinct indices of range(N), uniform and ordered: a partial Fisher-Yates
-    shuffle, one ``rng.integers(i, N)`` draw per position i < n."""
-    idx = np.arange(N)
-    for i in range(n):
-        j = int(rng.integers(i, N))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:n].copy()
+    shuffle, one ``rng.integers(i, N)`` draw per position i < n.
+
+    The draws come from one ``rng.integers(np.arange(n), N)`` call, which
+    consumes the stream exactly as the n scalar draws would.  Positions the
+    shuffle has moved live in a dict, so the memory is O(n), not O(N).
+    """
+    moved: dict[int, int] = {}  # position -> index now held there, where not itself
+    out = []
+    for i, j in enumerate(rng.integers(np.arange(n), N).tolist()):
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(out, dtype=np.int_)
 
 
 def support_size(p: int, epsilon: float) -> int:

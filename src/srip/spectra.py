@@ -7,6 +7,9 @@ E.  Tail frequencies of ||G - I||, sample moments of the spectral
 distribution, and the comparison against the semicircle law all derive
 from the per-trial eigenvalues, which one core, ``_campaign``, draws
 under the campaign rules: trials >= 1, 0 < eps < 1 and 2 <= n <= |D|.
+The core runs the trials in chunks of ``TRIAL_CHUNK``: each chunk's
+Gram and error matrices come from one stacked product and its spectra
+from one stacked eigensolve, and only the eigenvalues are kept.
 
 Randomness comes from numpy's Philox counter-based 64-bit generator;
 trial i uses the key seed + i, so each trial's draw is independent of
@@ -22,10 +25,11 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .errors import SupportTooLargeError
-from .linalg import hermitian_eig
+from .linalg import gram, hermitian_eig
 from .paths import _distinct_indices, support_size
 
 HISTOGRAM_EDGES = np.linspace(-3.0, 3.0, 61)
+TRIAL_CHUNK = 32  # trials per stacked eigensolve of the campaign core
 
 
 def sample_support(D: Dictionary, n: int, seed: int) -> np.ndarray:
@@ -50,15 +54,28 @@ class GramSample:
     n: int
 
 
+def _gram_stack(
+    D: Dictionary, supports: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, E, eigenvalues) stacks for a (k, n) stack of supports.
+
+    The atoms of every support are gathered at once; one stacked product
+    gives each G and E = sqrt(p/n) (G - I), and one stacked eigensolve
+    gives each spectrum of E, descending.  Each matrix comes out as it
+    would from its own product and eigensolve, bit for bit.
+    """
+    n = supports.shape[-1]
+    G = gram(D.atoms_matrix[:, supports].swapaxes(0, 1))  # (k, p, n): atoms as columns
+    E = math.sqrt(D.p / n) * (G - np.eye(n))
+    E = (E + E.conj().swapaxes(-1, -2)) / 2  # absorb accumulation error before the eigensolve
+    return G, E, hermitian_eig(E).eigenvalues
+
+
 def gram_sample(D: Dictionary, support: np.ndarray) -> GramSample:
     """Gram matrix, normalized error, and its spectrum for a given support."""
-    A = D.atoms_matrix[:, support]
-    n = len(support)
-    G = A.T @ A.conj()
-    E = math.sqrt(D.p / n) * (G - np.eye(n))
-    E = (E + E.conj().T) / 2  # absorb accumulation error before the eigensolve
-    eig = hermitian_eig(E)
-    return GramSample(np.asarray(support), G, E, eig.eigenvalues, D.p, n)
+    support = np.asarray(support)
+    G, E, eigenvalues = _gram_stack(D, support[None])
+    return GramSample(support, G[0], E[0], eigenvalues[0], D.p, len(support))
 
 
 def rip_deviation(sample: GramSample) -> float:
@@ -91,14 +108,17 @@ def _campaign(D: Dictionary, epsilon: float, trials: int, seed: int) -> tuple[in
     """(n, eigs): the support size and the (trials, n) normalized-error eigenvalues.
 
     Checks ``campaign_size``, then n <= |D|; trial i draws its support
-    with the key seed + i.
+    with the key seed + i.  Trials run ``TRIAL_CHUNK`` at a time through
+    ``_gram_stack``, so row i equals ``gram_sample`` of trial i's support.
     """
     n = campaign_size(D.p, epsilon, trials)
     if n > D.atom_count:
         raise ValueError(f"support size n={n} invalid for |D|={D.atom_count}")
-    eigs = np.vstack(
-        [gram_sample(D, sample_support(D, n, seed + i)).eigenvalues for i in range(trials)]
-    )
+    eigs = np.empty((trials, n))
+    for lo in range(0, trials, TRIAL_CHUNK):
+        hi = min(lo + TRIAL_CHUNK, trials)
+        supports = np.stack([sample_support(D, n, seed + i) for i in range(lo, hi)])
+        eigs[lo:hi] = _gram_stack(D, supports)[2]
     return n, eigs
 
 
@@ -167,7 +187,6 @@ def check_kmax(kmax: int) -> None:
 
 
 def _moment_rows(eigs: np.ndarray, kmax: int) -> list[MomentStatistics]:
-    check_kmax(kmax)
     rows = []
     for k in range(1, kmax + 1):
         mk = np.mean(eigs**k, axis=1)
@@ -184,7 +203,11 @@ def moment_statistics(
     trials: int = 200,
     seed: int = 42,
 ) -> list[MomentStatistics]:
-    """Sample mean and unbiased variance of the spectral moments m_k, k <= kmax."""
+    """Sample mean and unbiased variance of the spectral moments m_k, k <= kmax.
+
+    ``kmax`` is checked by ``check_kmax`` before any trial is drawn.
+    """
+    check_kmax(kmax)
     _, eigs = _campaign(D, epsilon, trials, seed)
     return _moment_rows(eigs, kmax)
 
@@ -219,15 +242,20 @@ def semicircle_cdf(x) -> np.ndarray:
     return (xc * np.sqrt(4.0 - xc**2) / 4.0 + np.arcsin(xc / 2.0)) / np.pi + 0.5
 
 
-def ks_statistic(sample: np.ndarray) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic of a sample against the semicircle law."""
-    x = np.sort(np.asarray(sample, dtype=float))
-    m = len(x)
+def ks_statistic(sample: np.ndarray) -> float | np.ndarray:
+    """Two-sided Kolmogorov-Smirnov statistic of a sample against the semicircle law.
+
+    The last axis holds the sample: a 1-D sample gives a float, a stack
+    of samples the array of their statistics.
+    """
+    x = np.sort(np.asarray(sample, dtype=float), axis=-1)
+    m = x.shape[-1]
     if m == 0:
         raise ValueError("empty sample")
     F = semicircle_cdf(x)
     i = np.arange(m)
-    return float(np.maximum(F - i / m, (i + 1) / m - F).max())
+    d = np.maximum(F - i / m, (i + 1) / m - F).max(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass
@@ -295,15 +323,16 @@ def run_spectrum(
     """One campaign: tail frequencies, moments, pooled spectrum, KS distances.
 
     ``threads`` is accepted for compatibility and has no effect; trials
-    run one after another in the calling thread.  ``delta_exponent`` is
-    checked by ``check_delta_exponent`` before any trial is drawn.
+    run chunk after chunk in the calling thread.  ``delta_exponent`` and
+    ``kmax`` are checked by ``check_delta_exponent`` and ``check_kmax``
+    before any trial is drawn.
     """
     check_delta_exponent(delta_exponent)
+    check_kmax(kmax)
     n, eigs = _campaign(D, epsilon, trials, seed)
     pooled = eigs.reshape(-1)
     counts, _ = np.histogram(pooled, bins=HISTOGRAM_EDGES)
     outside = int(pooled.size - counts.sum())
-    per_trial_ks = [ks_statistic(row) for row in eigs]
 
     return SpectralReport(
         p=D.p,
@@ -321,5 +350,5 @@ def run_spectrum(
         histogram_counts=[int(c) for c in counts],
         histogram_outside=outside,
         ks_pooled=ks_statistic(pooled),
-        ks_per_trial_mean=float(np.mean(per_trial_ks)),
+        ks_per_trial_mean=float(np.mean(ks_statistic(eigs))),
     )

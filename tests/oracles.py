@@ -69,6 +69,16 @@ def trace_by_path_sum(M: np.ndarray, k: int) -> complex:
     return total
 
 
+def dense_fisher_yates(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
+    """n distinct indices of range(N), uniform and ordered: a partial Fisher-Yates
+    shuffle, one ``rng.integers(i, N)`` draw per position i < n."""
+    idx = np.arange(N)
+    for i in range(n):
+        j = int(rng.integers(i, N))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:n].copy()
+
+
 def random_hermitian(rng, n: int) -> np.ndarray:
     B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (B + B.conj().T) / 2

@@ -351,3 +351,40 @@ def test_extended_only_build_flags_exit_2_for_other_kinds(tmp_path, monkeypatch,
     out = tmp_path / "d.srip"
     assert _run("build", "--kind", kind, "--p", "5", *flag, "--out", str(out)) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("p, extra", [
+    ("5", ()), ("5", ("--allow-large",)), ("7", ("--allow-large",)),
+])
+def test_subsample_seed_without_translations_exits_2(tmp_path, monkeypatch, capsys, p, extra):
+    import srip.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dictionary was built before its flags were checked")
+
+    monkeypatch.setattr(srip.cli, "build_extended_oscillator_dictionary", refuse)
+    out = tmp_path / "eo.srip"
+    code = _run("build", "--kind", "extended_oscillator", "--p", p, "--subsample-seed", "3",
+                *extra, "--out", str(out))
+    assert code == 2
+    assert "--translations" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("spectrum", ("--delta-exponent", "-2")), ("srip", ("--delta-exponent", "nan")),
+    ("moments", ("--delta-exponent", "-3")), ("spectrum", ("--kmax", "0")),
+    ("moments", ("--kmax", "-1")),
+])
+def test_campaign_flags_rejected_before_any_support_is_drawn(tmp_path, monkeypatch, command,
+                                                             flag):
+    import srip.spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support was drawn before the campaign flags were checked")
+
+    monkeypatch.setattr(srip.spectra, "sample_support", refuse)
+    code = _run(command, "--kind", "heisenberg", "--p", "11", "--trials", "3", *flag,
+                "--out-prefix", str(tmp_path / "run"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srip.errors import DimensionMismatchError, NotHermitianError
+from srip.errors import DimensionMismatchError, NotHermitianError, SripError
 from srip.linalg import (
     anchor_index,
     gram,
@@ -205,3 +205,49 @@ def test_unitary_eigenbasis_descending_phase_order():
     t = np.array([0.0, 0.6, 0.2, 0.8, 0.4])
     V = unitary_eigenbasis(np.diag(np.exp(-2j * np.pi * t)))
     assert np.abs(V - np.eye(5)[:, [0, 2, 4, 1, 3]]).max() <= 1e-12
+
+
+def _raised(call, arg):
+    with pytest.raises((ValueError, SripError)) as info:
+        call(arg)
+    return type(info.value), str(info.value)
+
+
+def test_stacked_hermitian_eig_equals_each_matrix_alone():
+    rng = np.random.default_rng(8)
+    stack = np.stack([random_hermitian(rng, 7) for _ in range(5)]).reshape(5, 1, 7, 7)
+    eig = hermitian_eig(stack)
+    assert eig.eigenvalues.shape == (5, 1, 7) and eig.eigenvectors.shape == (5, 1, 7, 7)
+    for b in range(5):
+        alone = hermitian_eig(stack[b, 0])
+        assert np.array_equal(eig.eigenvalues[b, 0], alone.eigenvalues)
+        assert np.array_equal(eig.eigenvectors[b, 0], alone.eigenvectors)
+
+
+@pytest.mark.parametrize("defect", ["not_hermitian", "nan", "inf"])
+def test_stack_with_one_bad_matrix_raises_as_the_matrix_alone(defect):
+    rng = np.random.default_rng(9)
+    stack = np.stack([random_hermitian(rng, 4) for _ in range(3)])
+    bad = stack[1].copy()
+    if defect == "not_hermitian":
+        bad[0, 3] += 1e-6
+    else:
+        bad[2, 2] = np.nan if defect == "nan" else np.inf
+    stack[1] = bad
+    alone = _raised(hermitian_eig, bad)
+    assert alone[0] is (NotHermitianError if defect == "not_hermitian" else ValueError)
+    assert _raised(hermitian_eig, stack) == alone
+
+
+def test_stacked_gram_equals_each_gram_alone():
+    rng = np.random.default_rng(10)
+    V = rng.normal(size=(3, 6, 4)) + 1j * rng.normal(size=(3, 6, 4))
+    G = gram(V)
+    assert G.shape == (3, 4, 4)
+    for b in range(3):
+        assert np.array_equal(G[b], gram(V[b]))
+
+
+def test_unitary_eigenbasis_rejects_a_stack():
+    with pytest.raises(DimensionMismatchError):
+        unitary_eigenbasis(np.stack([np.eye(3, dtype=complex)] * 2))

@@ -30,6 +30,7 @@ from srip.paths import (
 from srip.spectra import catalan_number, moment_statistics
 
 from conftest import heisenberg_dict
+from oracles import dense_fisher_yates
 from oracles import brute_expected_weight, first_visit_form, random_hermitian, strict_closed_paths, trace_by_path_sum
 
 
@@ -585,3 +586,48 @@ def test_catalan_recurrence(m):
         assert catalan_number(m) == sum(
             catalan_number(i) * catalan_number(m - 1 - i) for i in range(m)
         )
+
+
+def _philox(key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("N", [5, 992, 10302])
+def test_distinct_indices_equal_the_dense_shuffle(N):
+    for key in range(1000):
+        n = 1 + key % min(N, 100)
+        got = paths._distinct_indices(_philox(key), N, n)
+        want = dense_fisher_yates(_philox(key), N, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (key, n)
+
+
+@pytest.mark.parametrize("N", [5, 992, 10302])
+def test_distinct_indices_follow_one_shared_stream(N):
+    # completeness_residual draws every assignment from one generator
+    mine, dense = _philox(N), _philox(N)
+    for call in range(300):
+        n = call % min(N + 1, 60)  # n = 0 draws nothing from either
+        assert np.array_equal(paths._distinct_indices(mine, N, n),
+                              dense_fisher_yates(dense, N, n)), call
+
+
+def test_distinct_indices_at_two_to_the_33_equal_the_dense_shuffle_draws():
+    # np.arange(2**33) takes 64 GiB, so the dense shuffle cannot run here.  Its
+    # loop draws j_i = rng.integers(i, N); when every j_i is at least n and no
+    # two coincide, no swap touches an earlier draw and it returns j_0..j_{n-1}.
+    N = 2**33
+
+    def dense_draws(rng, n):
+        draws = [int(rng.integers(i, N)) for i in range(n)]
+        assert min(draws, default=n) >= n and len(set(draws)) == n
+        return draws
+
+    for key in range(1000):
+        n = 1 + key % 40
+        assert paths._distinct_indices(_philox(key), N, n).tolist() == \
+            dense_draws(_philox(key), n), key
+    mine, dense = _philox(7), _philox(7)
+    for call in range(300):
+        n = call % 40
+        assert paths._distinct_indices(mine, N, n).tolist() == dense_draws(dense, n), call

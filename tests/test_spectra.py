@@ -6,7 +6,9 @@ import pytest
 from srip.errors import SupportTooLargeError
 from srip.linalg import op_norm
 from srip.spectra import (
+    TRIAL_CHUNK,
     GramSample,
+    _campaign,
     catalan_number,
     gram_sample,
     ks_statistic,
@@ -55,6 +57,21 @@ def test_bad_delta_exponent_raises_before_any_trial(dh11, monkeypatch, e):
         srip_tail_frequencies(dh11, 0.3, delta_exponent=e)
     with pytest.raises(ValueError, match="delta exponent"):
         run_spectrum(dh11, 0.3, delta_exponent=e)
+
+
+@pytest.mark.parametrize("bad", [{"delta_exponent": -2.0}, {"kmax": 0}])
+def test_bad_campaign_parameters_raise_before_any_support_is_drawn(dh11, monkeypatch, bad):
+    import srip.spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support was drawn before the campaign parameters were checked")
+
+    monkeypatch.setattr(srip.spectra, "sample_support", refuse)
+    calls = [run_spectrum]
+    calls.append(srip_tail_frequencies if "delta_exponent" in bad else moment_statistics)
+    for call in calls:
+        with pytest.raises(ValueError, match="delta exponent|kmax"):
+            call(dh11, 0.3, **bad)
 
 
 def test_sample_support_inclusion_frequencies(dh5):
@@ -284,3 +301,28 @@ def test_run_spectrum_threads_do_not_change_results(dh11):
     r2 = run_spectrum(dh11, epsilon=0.3, kmax=3, trials=16, seed=9, threads=4)
     assert r1.to_dict() == r2.to_dict()
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
+
+
+@pytest.mark.parametrize("kind, p", [("heisenberg", 11), ("oscillator", 7)])
+@pytest.mark.parametrize("trials", [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1])
+def test_campaign_equals_the_per_trial_gram_samples(kind, p, trials):
+    from conftest import heisenberg_dict, oscillator_dict
+
+    D = (heisenberg_dict if kind == "heisenberg" else oscillator_dict)(p)
+    n, eigs = _campaign(D, 0.3, trials, 17)
+    want = np.stack([gram_sample(D, sample_support(D, n, 17 + i)).eigenvalues
+                     for i in range(trials)])
+    assert eigs.shape == (trials, n) and eigs.dtype == want.dtype
+    assert np.array_equal(eigs, want)
+
+
+def test_stacked_ks_statistic_equals_the_row_statistics():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    stack = rng.uniform(-2.5, 2.5, size=(4, 3, 9))
+    got = ks_statistic(stack)
+    assert got.shape == (4, 3)
+    for idx in np.ndindex(4, 3):
+        row = ks_statistic(stack[idx])
+        assert isinstance(row, float) and got[idx] == row
+    with pytest.raises(ValueError, match="empty"):
+        ks_statistic(np.zeros((3, 0)))
