@@ -12,17 +12,17 @@ Exactly one subcommand runs per invocation::
 Exit status: 0 on success, 2 on validation errors (nothing is written),
 3 on contract violations such as a coherence bound failure.  Output files
 are written atomically (temp file + rename) and input files are never
-modified.  Every JSON report echoes the config, the seed, the package
-version, and the wall-clock duration; rerunning with the same config and
-seed reproduces every payload byte for byte (durations aside).
-``--threads`` is accepted for compatibility, echoed in the config, and
-has no effect.
+modified: a command whose output path resolves to its ``--in`` file
+exits 2 before any work.  Every JSON report echoes the config, the seed,
+the package version, and the wall-clock duration; rerunning with the same
+config and seed reproduces every payload byte for byte (durations aside).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -53,6 +53,7 @@ from .spectra import (
     catalan_number,
     check_delta_exponent,
     check_kmax,
+    check_seed,
     run_spectrum,
 )
 
@@ -74,7 +75,6 @@ class RunConfig:
     kmax: int = 6
     trials: int = 200
     seed: int = 42
-    threads: int | None = None
 
 
 def _json_payload(config: RunConfig, report: dict, started: float) -> str:
@@ -102,9 +102,6 @@ def _build(kind: str, p: int, **extended) -> Dictionary:
     return build_extended_oscillator_dictionary(field, **extended)
 
 
-_THREADS_HELP = "accepted for compatibility; has no effect"
-
-
 def _add_dict_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--in", dest="input", help="dictionary file produced by `build`")
     sub.add_argument("--kind", choices=sorted(KIND_CODES), help="build this kind in memory")
@@ -116,7 +113,6 @@ def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta-exponent", type=float, default=0.5)
     sub.add_argument("--trials", type=int, default=200)
     sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     sub.add_argument("--out-prefix", required=True)
 
 
@@ -135,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extended dictionary: seed of the translation subsample (default 0)")
     b.add_argument("--allow-large", action="store_true",
                    help="permit the full extended dictionary above p = 5")
-    b.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     c = subs.add_parser("coherence", help="scan all cross-basis pairs of a dictionary")
     c.add_argument("--in", dest="input", required=True)
@@ -163,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--epsilon", type=float, default=0.3)
     pv.add_argument("--fixed-n", type=int, default=None,
                     help="hold this support size fixed across the ladder normalizations")
-    pv.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     return parser
 
 
@@ -199,7 +193,18 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _check_input_kept(input_path: str | None, outputs) -> None:
+    """Raise ValueError if any output path resolves to the input file."""
+    if input_path is None:
+        return
+    source = os.path.realpath(input_path)
+    for out in outputs:
+        if os.path.realpath(out) == source:
+            raise ValueError(f"output {out} would overwrite the input file {input_path}")
+
+
 def _cmd_coherence(args, started: float) -> int:
+    _check_input_kept(args.input, [args.out] if args.out else [])
     D = load_dictionary(args.input)
     report = coherence_report(D)
     config = RunConfig(command="coherence", p=D.p, kind=D.kind, input=args.input)
@@ -223,41 +228,49 @@ def _campaign_config(args, command: str) -> RunConfig:
         kmax=getattr(args, "kmax", 6),
         trials=args.trials,
         seed=args.seed,
-        threads=args.threads,
     )
+
+
+_CAMPAIGN_OUTPUTS = {  # the files each campaign writes, as suffixes of --out-prefix
+    "spectrum": ("eigenvalues.csv", "moments.csv", "srip.csv", "report.json"),
+    "srip": ("srip.csv", "report.json"),
+    "moments": ("moments.csv", "report.json"),
+}
 
 
 def _run_campaign(args, command: str, started: float) -> int:
     _validate_dict_source(args)
     config = _campaign_config(args, command)
-    check_kmax(config.kmax)  # fail before the load or the build
+    outputs = {suffix: f"{args.out_prefix}.{suffix}" for suffix in _CAMPAIGN_OUTPUTS[command]}
+    _check_input_kept(config.input, outputs.values())  # fail before the load or the build
+    check_kmax(config.kmax)
     check_delta_exponent(config.delta_exponent)
+    check_seed(config.seed, config.trials)
     if config.input:
         D = load_dictionary(config.input)
         config.p = D.p
         config.kind = D.kind
     else:
-        campaign_size(config.p, args.epsilon, args.trials)  # fail before the build
+        campaign_size(config.p, config.epsilon, config.trials)  # fail before the build
         D = _build(config.kind, config.p)
     report = run_spectrum(
         D,
-        epsilon=args.epsilon,
+        epsilon=config.epsilon,
         kmax=config.kmax,
-        trials=args.trials,
-        seed=args.seed,
-        delta_exponent=args.delta_exponent,
+        trials=config.trials,
+        seed=config.seed,
+        delta_exponent=config.delta_exponent,
     )
-    prefix = args.out_prefix
-    if command == "spectrum":
-        _write_csv(f"{prefix}.eigenvalues.csv", "lambda",
+    if "eigenvalues.csv" in outputs:
+        _write_csv(outputs["eigenvalues.csv"], "lambda",
                    [repr(float(x)) for x in report.eigenvalues])
-    if command in ("spectrum", "moments"):
-        _write_csv(f"{prefix}.moments.csv", "k,mean,variance,semicircle_moment",
+    if "moments.csv" in outputs:
+        _write_csv(outputs["moments.csv"], "k,mean,variance,semicircle_moment",
                    [f"{m.k},{m.mean!r},{m.variance!r},{m.semicircle!r}" for m in report.moments])
-    if command in ("spectrum", "srip"):
-        _write_csv(f"{prefix}.srip.csv", "threshold_kind,threshold,frequency",
+    if "srip.csv" in outputs:
+        _write_csv(outputs["srip.csv"], "threshold_kind,threshold,frequency",
                    [f"{t.kind},{t.threshold!r},{t.frequency!r}" for t in report.tails])
-    write_atomic(f"{prefix}.report.json", _json_payload(config, report.to_dict(), started))
+    write_atomic(outputs["report.json"], _json_payload(config, report.to_dict(), started))
     print(f"{command} done: p={D.p} n={report.n} trials={report.trials} seed={report.seed} "
           f"ks_pooled={report.ks_pooled:.4f}")
     return EXIT_OK
@@ -269,7 +282,10 @@ def _cmd_paths_verify(args, started: float) -> int:
     fields = []
     if args.ladder:  # check the whole ladder before any write or build
         fields = [PrimeField(int(x)) for x in args.ladder.split(",")]
-        ladder_support_sizes([f.p for f in fields], args.epsilon, args.fixed_n)
+        ps = [f.p for f in fields]
+        if len(set(ps)) < len(ps):
+            raise ValueError(f"--ladder repeats a prime: {args.ladder}")
+        ladder_support_sizes(ps, args.epsilon, args.fixed_n)
     classes = enumerate_path_classes(args.k)
     trees = [pc for pc in classes if pc.is_tree]
     rows = []

@@ -170,11 +170,6 @@ class Dictionary:
         return self.atoms_matrix[:, index]
 
 
-def _eigenbasis_of(U: np.ndarray, label: str) -> OrthonormalBasis:
-    """The eigenbasis of U as ``unitary_eigenbasis`` orders and normalizes it."""
-    return OrthonormalBasis(label, unitary_eigenbasis(U))
-
-
 def heisenberg_basis(field: PrimeField, line: Line) -> OrthonormalBasis:
     """Orthonormal eigenbasis attached to a line, in closed form.
 

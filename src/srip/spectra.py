@@ -6,7 +6,10 @@ the normalized error E = sqrt(p/n) (G - I), and records the spectrum of
 E.  Tail frequencies of ||G - I||, sample moments of the spectral
 distribution, and the comparison against the semicircle law all derive
 from the per-trial eigenvalues, which one core, ``_campaign``, draws
-under the campaign rules: trials >= 1, 0 < eps < 1 and 2 <= n <= |D|.
+under the campaign rules: trials >= 1, 0 < eps < 1, 2 <= n <= |D| and
+0 <= seed <= seed + trials - 1 < 2^128 (``check_seed``).  The moment and
+tail tables add kmax >= 1 (``check_kmax``) and a finite delta exponent
+e > -2 (``check_delta_exponent``).
 The core runs the trials in chunks of ``TRIAL_CHUNK``: each chunk's
 Gram and error matrices come from one stacked product and its spectra
 from one stacked eigensolve, and only the eigenvalues are kept.
@@ -104,14 +107,28 @@ def campaign_size(p: int, epsilon: float, trials: int) -> int:
     return n
 
 
+def check_seed(seed: int, trials: int) -> None:
+    """The seed rule: raises ValueError unless every trial key is a Philox key.
+
+    Trial i of ``trials`` uses the key seed + i, which must lie in [0, 2^128).
+    """
+    if not (0 <= seed and seed + trials - 1 < 2**128):
+        raise ValueError(
+            f"seed must satisfy 0 <= seed and seed + trials - 1 < 2**128, "
+            f"got seed={seed} with trials={trials}"
+        )
+
+
 def _campaign(D: Dictionary, epsilon: float, trials: int, seed: int) -> tuple[int, np.ndarray]:
     """(n, eigs): the support size and the (trials, n) normalized-error eigenvalues.
 
-    Checks ``campaign_size``, then n <= |D|; trial i draws its support
-    with the key seed + i.  Trials run ``TRIAL_CHUNK`` at a time through
-    ``_gram_stack``, so row i equals ``gram_sample`` of trial i's support.
+    Checks ``campaign_size`` and ``check_seed``, then n <= |D|; trial i
+    draws its support with the key seed + i.  Trials run ``TRIAL_CHUNK``
+    at a time through ``_gram_stack``, so row i equals ``gram_sample`` of
+    trial i's support.
     """
     n = campaign_size(D.p, epsilon, trials)
+    check_seed(seed, trials)
     if n > D.atom_count:
         raise ValueError(f"support size n={n} invalid for |D|={D.atom_count}")
     eigs = np.empty((trials, n))
@@ -318,14 +335,11 @@ def run_spectrum(
     trials: int = 200,
     seed: int = 42,
     delta_exponent: float = 0.5,
-    threads: int | None = None,
 ) -> SpectralReport:
     """One campaign: tail frequencies, moments, pooled spectrum, KS distances.
 
-    ``threads`` is accepted for compatibility and has no effect; trials
-    run chunk after chunk in the calling thread.  ``delta_exponent`` and
-    ``kmax`` are checked by ``check_delta_exponent`` and ``check_kmax``
-    before any trial is drawn.
+    ``delta_exponent`` and ``kmax`` are checked by ``check_delta_exponent``
+    and ``check_kmax`` before any trial is drawn.
     """
     check_delta_exponent(delta_exponent)
     check_kmax(kmax)

@@ -129,9 +129,18 @@ def test_determinism_and_input_immutability(tmp_path):
 
 
 def test_threads_flag_and_env(tmp_path, monkeypatch):
+    for argv in [
+        ("build", "--kind", "heisenberg", "--p", "7", "--out", str(tmp_path / "t2.srip")),
+        *[(command, "--kind", "heisenberg", "--p", "7", "--trials", "10",
+           "--out-prefix", str(tmp_path / "t2")) for command in ("spectrum", "srip", "moments")],
+        ("paths-verify", "--k", "4", "--out-prefix", str(tmp_path / "t2")),
+    ]:
+        assert _run(*argv, "--threads", "2") == 2, argv[0]
+    assert list(tmp_path.iterdir()) == []
+
     code = _run(
         "moments", "--kind", "heisenberg", "--p", "7", "--trials", "10",
-        "--threads", "2", "--out-prefix", str(tmp_path / "t2"),
+        "--out-prefix", str(tmp_path / "t1"),
     )
     assert code == 0
     monkeypatch.setenv("SRIP_THREADS", "2")
@@ -140,7 +149,7 @@ def test_threads_flag_and_env(tmp_path, monkeypatch):
         "--out-prefix", str(tmp_path / "tenv"),
     )
     assert code == 0
-    assert _sha(tmp_path / "t2.moments.csv") == _sha(tmp_path / "tenv.moments.csv")
+    assert _sha(tmp_path / "t1.moments.csv") == _sha(tmp_path / "tenv.moments.csv")
 
 
 def test_extended_build_with_subsample(tmp_path):
@@ -188,6 +197,8 @@ def test_paths_verify_out_of_range_k_exits_2(tmp_path):
     ("--ladder", "5,7", "--fixed-n", "-2"),
     ("--ladder", "5,7", "--epsilon", "1.5"),
     ("--ladder", "5,9"),
+    ("--ladder", "5,5"),
+    ("--ladder", "5,7,5", "--fixed-n", "3"),
 ])
 def test_bad_ladder_exits_2_before_writing_or_building(tmp_path, monkeypatch, capsys, argv):
     import srip.cli
@@ -333,7 +344,7 @@ def test_reports_echo_no_unset_config_keys(tmp_path):
     for report in reports:
         config = json.loads(report.read_text())["config"]
         assert not {"translations", "subsample_seed", "k", "ladder"} & set(config), report.name
-        assert "threads" in config
+        assert "threads" not in config
 
 
 @pytest.mark.parametrize("kind", ["heisenberg", "oscillator"])
@@ -387,4 +398,52 @@ def test_campaign_flags_rejected_before_any_support_is_drawn(tmp_path, monkeypat
     code = _run(command, "--kind", "heisenberg", "--p", "11", "--trials", "3", *flag,
                 "--out-prefix", str(tmp_path / "run"))
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+
+@pytest.mark.parametrize("command, name", [
+    ("coherence", "d.srip"),
+    ("spectrum", "d.eigenvalues.csv"),
+    ("spectrum", "d.moments.csv"),
+    ("srip", "d.srip.csv"),
+    ("moments", "d.report.json"),
+])
+def test_output_onto_the_input_exits_2_and_keeps_the_input(tmp_path, monkeypatch, command, name):
+    import srip.cli
+
+    dict_file = tmp_path / name
+    assert _run("build", "--kind", "heisenberg", "--p", "5", "--out", str(dict_file)) == 0
+    before = _sha(dict_file)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the input was loaded before the output paths were checked")
+
+    monkeypatch.setattr(srip.cli, "load_dictionary", refuse)
+    monkeypatch.chdir(tmp_path)
+    source = str(tmp_path / ".." / tmp_path.name / name)  # the same file by another path
+    out = ("--out", name) if command == "coherence" else ("--out-prefix", "d")
+    assert _run(command, "--in", source, *out) == 2
+    assert _sha(dict_file) == before
+    assert [f.name for f in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("seed, trials", [("-1", "3"), (str(2**128 - 2), "3")])
+@pytest.mark.parametrize("source", [("--kind", "heisenberg", "--p", "7"), ("--in", "absent.srip")])
+def test_seed_outside_the_key_range_exits_2_before_building_or_drawing(
+    tmp_path, monkeypatch, capsys, source, seed, trials
+):
+    import srip.cli
+    import srip.spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the campaign went ahead before its seed was checked")
+
+    monkeypatch.setattr(srip.cli, "build_heisenberg_dictionary", refuse)
+    monkeypatch.setattr(srip.cli, "load_dictionary", refuse)
+    monkeypatch.setattr(srip.spectra, "sample_support", refuse)
+    code = _run("srip", *source, "--seed", seed, "--trials", trials,
+                "--out-prefix", str(tmp_path / "s"))
+    assert code == 2
+    assert f"seed={seed}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

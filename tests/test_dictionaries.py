@@ -466,14 +466,12 @@ def test_cross_blocks_are_bounded_and_cover_every_pair():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_heisenberg_basis_matches_eigensolve(p):
-    from srip.dictionaries import _eigenbasis_of
-
     f = PrimeField(p)
     for ln in lines(p):
         if ln.is_vertical:
             continue
         U = heisenberg_operator(f, HeisenbergElement(1, ln.slope, 0, p))
-        solved = _eigenbasis_of(U, ln.label).atoms
+        solved = unitary_eigenbasis(U)
         assert np.abs(heisenberg_basis(f, ln).atoms - solved).max() <= 1e-12, ln.label
 
 

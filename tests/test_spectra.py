@@ -10,6 +10,7 @@ from srip.spectra import (
     GramSample,
     _campaign,
     catalan_number,
+    check_seed,
     gram_sample,
     ks_statistic,
     moment_statistics,
@@ -52,14 +53,16 @@ def test_bad_delta_exponent_raises_before_any_trial(dh11, monkeypatch, e):
     def refuse(*args, **kwargs):
         raise AssertionError("a trial was drawn before the delta exponent was checked")
 
-    monkeypatch.setattr(srip.spectra, "gram_sample", refuse)
+    monkeypatch.setattr(srip.spectra, "sample_support", refuse)
     with pytest.raises(ValueError, match="delta exponent"):
         srip_tail_frequencies(dh11, 0.3, delta_exponent=e)
     with pytest.raises(ValueError, match="delta exponent"):
         run_spectrum(dh11, 0.3, delta_exponent=e)
 
 
-@pytest.mark.parametrize("bad", [{"delta_exponent": -2.0}, {"kmax": 0}])
+@pytest.mark.parametrize("bad", [
+    {"delta_exponent": -2.0}, {"kmax": 0}, {"seed": -1}, {"seed": 2**128 - 2, "trials": 3},
+])
 def test_bad_campaign_parameters_raise_before_any_support_is_drawn(dh11, monkeypatch, bad):
     import srip.spectra
 
@@ -68,10 +71,22 @@ def test_bad_campaign_parameters_raise_before_any_support_is_drawn(dh11, monkeyp
 
     monkeypatch.setattr(srip.spectra, "sample_support", refuse)
     calls = [run_spectrum]
-    calls.append(srip_tail_frequencies if "delta_exponent" in bad else moment_statistics)
+    if "kmax" not in bad:
+        calls.append(srip_tail_frequencies)
+    if "delta_exponent" not in bad:
+        calls.append(moment_statistics)
     for call in calls:
-        with pytest.raises(ValueError, match="delta exponent|kmax"):
+        with pytest.raises(ValueError, match="delta exponent|kmax|seed"):
             call(dh11, 0.3, **bad)
+
+
+def test_the_last_philox_key_is_a_valid_seed(dh5):
+    check_seed(2**128 - 3, 3)
+    with pytest.raises(ValueError, match="seed=340282366920938463463374607431768211454"):
+        check_seed(2**128 - 2, 3)
+    n, eigs = _campaign(dh5, 0.3, 3, 2**128 - 3)  # keys up to 2**128 - 1
+    assert eigs.shape == (3, n)
+    assert np.array_equal(eigs[2], gram_sample(dh5, sample_support(dh5, n, 2**128 - 1)).eigenvalues)
 
 
 def test_sample_support_inclusion_frequencies(dh5):
@@ -292,13 +307,6 @@ def test_run_spectrum_report_consistency(dh11):
 def test_run_spectrum_deterministic(dh11):
     r1 = run_spectrum(dh11, epsilon=0.3, kmax=3, trials=20, seed=7)
     r2 = run_spectrum(dh11, epsilon=0.3, kmax=3, trials=20, seed=7)
-    assert r1.to_dict() == r2.to_dict()
-    assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-
-
-def test_run_spectrum_threads_do_not_change_results(dh11):
-    r1 = run_spectrum(dh11, epsilon=0.3, kmax=3, trials=16, seed=9, threads=1)
-    r2 = run_spectrum(dh11, epsilon=0.3, kmax=3, trials=16, seed=9, threads=4)
     assert r1.to_dict() == r2.to_dict()
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
 
