@@ -162,11 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_dict_source(args) -> None:
-    if getattr(args, "input", None):
-        if args.kind or args.p:
+    if args.input is not None:
+        if args.kind is not None or args.p is not None:
             raise ValueError("pass either --in or (--kind, --p), not both")
         return
-    if not (args.kind and args.p):
+    if args.kind is None or args.p is None:
         raise ValueError("either --in or both --kind and --p are required")
     PrimeField(args.p)  # validates primality and p >= 5
 

@@ -20,11 +20,15 @@ eigenvalue phase of the defining unitary, phases taken in (0, 2pi].
 
 Cross-basis inner products are formed by one blocked kernel,
 ``_cross_blocks``, and judged by one rule, ``within_coherence_bound``.
-``coherence_report`` scans every cross-basis pair.  The builders of the
-full kinds scan only the pairs of the anchor basis ``bases[0]``: the
-Heisenberg-Weil group carries every pair of their bases, up to atom
-phases and order, to a pair that contains the anchor, and a unitary keeps
-|<phi, psi>|, so the anchor's maximum is the maximum over all pairs.
+The kernel stacks the atoms of each column panel of bases once and
+multiplies every earlier row basis against a view of it.
+``coherence_report`` scans every cross-basis pair and bins each block in
+one pass (``_bin_counts``), exactly as ``np.histogram`` on its edges
+would.  The builders of the full kinds scan only the pairs of the anchor
+basis ``bases[0]``: the Heisenberg-Weil group carries every pair of their
+bases, up to atom phases and order, to a pair that contains the anchor,
+and a unitary keeps |<phi, psi>|, so the anchor's maximum is the maximum
+over all pairs.
 """
 
 from __future__ import annotations
@@ -325,18 +329,23 @@ def _oscillator_bases(field: PrimeField, tori: list[Torus]) -> list[OrthonormalB
 def _cross_blocks(D: Dictionary, anchor: bool = False):
     """Yield |<phi, psi>| over every cross-basis atom pair, block by block.
 
-    Each basis meets the bases after it in groups of about
-    ``CROSS_BLOCK_SIZE / p^2`` (at least one), so a block holds about
-    ``CROSS_BLOCK_SIZE`` inner products: the atoms of basis x as rows
-    against the atoms of the group as columns.  With ``anchor``, only
-    basis 0 is a row basis, so only the pairs that contain it are formed.
+    The bases after basis 0 are cut into column panels of
+    ``CROSS_BLOCK_SIZE / p^2`` bases (at least one), and each panel's
+    atoms are stacked once.  Every row basis x before the panel's last
+    basis meets the panel's bases after x, a view of the stacked columns,
+    so a block holds at most about ``CROSS_BLOCK_SIZE`` inner products:
+    the atoms of basis x as rows against those columns.  With ``anchor``,
+    only basis 0 is a row basis, so only the pairs that contain it are
+    formed, panel by panel.
     """
-    nb = D.basis_count
-    step = max(1, CROSS_BLOCK_SIZE // (D.p * D.p))
-    for x in range(min(nb, 1) if anchor else nb):
-        rows = D.bases[x].atoms.conj().T
-        for y in range(x + 1, nb, step):
-            yield np.abs(rows @ np.hstack([b.atoms for b in D.bases[y:y + step]]))
+    p, nb = D.p, D.basis_count
+    step = max(1, CROSS_BLOCK_SIZE // (p * p))
+    for c0 in range(1, nb, step):
+        cols = np.hstack([b.atoms for b in D.bases[c0:c0 + step]])
+        last = min(c0 + step, nb) - 1
+        for x in range(min(last, 1) if anchor else last):
+            rows = D.bases[x].atoms.conj().T
+            yield np.abs(rows @ cols[:, (max(x + 1, c0) - c0) * p:])
 
 
 def within_coherence_bound(max_abs: float, mu: float, p: int) -> bool:
@@ -459,6 +468,47 @@ class CoherenceReport:
     passed: bool = True
 
 
+# a scaled value this close to an integer may sit on either side of the edge
+# it stands for; 1e-9 is far above the few ulps by which the two can differ
+_EDGE_MARGIN = 1e-9
+
+
+def _bin_counts(block: np.ndarray, edges: np.ndarray, counts: np.ndarray) -> float:
+    """Add ``np.histogram(block, bins=edges)[0]`` to ``counts``; return ``block.min()``.
+
+    ``edges`` are uniform from 0 (a ``linspace``).  A block with a negative
+    or NaN entry, which no |<phi, psi>| has, is left to ``np.histogram``.
+    A block whose minimum and maximum lie in one bin, judged against the
+    edges themselves, adds its size to that bin.  Otherwise each value is
+    scaled to edge units and truncated to its bin index; the values that
+    scaling cannot place for certain, those within ``_EDGE_MARGIN`` of an
+    interior edge or of the last one, are binned by ``np.histogram`` on
+    the edges.
+    """
+    bins = len(counts)
+    least, most = block.min(), block.max()
+    if not least >= 0:
+        counts += np.histogram(block, bins=edges)[0]
+        return float(least)
+    k = int(np.searchsorted(edges[:-1], least, side="right")) - 1
+    if most < edges[k + 1] or (k == bins - 1 and most <= edges[-1]):
+        counts[k] += block.size
+        return float(least)
+    values = block.ravel()
+    scaled = values * (bins / edges[-1])
+    # below 0.5 lies in bin 0, whose lower edge 0 no value can miss; at or
+    # above bins + 0.5 lies past the range, and stays a valid index
+    np.clip(scaled, 0.5, bins + 0.5, out=scaled)
+    index = scaled.astype(np.intp)
+    scaled -= index + 0.5
+    unsure = np.abs(scaled, out=scaled) >= 0.5 - _EDGE_MARGIN
+    if unsure.any():
+        counts += np.histogram(values[unsure], bins=edges)[0]
+        index = index[~unsure]
+    counts += np.bincount(index, minlength=bins + 1)[:bins]
+    return float(least)
+
+
 def coherence_report(D: Dictionary) -> CoherenceReport:
     """Scan every cross-basis pair: max and histogram of sqrt(p)*|<phi, psi>|.
 
@@ -477,9 +527,7 @@ def coherence_report(D: Dictionary) -> CoherenceReport:
         raw_worst = max(raw_worst, float(block.max()))
         block *= sqrt_p
         pairs += block.size
-        least = min(least, float(block.min()))
-        # uniform bins over the range of ``edges`` bin exactly as the edges themselves
-        counts += np.histogram(block, bins=HISTOGRAM_BINS, range=(edges[0], edges[-1]))[0]
+        least = min(least, _bin_counts(block, edges, counts))
     # rounding is monotone, so this is the largest scaled entry bit for bit
     worst = float(raw_worst * sqrt_p)
     vacuous = nb < 2

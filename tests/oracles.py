@@ -151,6 +151,15 @@ def pairwise_coherence(D, bins: int = 40):
     return pairs, worst, least, [int(c) for c in counts]
 
 
+def pairwise_values(D):
+    """|<phi, psi>| of every atom pair from two different bases, one basis pair
+    at a time, flattened in (x, y) basis-pair order."""
+    return np.concatenate([
+        np.abs(D.bases[x].atoms.conj().T @ D.bases[y].atoms).ravel()
+        for x, y in itertools.combinations(range(D.basis_count), 2)
+    ])
+
+
 def eigensolved_oscillator_bases(field, tori, translations=((0, 0),)):
     """(label, atoms) of pi(v) B_T for every torus T and translation v, torus-major.
 

@@ -447,3 +447,22 @@ def test_seed_outside_the_key_range_exits_2_before_building_or_drawing(
     assert code == 2
     assert f"seed={seed}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "srip", "moments"])
+@pytest.mark.parametrize("source, message", [
+    (("--in", "h5.srip", "--p", "0"), "not both"),
+    (("--kind", "heisenberg", "--p", "0"), "p = 0 is not prime"),
+])
+def test_p_zero_is_a_given_p(tmp_path, monkeypatch, capsys, command, source, message):
+    import srip.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dictionary was made although --p 0 was given")
+
+    monkeypatch.setattr(srip.cli, "build_heisenberg_dictionary", refuse)
+    monkeypatch.setattr(srip.cli, "load_dictionary", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert _run(command, *source, "--trials", "3", "--out-prefix", "x") == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -464,6 +464,82 @@ def test_cross_blocks_are_bounded_and_cover_every_pair():
     assert len(sizes) > D.basis_count
 
 
+@pytest.mark.parametrize(
+    "make, panels",
+    [(lambda: oscillator_dict(13), 16), (_extended7, 9)],
+    ids=["oscillator13", "extended7"],
+)
+def test_column_panels_form_each_pair_once(monkeypatch, make, panels):
+    import srip.dictionaries as dictionaries
+    from oracles import pairwise_coherence, pairwise_values
+
+    D = make()
+    # 5 oscillator p = 13 bases, or 20 extended p = 7 bases, per panel
+    monkeypatch.setattr(dictionaries, "CROSS_BLOCK_SIZE", 1000)
+    step = 1000 // (D.p * D.p)
+    assert -(-(D.basis_count - 1) // step) == panels
+    blocks = list(dictionaries._cross_blocks(D))
+    values = np.sort(np.concatenate([block.ravel() for block in blocks]))
+    # a pair formed twice in place of another moves the sorted values by far
+    # more than the last-bit differences between product shapes
+    assert values.size == D.basis_count * (D.basis_count - 1) // 2 * D.p * D.p
+    assert np.abs(values - np.sort(pairwise_values(D))).max() <= 1e-15
+
+    rep = coherence_report(D)
+    pairs, worst, least, counts = pairwise_coherence(D)
+    assert rep.cross_pairs_checked == pairs
+    assert rep.histogram_counts == counts
+    assert abs(rep.max_scaled_coherence - worst) <= 1e-14
+    assert abs(rep.min_scaled_coherence - least) <= 1e-14
+
+
+def test_heisenberg_report_bins_every_block_at_once(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block of the heisenberg p = 61 report reached np.histogram")
+
+    D = _heisenberg(61)
+    monkeypatch.setattr(np, "histogram", refuse)
+    rep = coherence_report(D)
+    assert rep.histogram_counts[26] == rep.cross_pairs_checked == 62 * 61 // 2 * 61 * 61
+
+
+def _bin_count_cases():
+    rng = np.random.default_rng(7)
+    for top in (1.5, 4.5):
+        edges = np.linspace(0.0, top, 41)
+        interior = edges[17]
+        yield edges, edges.reshape(1, -1)
+        yield edges, np.nextafter(edges, -np.inf)
+        yield edges, np.nextafter(edges, np.inf)
+        yield edges, np.array([[edges[-1], np.nextafter(edges[-1], np.inf)],
+                               [top + 1.0, 1e300]])
+        yield edges, np.full((3, 4), edges[-1])
+        yield edges, np.zeros((3, 4))
+        yield edges, np.full((3, 4), interior)
+        yield edges, np.full((3, 4), np.nextafter(interior, -np.inf))
+        yield edges, rng.uniform(0.0, top + 0.5, size=(31, 33))
+
+
+@pytest.mark.parametrize("edges, block", list(_bin_count_cases()))
+def test_bin_counts_equals_histogram_on_the_edges(edges, block):
+    from srip.dictionaries import _bin_counts
+
+    counts = np.arange(40, dtype=np.int64)
+    least = _bin_counts(block.copy(), edges, counts)
+    assert counts.tolist() == (np.arange(40) + np.histogram(block, bins=edges)[0]).tolist()
+    assert least == block.min()
+
+
+def test_histogram_leaves_out_pairs_above_its_range():
+    # two copies of one basis: the 5 pairs of an atom with itself read sqrt(5) > 1.5
+    rep = coherence_report(_duplicated5())
+    assert rep.histogram_edges[-1] == 1.5
+    assert rep.cross_pairs_checked == 25
+    assert rep.histogram_counts[0] == 20
+    assert sum(rep.histogram_counts) == 20
+    assert not rep.passed
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_heisenberg_basis_matches_eigensolve(p):
     f = PrimeField(p)
