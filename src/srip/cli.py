@@ -42,6 +42,7 @@ from .dictionaries import (
 from .errors import SripError
 from .field import PrimeField
 from .paths import (
+    MAX_LENGTH,
     enumerate_path_classes,
     ladder_support_sizes,
     tree_to_dyck,
@@ -277,8 +278,8 @@ def _run_campaign(args, command: str, started: float) -> int:
 
 
 def _cmd_paths_verify(args, started: float) -> int:
-    if not 2 <= args.k <= 10:
-        raise ValueError(f"--k must be between 2 and 10, got {args.k}")
+    if not 2 <= args.k <= MAX_LENGTH:
+        raise ValueError(f"--k must be between 2 and {MAX_LENGTH}, got {args.k}")
     fields = []
     if args.ladder:  # check the whole ladder before any write or build
         fields = [PrimeField(int(x)) for x in args.ladder.split(",")]

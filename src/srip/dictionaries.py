@@ -617,18 +617,26 @@ def dump_dictionary(D: Dictionary) -> bytearray:
     return buf
 
 
-def _read_exact(buf, count: int) -> bytes:
-    data = buf.read(count)
+def _read_exact(buf, count: int, size: int) -> bytes:
+    """The next ``count`` bytes of ``buf``, a stream of ``size`` bytes.  A read
+    past the end is refused before it starts: a file read allocates its
+    whole count first, and a corrupt label length can ask for 4 GB."""
+    data = buf.read(count) if buf.tell() + count <= size else b""
     if len(data) != count:
         raise FormatError("unexpected end of file")
     return data
 
 
 def parse_dictionary(data: bytes) -> Dictionary:
-    buf = io.BytesIO(data)
-    if _read_exact(buf, len(MAGIC)) != MAGIC:
+    return _read_dictionary(io.BytesIO(data), len(data))
+
+
+def _read_dictionary(buf, size: int) -> Dictionary:
+    """The dictionary in the binary stream ``buf`` of ``size`` bytes, read one
+    record at a time, so only the current basis is held as raw bytes."""
+    if _read_exact(buf, len(MAGIC), size) != MAGIC:
         raise FormatError("bad magic; not a dictionary file")
-    version, p, kind_code, basis_count, mu = struct.unpack("<IIBId", _read_exact(buf, 21))
+    version, p, kind_code, basis_count, mu = struct.unpack("<IIBId", _read_exact(buf, 21, size))
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"unsupported format version {version}")
     if kind_code not in KIND_NAMES:
@@ -638,17 +646,17 @@ def parse_dictionary(data: bytes) -> Dictionary:
     kind = KIND_NAMES[kind_code]
     if mu != KIND_MU[kind]:
         raise FormatError(f"stored mu = {mu!r} does not match kind {kind} (mu = {KIND_MU[kind]})")
-    if basis_count * 16 * p * p > len(data):
+    if basis_count * 16 * p * p > size:
         raise FormatError("declared basis count exceeds the file size")
     bases = []
     for _ in range(basis_count):
-        (label_len,) = struct.unpack("<I", _read_exact(buf, 4))
-        raw_label = _read_exact(buf, label_len)
+        (label_len,) = struct.unpack("<I", _read_exact(buf, 4, size))
+        raw_label = _read_exact(buf, label_len, size)
         try:
             label = raw_label.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"basis label is not valid UTF-8: {exc}") from exc
-        raw = _read_exact(buf, 16 * p * p)
+        raw = _read_exact(buf, 16 * p * p, size)
         atoms = np.frombuffer(raw, dtype="<c16").reshape(p, p).T
         bases.append(OrthonormalBasis(label, np.ascontiguousarray(atoms)))
     if buf.read(1):
@@ -681,4 +689,4 @@ def save_dictionary(path, D: Dictionary) -> None:
 
 def load_dictionary(path) -> Dictionary:
     with open(path, "rb") as fh:
-        return parse_dictionary(fh.read())
+        return _read_dictionary(fh, os.fstat(fh.fileno()).st_size)

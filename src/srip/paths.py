@@ -11,10 +11,11 @@ dictionary atoms, is the product of consecutive inner products around the
 cycle.  Expectations of these weights over uniformly random injective
 assignments are computed exactly (by Moebius inversion over vertex
 coincidence patterns, reduced through the tight-frame identity
-sum_a phi_a phi_a^H = (basis count) * I, and evaluated as tensor
-contractions of the dictionary Gram matrix or, in p dimensions, of its
-degree-2 moment operator), which ties the Monte Carlo spectral statistics
-to closed combinatorial quantities.
+sum_a phi_a phi_a^H = (basis count) * I; each class is expanded once per
+process, keyed by its first-visit form, and a core of three or more
+degree-2 blocks is contracted in p dimensions on the degree-2 moment
+operator, any other on the Gram matrix), which ties the Monte Carlo spectral statistics to closed
+combinatorial quantities.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -262,10 +263,6 @@ def _merged_walk_sum(edges, blocks: int, G: np.ndarray) -> complex:
         if loop_counts[u]:
             operands.append(d**loop_counts[u])
             subs.append(letters[u])
-        elif not any(u in (a, b) for (a, b) in pair_factors):
-            # isolated block: free index contributes a factor N
-            operands.append(np.ones(G.shape[0]))
-            subs.append(letters[u])
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
 
 
@@ -353,10 +350,10 @@ def _degree2_core_sum(edges, blocks: int, S2: np.ndarray) -> complex:
 class _CoreSums:
     """Memoised free sums of merged-walk cores on one dictionary.
 
-    Keyed by ``_walk_key``.  A core of three or more
-    degree-2 blocks is contracted in p dimensions while p^2 <= N; every other
-    walk is ``_merged_walk_sum`` in atom space.  The Gram and S2 are formed
-    on first use.
+    Keyed by ``_walk_key``.  A core of three or more degree-2 blocks is
+    ``_degree2_core_sum`` on S2, whatever the basis count; every other core
+    is ``_merged_walk_sum`` on the Gram.  The Gram and S2 are formed on
+    first use.
     """
 
     def __init__(self, D: Dictionary):
@@ -380,30 +377,36 @@ class _CoreSums:
         if key not in self.memo:
             blocks, edges = key
             out_degrees = {sum(u == b for u, _ in edges) for b in range(blocks)}
-            in_p_dims = self.D.p**2 <= self.D.atom_count
-            if blocks >= 3 and in_p_dims and out_degrees == {2}:
+            if blocks >= 3 and out_degrees == {2}:
                 self.memo[key] = _degree2_core_sum(edges, blocks, self.s2)
             else:
                 self.memo[key] = _merged_walk_sum(edges, blocks, self.gram)
         return self.memo[key]
 
 
-def _expansion(labels) -> tuple[int, dict]:
+def _expansion(labels) -> tuple[int, tuple]:
     """(number of vertices, Moebius expansion of the injective walk sum).
 
     Moebius inversion over the vertex coincidence patterns turns the sum
     over injective assignments into free sums of merged walks.  The
-    expansion maps (s, z, key) to an integer coefficient, for the term
-    nb^s * N^z * (free sum of the walk ``key``), where ``key`` is a
-    ``_walk_key``.  Each merged walk is reduced by ``_reduce_walk`` and
-    ``key`` is its core (a core of no blocks is 1).
+    expansion is a tuple of ((s, z, key), coefficient) pairs with nonzero
+    integer coefficients, one per term nb^s * N^z * (free sum of the walk
+    ``key``), where ``key`` is a ``_walk_key``.  Each merged walk is
+    reduced by ``_reduce_walk`` and ``key`` is its core (a core of no
+    blocks is 1).  The walk is renumbered by first visit and the expansion
+    of that form is computed once per process.
     """
     order: dict = {}
     for x in labels:
         if x not in order:
             order[x] = len(order)
-    m = len(order)
-    verts = [order[x] for x in labels]
+    return _first_visit_expansion(tuple(order[x] for x in labels))
+
+
+@cache
+def _first_visit_expansion(verts: tuple[int, ...]) -> tuple[int, tuple]:
+    """``_expansion`` of a walk whose vertices are 0, 1, ... in first-visit order."""
+    m = max(verts) + 1
     terms: dict = {}
     for partition in _set_partitions(list(range(m))):
         block_of = {}
@@ -418,43 +421,31 @@ def _expansion(labels) -> tuple[int, dict]:
         summed, isolated, core, blocks = _reduce_walk(edges, len(partition))
         term = (summed, isolated, _walk_key(core, blocks))
         terms[term] = terms.get(term, 0) + weight
-    return m, terms
+    return m, tuple((term, c) for term, c in terms.items() if c)
 
 
 def _expected_weights(walks, D: Dictionary) -> list[complex]:
-    """``expected_weight`` of every walk on one dictionary."""
-    return _ladder_weights(walks, [D])[0]
+    """``expected_weight`` of every walk on one dictionary.
 
-
-def _ladder_weights(walks, dictionaries) -> list[list[complex]]:
-    """``expected_weight`` of every walk on each dictionary.
-
-    Every budget is checked first.  Each walk is expanded once per call, and
-    each dictionary's ``_CoreSums`` sums every distinct core once; the Grams,
-    S2s and memos live only for this call.
+    Every budget is checked before any walk is expanded.  Each class's
+    expansion comes from the per-process cache of ``_expansion``, and one
+    ``_CoreSums`` sums every distinct core once; the Gram, S2 and memo live
+    only for this call.
     """
     walks = [pc.steps if isinstance(pc, PathClass) else tuple(pc) for pc in walks]
-    for D in dictionaries:
-        for labels in walks:
-            _check_budget(len(set(labels)), D.atom_count)
-    expansions = [_expansion(labels) for labels in walks]
-    out = []
-    for D in dictionaries:
-        core_sum = _CoreSums(D)
-        N, nb = D.atom_count, D.basis_count
-        weights = []
-        for m, terms in expansions:
-            total = 0.0 + 0.0j
-            for (summed, isolated, key), coefficient in terms.items():
-                if coefficient:
-                    scale = coefficient * nb**summed * N**isolated
-                    total += scale * core_sum(key) if key[0] else scale
-            denom = 1
-            for i in range(m):
-                denom *= N - i
-            weights.append(total / denom)
-        out.append(weights)
-    return out
+    for labels in walks:
+        _check_budget(len(set(labels)), D.atom_count)
+    core_sum = _CoreSums(D)
+    N, nb = D.atom_count, D.basis_count
+    weights = []
+    for labels in walks:
+        m, terms = _expansion(labels)
+        total = 0.0 + 0.0j
+        for (summed, isolated, key), coefficient in terms:
+            scale = coefficient * nb**summed * N**isolated
+            total += scale * core_sum(key) if key[0] else scale
+        weights.append(total / math.perm(N, m))
+    return weights
 
 
 def expected_weight(pc: PathClass | tuple, D: Dictionary) -> complex:
@@ -469,10 +460,7 @@ def expected_weight(pc: PathClass | tuple, D: Dictionary) -> complex:
 
 def class_size(pc: PathClass, n: int) -> int:
     """Number of labeled representatives on {1..n}: the falling factorial."""
-    size = 1
-    for i in range(pc.vertex_count):
-        size *= n - i
-    return max(size, 0)
+    return math.perm(n, pc.vertex_count)
 
 
 def class_normalization(pc: PathClass, n: int, p: int) -> float:
@@ -554,7 +542,10 @@ def trajectory_table(
     ps = sorted(dictionaries)
     sizes = ladder_support_sizes(ps, epsilon, fixed_n)
     classes = list(classes)
-    weights = _ladder_weights(classes, [dictionaries[p] for p in ps])
+    for p in ps:
+        for pc in classes:
+            _check_budget(pc.vertex_count, dictionaries[p].atom_count)
+    weights = [_expected_weights(classes, dictionaries[p]) for p in ps]
     rows = []
     for i, pc in enumerate(classes):
         pts = [

@@ -355,6 +355,38 @@ def test_trailing_garbage_raises(dh5):
         parse_dictionary(data)
 
 
+def test_load_fails_as_parse_does(dh5, tmp_path):
+    # the file reader and the in-memory parser are one reader: a file cut in
+    # the header, in a label or in an atom record, one with a trailing byte
+    # and one whose first label length runs past the end fail alike
+    data = bytes(dump_dictionary(dh5))
+    header = 8 + 21
+    label_length = bytearray(data)
+    label_length[header:header + 4] = b"\xff\xff\xff\xff"
+    broken = [
+        data[:20],
+        data[:header + 4 + 2],
+        data[:-3],
+        data + b"x",
+        bytes(label_length),
+    ]
+    messages = set()
+    for i, image in enumerate(broken):
+        path = tmp_path / f"broken{i}.srip"
+        path.write_bytes(image)
+        with pytest.raises(FormatError) as parsed:
+            parse_dictionary(path.read_bytes())
+        with pytest.raises(FormatError) as loaded:
+            load_dictionary(path)
+        assert str(loaded.value) == str(parsed.value)
+        messages.add(str(parsed.value))
+    assert messages == {
+        "unexpected end of file",
+        "declared basis count exceeds the file size",
+        "trailing bytes after the last basis",
+    }
+
+
 def test_coherence_violation_detected(dh5, tmp_path):
     from srip.dictionaries import _check_coherence
     from srip.errors import CoherenceViolationError

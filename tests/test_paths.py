@@ -29,7 +29,7 @@ from srip.paths import (
 )
 from srip.spectra import catalan_number, moment_statistics
 
-from conftest import heisenberg_dict
+from conftest import heisenberg_dict, oscillator_dict
 from oracles import dense_fisher_yates
 from oracles import brute_expected_weight, first_visit_form, random_hermitian, strict_closed_paths, trace_by_path_sum
 
@@ -362,6 +362,54 @@ def test_k8_contracts_no_degree2_core_in_atom_space(dh5, monkeypatch):
         assert blocks <= 3
         if blocks == 3:
             assert max(sum(u == b for u, _ in edges) for b in range(blocks)) >= 3
+
+
+def test_each_class_is_expanded_once(dh5, dh7, monkeypatch):
+    # one _reduce_walk call per vertex-merge pattern of each class expanded:
+    # the four k = 4 classes have 2 + 5 + 5 + 15 = 27 patterns and the k = 6
+    # classes within the budget 352, on however many dictionaries they are used
+    calls = []
+    reduce_walk = paths._reduce_walk
+
+    def counting(edges, blocks):
+        calls.append(blocks)
+        return reduce_walk(edges, blocks)
+
+    monkeypatch.setattr(paths, "_reduce_walk", counting)
+    paths._first_visit_expansion.cache_clear()
+    for D in (dh5, dh7, oscillator_dict(7)):
+        exact_spectral_moment(D, 4, 4)
+    assert len(calls) == 27
+
+    paths._first_visit_expansion.cache_clear()
+    calls.clear()
+    ladder = {p: heisenberg_dict(p) for p in (5, 7, 11)}
+    usable = [
+        pc for pc in enumerate_path_classes(6)
+        if all(within_budget(pc.vertex_count, D.atom_count) for D in ladder.values())
+    ]
+    trajectory_table(ladder, usable, fixed_n=3)
+    assert len(calls) == 352
+
+
+def test_degree2_cores_contract_in_p_dims_with_fewer_bases_than_p(dh5, monkeypatch):
+    # N = 10 < p^2 = 25: the degree-2 cores still go to S2, and every k = 6
+    # class within the budget matches the literal enumeration
+    sub = Dictionary(5, "heisenberg", 1.0, dh5.bases[:2])
+    in_p_dims = []
+    contract = paths._degree2_core_sum
+
+    def counting(edges, blocks, S2):
+        in_p_dims.append(blocks)
+        return contract(edges, blocks, S2)
+
+    monkeypatch.setattr(paths, "_degree2_core_sum", counting)
+    usable = [
+        pc for pc in enumerate_path_classes(6) if within_budget(pc.vertex_count, sub.atom_count)
+    ]
+    for pc, value in zip(usable, paths._expected_weights(usable, sub)):
+        assert abs(value - brute_expected_weight(pc.steps, sub.atoms_matrix)) <= 1e-12
+    assert in_p_dims
 
 
 def test_class_size_and_normalization_examples():
