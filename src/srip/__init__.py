@@ -1,65 +1,3 @@
 """Incoherent dictionaries over prime fields and their Gram-spectrum statistics."""
 
 __version__ = "0.1.0"
-
-from .dictionaries import (
-    CoherenceReport,
-    Dictionary,
-    Line,
-    OrthonormalBasis,
-    Torus,
-    build_extended_oscillator_dictionary,
-    build_heisenberg_dictionary,
-    build_oscillator_dictionary,
-    coherence_report,
-    heisenberg_basis,
-    lines,
-    load_dictionary,
-    nonsplit_tori,
-    oscillator_basis,
-    save_dictionary,
-    synthesize,
-)
-from .field import Fp2Element, PrimeField, find_nonresidue, norm_one_generator
-from .linalg import HermitianEig, gram, hermitian_eig, op_norm, trace_power, unitary_eigenbasis
-from .operators import (
-    HeisenbergElement,
-    SL2Element,
-    chirp_operator,
-    fourier_operator,
-    heisenberg_operator,
-    jacobi_operator,
-    scaling_operator,
-    weil_operator,
-)
-from .paths import (
-    PathClass,
-    canonicalize,
-    class_normalization,
-    class_size,
-    completeness_residual,
-    dyck_to_tree,
-    enumerate_path_classes,
-    exact_spectral_moment,
-    expected_weight,
-    support_size,
-    trajectory_table,
-    tree_to_dyck,
-)
-from .spectra import (
-    GramSample,
-    SpectralReport,
-    catalan_number,
-    gram_sample,
-    ks_statistic,
-    moment_statistics,
-    rip_deviation,
-    run_spectrum,
-    sample_support,
-    semicircle_cdf,
-    semicircle_density,
-    semicircle_moment,
-    srip_tail_frequencies,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

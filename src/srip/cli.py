@@ -25,7 +25,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import cache
 
 from . import __version__
 from .dictionaries import (
@@ -103,21 +104,23 @@ def _build(kind: str, p: int, **extended) -> Dictionary:
     return build_extended_oscillator_dictionary(field, **extended)
 
 
-def _add_dict_source(sub: argparse.ArgumentParser) -> None:
+def _add_campaign(subs, name: str, help: str) -> argparse.ArgumentParser:
+    sub = subs.add_parser(name, help=help)
     sub.add_argument("--in", dest="input", help="dictionary file produced by `build`")
     sub.add_argument("--kind", choices=sorted(KIND_CODES), help="build this kind in memory")
     sub.add_argument("--p", type=int, help="prime (required with --kind)")
-
-
-def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--epsilon", type=float, default=0.3)
-    sub.add_argument("--delta-exponent", type=float, default=0.5)
-    sub.add_argument("--trials", type=int, default=200)
-    sub.add_argument("--seed", type=int, default=42)
+    sub.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
+    sub.add_argument("--delta-exponent", type=float, default=RunConfig.delta_exponent)
+    sub.add_argument("--trials", type=int, default=RunConfig.trials)
+    sub.add_argument("--seed", type=int, default=RunConfig.seed)
     sub.add_argument("--out-prefix", required=True)
+    sub.set_defaults(run=_run_campaign)
+    return sub
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each subcommand names its handler as ``run``."""
     parser = argparse.ArgumentParser(prog="srip", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -132,33 +135,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extended dictionary: seed of the translation subsample (default 0)")
     b.add_argument("--allow-large", action="store_true",
                    help="permit the full extended dictionary above p = 5")
+    b.set_defaults(run=_cmd_build)
 
     c = subs.add_parser("coherence", help="scan all cross-basis pairs of a dictionary")
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--out", help="optional JSON report path")
+    c.set_defaults(run=_cmd_coherence)
 
-    s = subs.add_parser("spectrum", help="full campaign: tails, moments, pooled spectrum")
-    _add_dict_source(s)
-    _add_campaign_flags(s)
-    s.add_argument("--kmax", type=int, default=6)
-
-    r = subs.add_parser("srip", help="tail frequencies of ||G - I|| only")
-    _add_dict_source(r)
-    _add_campaign_flags(r)
-
-    m = subs.add_parser("moments", help="spectral moment means and variances")
-    _add_dict_source(m)
-    _add_campaign_flags(m)
-    m.add_argument("--kmax", type=int, default=6)
+    s = _add_campaign(subs, "spectrum", "full campaign: tails, moments, pooled spectrum")
+    s.add_argument("--kmax", type=int, default=RunConfig.kmax)
+    _add_campaign(subs, "srip", "tail frequencies of ||G - I|| only")
+    m = _add_campaign(subs, "moments", "spectral moment means and variances")
+    m.add_argument("--kmax", type=int, default=RunConfig.kmax)
 
     pv = subs.add_parser("paths-verify", help="path-class tables and exact estimates")
     pv.add_argument("--k", type=int, required=True)
     pv.add_argument("--out-prefix", default=None)
     pv.add_argument("--ladder", default=None,
                     help="comma-separated primes for exact estimate trajectories")
-    pv.add_argument("--epsilon", type=float, default=0.3)
+    pv.add_argument("--epsilon", type=float, default=RunConfig.epsilon)
     pv.add_argument("--fixed-n", type=int, default=None,
                     help="hold this support size fixed across the ladder normalizations")
+    pv.set_defaults(run=_cmd_paths_verify)
     return parser
 
 
@@ -172,7 +170,7 @@ def _validate_dict_source(args) -> None:
     PrimeField(args.p)  # validates primality and p >= 5
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args, started: float) -> int:
     extended_only = (args.translations is not None or args.subsample_seed is not None
                      or args.allow_large)
     if extended_only and args.kind != "extended_oscillator":
@@ -218,20 +216,6 @@ def _cmd_coherence(args, started: float) -> int:
     return EXIT_OK if report.passed else EXIT_CONTRACT
 
 
-def _campaign_config(args, command: str) -> RunConfig:
-    return RunConfig(
-        command=command,
-        p=args.p,
-        kind=args.kind,
-        input=args.input,
-        epsilon=args.epsilon,
-        delta_exponent=args.delta_exponent,
-        kmax=getattr(args, "kmax", 6),
-        trials=args.trials,
-        seed=args.seed,
-    )
-
-
 _CAMPAIGN_OUTPUTS = {  # the files each campaign writes, as suffixes of --out-prefix
     "spectrum": ("eigenvalues.csv", "moments.csv", "srip.csv", "report.json"),
     "srip": ("srip.csv", "report.json"),
@@ -239,10 +223,13 @@ _CAMPAIGN_OUTPUTS = {  # the files each campaign writes, as suffixes of --out-pr
 }
 
 
-def _run_campaign(args, command: str, started: float) -> int:
+def _run_campaign(args, started: float) -> int:
     _validate_dict_source(args)
-    config = _campaign_config(args, command)
-    outputs = {suffix: f"{args.out_prefix}.{suffix}" for suffix in _CAMPAIGN_OUTPUTS[command]}
+    # `srip` has no --kmax, so its config keeps RunConfig's
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                          if hasattr(args, f.name)})
+    outputs = {suffix: f"{args.out_prefix}.{suffix}"
+               for suffix in _CAMPAIGN_OUTPUTS[config.command]}
     _check_input_kept(config.input, outputs.values())  # fail before the load or the build
     check_kmax(config.kmax)
     check_delta_exponent(config.delta_exponent)
@@ -272,7 +259,7 @@ def _run_campaign(args, command: str, started: float) -> int:
         _write_csv(outputs["srip.csv"], "threshold_kind,threshold,frequency",
                    [f"{t.kind},{t.threshold!r},{t.frequency!r}" for t in report.tails])
     write_atomic(outputs["report.json"], _json_payload(config, report.to_dict(), started))
-    print(f"{command} done: p={D.p} n={report.n} trials={report.trials} seed={report.seed} "
+    print(f"{config.command} done: p={D.p} n={report.n} trials={report.trials} seed={report.seed} "
           f"ks_pooled={report.ks_pooled:.4f}")
     return EXIT_OK
 
@@ -280,10 +267,13 @@ def _run_campaign(args, command: str, started: float) -> int:
 def _cmd_paths_verify(args, started: float) -> int:
     if not 2 <= args.k <= MAX_LENGTH:
         raise ValueError(f"--k must be between 2 and {MAX_LENGTH}, got {args.k}")
-    fields = []
-    if args.ladder:  # check the whole ladder before any write or build
-        fields = [PrimeField(int(x)) for x in args.ladder.split(",")]
-        ps = [f.p for f in fields]
+    if args.fixed_n is not None and args.ladder is None:
+        raise ValueError("--fixed-n holds the support size across the --ladder primes; "
+                         "pass --ladder with it")
+    ladder = []
+    if args.ladder is not None:  # check the whole ladder before any write or build
+        ladder = [PrimeField(int(x)) for x in args.ladder.split(",")]
+        ps = [f.p for f in ladder]
         if len(set(ps)) < len(ps):
             raise ValueError(f"--ladder repeats a prime: {args.ladder}")
         ladder_support_sizes(ps, args.epsilon, args.fixed_n)
@@ -300,8 +290,8 @@ def _cmd_paths_verify(args, started: float) -> int:
     print(f"k={args.k}: {len(classes)} classes, {len(trees)} trees "
           f"(catalan count {expected}) -> {'ok' if len(trees) == expected else 'MISMATCH'}")
 
-    if args.ladder:
-        dicts = {f.p: build_heisenberg_dictionary(f) for f in fields}
+    if ladder:
+        dicts = {f.p: build_heisenberg_dictionary(f) for f in ladder}
         usable = [
             pc for pc in classes
             if all(within_budget(pc.vertex_count, d.atom_count) for d in dicts.values())
@@ -318,28 +308,17 @@ def _cmd_paths_verify(args, started: float) -> int:
             print(f"  {row.path_class}: tree={row.is_tree} {trend} "
                   f"final={row.final_value.real:.6f}{row.final_value.imag:+.2e}i "
                   f"converging={row.converging}")
-    if len(trees) != expected:
-        return EXIT_CONTRACT
-    return EXIT_OK
+    return EXIT_OK if len(trees) == expected else EXIT_CONTRACT
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "coherence":
-            return _cmd_coherence(args, started)
-        if args.command in ("spectrum", "srip", "moments"):
-            return _run_campaign(args, args.command, started)
-        if args.command == "paths-verify":
-            return _cmd_paths_verify(args, started)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args, started)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

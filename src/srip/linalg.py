@@ -19,6 +19,7 @@ from .errors import DegenerateSpectrumError, DimensionMismatchError, NotHermitia
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 EIGENVECTOR_RESIDUAL_TOL = 1e-8
+ANCHOR_RTOL = 1e-9
 
 # arbitrary fixed phase for the unitary-to-Hermitian reduction; doubled on
 # retry when two distinct unitary eigenvalues land on the same real part
@@ -94,15 +95,15 @@ def gram(vectors: np.ndarray) -> np.ndarray:
     return V.swapaxes(-1, -2) @ V.conj()
 
 
-def anchor_index(v: np.ndarray, rtol: float = 1e-9) -> int | np.ndarray:
-    """Lowest index whose magnitude ties the maximum within a relative window.
+def anchor_index(v: np.ndarray) -> int | np.ndarray:
+    """Lowest index whose magnitude ties the maximum up to the relative window ``ANCHOR_RTOL``.
 
     Taken per column of a matrix, so a matrix gives one index per column.
     The window makes the choice stable for flat-magnitude vectors, where
     exact argmax would land on rounding noise.
     """
     mags = np.abs(v)
-    return np.argmax(mags >= mags.max(axis=0) * (1.0 - rtol), axis=0)
+    return np.argmax(mags >= mags.max(axis=0) * (1.0 - ANCHOR_RTOL), axis=0)
 
 
 def phase_normalize(v: np.ndarray) -> np.ndarray:

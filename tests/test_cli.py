@@ -128,6 +128,25 @@ def test_determinism_and_input_immutability(tmp_path):
     assert _sha(dict_file) == before  # inputs never mutated
 
 
+def test_one_parser_serves_every_call_and_keeps_nothing(tmp_path):
+    from srip.cli import build_parser
+
+    assert build_parser() is build_parser()
+    spectrum = ("spectrum", "--kind", "heisenberg", "--p", "5", "--trials", "5")
+    assert _run(*spectrum, "--out-prefix", str(tmp_path / "a")) == 0
+    # a call with other values between the two must leave nothing behind
+    assert _run("srip", "--kind", "heisenberg", "--p", "7", "--trials", "3", "--seed", "9",
+                "--epsilon", "0.2", "--out-prefix", str(tmp_path / "between")) == 0
+    assert _run(*spectrum, "--out-prefix", str(tmp_path / "b")) == 0
+
+    def without_duration(path):
+        return [ln for ln in path.read_bytes().splitlines() if b'"duration_seconds"' not in ln]
+
+    for suffix in ("eigenvalues.csv", "moments.csv", "srip.csv", "report.json"):
+        assert (without_duration(tmp_path / f"a.{suffix}")
+                == without_duration(tmp_path / f"b.{suffix}")), suffix
+
+
 def test_threads_flag_and_env(tmp_path, monkeypatch):
     for argv in [
         ("build", "--kind", "heisenberg", "--p", "7", "--out", str(tmp_path / "t2.srip")),
@@ -199,6 +218,8 @@ def test_paths_verify_out_of_range_k_exits_2(tmp_path):
     ("--ladder", "5,9"),
     ("--ladder", "5,5"),
     ("--ladder", "5,7,5", "--fixed-n", "3"),
+    ("--fixed-n", "3"),
+    ("--ladder", ""),
 ])
 def test_bad_ladder_exits_2_before_writing_or_building(tmp_path, monkeypatch, capsys, argv):
     import srip.cli
