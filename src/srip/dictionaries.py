@@ -50,7 +50,7 @@ from .errors import (
     TorusCountError,
     VersionMismatchError,
 )
-from .field import PrimeField, find_nonresidue, norm_one_generator
+from .field import PrimeField, find_nonresidue, is_prime, norm_one_generator
 from .linalg import (
     EIGENVECTOR_RESIDUAL_TOL,
     eigen_residual,
@@ -643,6 +643,8 @@ def _read_dictionary(buf, size: int) -> Dictionary:
         raise FormatError(f"unknown dictionary kind code {kind_code}")
     if not 5 <= p <= 100_000:
         raise FormatError(f"implausible dimension p = {p}")
+    if not is_prime(p):
+        raise FormatError(f"dimension p = {p} is not prime")
     kind = KIND_NAMES[kind_code]
     if mu != KIND_MU[kind]:
         raise FormatError(f"stored mu = {mu!r} does not match kind {kind} (mu = {KIND_MU[kind]})")

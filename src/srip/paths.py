@@ -29,6 +29,7 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .errors import BudgetExceededError, NotATreeError, SingleVisitError
+from .linalg import gram
 
 MAX_LENGTH = 10
 MAX_VERTICES = 4
@@ -362,8 +363,7 @@ class _CoreSums:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        M = self.D.atoms_matrix
-        return M.T @ M.conj()
+        return gram(self.D.atoms_matrix)
 
     @cached_property
     def s2(self) -> np.ndarray:
@@ -384,8 +384,9 @@ class _CoreSums:
         return self.memo[key]
 
 
-def _expansion(labels) -> tuple[int, tuple]:
-    """(number of vertices, Moebius expansion of the injective walk sum).
+@cache
+def _first_visit_expansion(steps: tuple[int, ...]) -> tuple:
+    """Moebius expansion of the injective walk sum of the class with canonical ``steps``.
 
     Moebius inversion over the vertex coincidence patterns turns the sum
     over injective assignments into free sums of merged walks.  The
@@ -393,22 +394,10 @@ def _expansion(labels) -> tuple[int, tuple]:
     integer coefficients, one per term nb^s * N^z * (free sum of the walk
     ``key``), where ``key`` is a ``_walk_key``.  Each merged walk is
     reduced by ``_reduce_walk`` and ``key`` is its core (a core of no
-    blocks is 1).  The walk is renumbered by first visit and the expansion
-    of that form is computed once per process.
+    blocks is 1).  Computed once per class per process.
     """
-    order: dict = {}
-    for x in labels:
-        if x not in order:
-            order[x] = len(order)
-    return _first_visit_expansion(tuple(order[x] for x in labels))
-
-
-@cache
-def _first_visit_expansion(verts: tuple[int, ...]) -> tuple[int, tuple]:
-    """``_expansion`` of a walk whose vertices are 0, 1, ... in first-visit order."""
-    m = max(verts) + 1
     terms: dict = {}
-    for partition in _set_partitions(list(range(m))):
+    for partition in _set_partitions(list(range(1, max(steps) + 1))):
         block_of = {}
         for b, block in enumerate(partition):
             for v in block:
@@ -417,34 +406,40 @@ def _first_visit_expansion(verts: tuple[int, ...]) -> tuple[int, tuple]:
         for block in partition:
             s = len(block)
             weight *= (-1) ** (s - 1) * math.factorial(s - 1)
-        edges = [(block_of[u], block_of[v]) for u, v in zip(verts, verts[1:])]
+        edges = [(block_of[u], block_of[v]) for u, v in zip(steps, steps[1:])]
         summed, isolated, core, blocks = _reduce_walk(edges, len(partition))
         term = (summed, isolated, _walk_key(core, blocks))
         terms[term] = terms.get(term, 0) + weight
-    return m, tuple((term, c) for term, c in terms.items() if c)
+    return tuple((term, c) for term, c in terms.items() if c)
+
+
+def _check_support(n: int, D: Dictionary) -> None:
+    """Raises ValueError unless 1 <= n <= |D|, so that D has supports of n distinct atoms."""
+    if not 1 <= n <= D.atom_count:
+        raise ValueError(f"support size n={n} invalid for |D|={D.atom_count}")
 
 
 def _expected_weights(walks, D: Dictionary) -> list[complex]:
     """``expected_weight`` of every walk on one dictionary.
 
-    Every budget is checked before any walk is expanded.  Each class's
-    expansion comes from the per-process cache of ``_expansion``, and one
-    ``_CoreSums`` sums every distinct core once; the Gram, S2 and memo live
-    only for this call.
+    A walk that is not a ``PathClass`` goes to its class by ``canonicalize``,
+    and every class is checked before any is expanded.  Expansions come from
+    the per-process cache of ``_first_visit_expansion``, and one ``_CoreSums``
+    sums every distinct core once; the Gram, S2 and memo live only for this call.
     """
-    walks = [pc.steps if isinstance(pc, PathClass) else tuple(pc) for pc in walks]
-    for labels in walks:
-        _check_budget(len(set(labels)), D.atom_count)
+    classes = [w if isinstance(w, PathClass) else canonicalize(w) for w in walks]
+    for pc in classes:
+        _check_budget(pc.vertex_count, D.atom_count)
+        _check_support(pc.vertex_count, D)
     core_sum = _CoreSums(D)
     N, nb = D.atom_count, D.basis_count
     weights = []
-    for labels in walks:
-        m, terms = _expansion(labels)
+    for pc in classes:
         total = 0.0 + 0.0j
-        for (summed, isolated, key), coefficient in terms:
+        for (summed, isolated, key), coefficient in _first_visit_expansion(pc.steps):
             scale = coefficient * nb**summed * N**isolated
             total += scale * core_sum(key) if key[0] else scale
-        weights.append(total / math.perm(N, m))
+        weights.append(total / math.perm(N, pc.vertex_count))
     return weights
 
 
@@ -453,7 +448,9 @@ def expected_weight(pc: PathClass | tuple, D: Dictionary) -> complex:
 
     Class invariance of the expectation reduces the average over size-n
     supports to an average over assignments of the path's own vertices,
-    which is what makes exact evaluation feasible.
+    which is what makes exact evaluation feasible.  A labelled walk is
+    weighed as its class; a malformed one raises ValueError, as does a
+    class with more vertices than D has atoms.
     """
     return _expected_weights([pc], D)[0]
 
@@ -483,8 +480,10 @@ def exact_spectral_moment(D: Dictionary, n: int, k: int) -> float:
 
     Sums class contributions n^{-1} (p/n)^{k/2} |class| E(weight) over all
     classes of length k.  Supported for k <= 4 (larger k has classes whose
-    vertex count exceeds the exact-expectation budget).
+    vertex count exceeds the exact-expectation budget).  Raises ValueError
+    unless 1 <= n <= |D|.
     """
+    _check_support(n, D)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:

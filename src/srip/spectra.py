@@ -29,7 +29,7 @@ import numpy as np
 from .dictionaries import Dictionary
 from .errors import SupportTooLargeError
 from .linalg import gram, hermitian_eig
-from .paths import _distinct_indices, support_size
+from .paths import _check_support, _distinct_indices, support_size
 
 HISTOGRAM_EDGES = np.linspace(-3.0, 3.0, 61)
 TRIAL_CHUNK = 32  # trials per stacked eigensolve of the campaign core
@@ -129,8 +129,7 @@ def _campaign(D: Dictionary, epsilon: float, trials: int, seed: int) -> tuple[in
     """
     n = campaign_size(D.p, epsilon, trials)
     check_seed(seed, trials)
-    if n > D.atom_count:
-        raise ValueError(f"support size n={n} invalid for |D|={D.atom_count}")
+    _check_support(n, D)
     eigs = np.empty((trials, n))
     for lo in range(0, trials, TRIAL_CHUNK):
         hi = min(lo + TRIAL_CHUNK, trials)

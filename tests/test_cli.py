@@ -206,6 +206,22 @@ def test_coherence_violation_exits_3(tmp_path, dh5):
     assert _run("coherence", "--in", str(path)) == 3
 
 
+def test_coherence_on_composite_dimension_exits_3(tmp_path, capsys):
+    import numpy as np
+
+    from srip.dictionaries import Dictionary, OrthonormalBasis, save_dictionary
+
+    # the identity and the 6-point Fourier basis: mu-coherent, but p = 6 is no prime
+    t = np.arange(6)
+    fourier = np.exp(2j * np.pi * np.outer(t, t) / 6) / np.sqrt(6)
+    bases = [OrthonormalBasis("identity", np.eye(6, dtype=complex)),
+             OrthonormalBasis("fourier", fourier)]
+    path = tmp_path / "p6.srip"
+    save_dictionary(path, Dictionary(6, "heisenberg", 1.0, bases))
+    assert _run("coherence", "--in", str(path)) == 3
+    assert "dimension p = 6 is not prime" in capsys.readouterr().err
+
+
 def test_paths_verify_out_of_range_k_exits_2(tmp_path):
     assert _run("paths-verify", "--k", "11") == 2
     assert _run("paths-verify", "--k", "1") == 2

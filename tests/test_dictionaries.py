@@ -387,6 +387,20 @@ def test_load_fails_as_parse_does(dh5, tmp_path):
     }
 
 
+@pytest.mark.parametrize("p", [6, 9])
+def test_composite_dimension_is_refused(dh5, tmp_path, p):
+    # dh5's file image with its p field (after the magic and the version) rewritten
+    data = bytearray(dump_dictionary(dh5))
+    data[12:16] = p.to_bytes(4, "little")
+    path = tmp_path / f"p{p}.srip"
+    path.write_bytes(bytes(data))
+    message = f"dimension p = {p} is not prime"
+    with pytest.raises(FormatError, match=message):
+        parse_dictionary(bytes(data))
+    with pytest.raises(FormatError, match=message):
+        load_dictionary(path)
+
+
 def test_coherence_violation_detected(dh5, tmp_path):
     from srip.dictionaries import _check_coherence
     from srip.errors import CoherenceViolationError

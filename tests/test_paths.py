@@ -550,6 +550,59 @@ def test_reduction_relation_gap_shrinks():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+@pytest.mark.parametrize("walk", [(1, 2, 1, 3), (1, 2, 2, 1), (3,)])
+def test_malformed_walk_is_refused_before_any_contraction(walk, dh5, monkeypatch):
+    # an open walk, a non-strict walk and a walk too short to close
+    def refuse(D):
+        raise AssertionError("a contraction was set up for a malformed walk")
+
+    monkeypatch.setattr(paths, "_CoreSums", refuse)
+    with pytest.raises(ValueError):
+        expected_weight(walk, dh5)
+
+
+def test_labelled_walk_is_weighed_as_its_canonical_class(dh5, monkeypatch):
+    # a labelled walk is renumbered by canonicalize alone: the expansion sees
+    # only canonical class steps and the weight is the class's, bit for bit
+    expand = paths._first_visit_expansion
+    seen = []
+
+    def recording(steps):
+        seen.append(steps)
+        return expand(steps)
+
+    monkeypatch.setattr(paths, "_first_visit_expansion", recording)
+    walks = [
+        (7, 3, 7),
+        (9, 4, 2, 4, 9),
+        delete_vertex((1, 2, 3, 2, 1), 3),
+        replace_vertex((1, 2, 3, 2, 1), 3, 1),
+    ]
+    for walk in walks:
+        pc = canonicalize(walk)
+        seen.clear()
+        assert expected_weight(walk, dh5) == expected_weight(pc, dh5)
+        assert seen == [pc.steps, pc.steps]
+
+
+def test_exact_moment_refuses_support_outside_the_dictionary(dh5):
+    # dh5 has 30 atoms: a support of n distinct atoms needs 1 <= n <= 30
+    for n in (0, -1, 31):
+        for k in (1, 2, 4):
+            with pytest.raises(ValueError, match=rf"support size n={n} invalid for \|D\|=30"):
+                exact_spectral_moment(dh5, n, k)
+    assert exact_spectral_moment(dh5, 30, 1) == 0.0
+    assert np.isfinite(exact_spectral_moment(dh5, 30, 4))
+
+
+def test_weights_on_a_dictionary_without_atoms_are_refused():
+    empty = Dictionary(5, "heisenberg", 1.0, [])
+    with pytest.raises(ValueError, match=r"support size n=2 invalid for \|D\|=0"):
+        expected_weight(PathClass((1, 2, 1)), empty)
+    with pytest.raises(ValueError, match=r"support size n=2 invalid for \|D\|=0"):
+        trajectory_table({5: empty}, [PathClass((1, 2, 1))], fixed_n=1)
+
+
 # ---------------------------------------------------------------------------
 # trace formula and concatenation
 # ---------------------------------------------------------------------------
