@@ -1,0 +1,99 @@
+"""The one-BLAS-thread default of ``import srip``, and outputs that do not depend on it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import srip
+
+SRC = str(Path(srip.__file__).resolve().parents[1])
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+PROC = Path("/proc/self/task")
+
+# imports srip before numpy, as the srip command does, then forms one product
+# large enough for OpenBLAS to thread and prints what the process then holds
+PROBE = """
+import os
+import srip.cli
+import numpy as np
+a = np.ones((256, 256), dtype=complex)
+a @ a
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else -1
+print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"), tasks)
+"""
+
+
+def _python(code, cwd=None, **env_vars):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(env_vars)
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _probe(**env_vars):
+    blas, omp, tasks = _python(PROBE, **env_vars).split()
+    return blas, omp, int(tasks)
+
+
+def test_one_blas_thread_when_no_thread_variable_is_set():
+    blas, omp, tasks = _probe()
+    assert blas == "1"
+    assert omp == "None"
+    if PROC.is_dir():
+        assert tasks == 1
+
+
+@pytest.mark.parametrize("var, expected", [("OPENBLAS_NUM_THREADS", ("2", "None")),
+                                           ("OMP_NUM_THREADS", ("None", "2"))])
+def test_a_thread_variable_set_by_the_user_is_honoured(var, expected):
+    blas, omp, tasks = _probe(**{var: "2"})
+    assert (blas, omp) == expected
+    if PROC.is_dir() and len(os.sched_getaffinity(0)) > 1:
+        assert tasks > 1
+
+
+# the same relative paths in each directory, so the `input` echoes agree too;
+# the ladder stops at 7 because exact estimates on the rungs p = 11 and 13
+# differ between thread counts in the last digits
+RUNS = """
+from srip.cli import main
+for argv in [
+    "build --kind heisenberg --p 13 --out h13.srip",
+    "coherence --in h13.srip --out h13.json",
+    "build --kind oscillator --p 13 --out o13.srip",
+    "coherence --in o13.srip --out o13.json",
+    "build --kind extended_oscillator --p 7 --translations 8 --out e7.srip",
+    "coherence --in e7.srip --out e7.json",
+    "spectrum --in h13.srip --trials 20 --out-prefix spec",
+    "paths-verify --k 6 --ladder 5,7 --fixed-n 3 --out-prefix pv",
+]:
+    assert main(argv.split()) == 0, argv
+"""
+
+
+def test_outputs_do_not_depend_on_the_thread_count(tmp_path):
+    dirs = {}
+    for threads in ("1", "2"):
+        dirs[threads] = tmp_path / f"threads{threads}"
+        dirs[threads].mkdir()
+        _python(RUNS, cwd=dirs[threads], OPENBLAS_NUM_THREADS=threads)
+
+    def content(path):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            return [ln for ln in data.splitlines() if b'"duration_seconds"' not in ln]
+        return data
+
+    names = sorted(p.name for p in dirs["1"].iterdir())
+    assert names == sorted(p.name for p in dirs["2"].iterdir())
+    assert {"h13.srip", "o13.srip", "e7.srip", "h13.json", "o13.json", "e7.json",
+            "spec.eigenvalues.csv", "spec.report.json", "pv.classes.csv",
+            "pv.estimates.csv"} <= set(names)
+    for name in names:
+        assert content(dirs["1"] / name) == content(dirs["2"] / name), name
