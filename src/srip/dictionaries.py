@@ -18,6 +18,17 @@ Atoms are unit vectors stored as matrix columns, phase-normalized so the
 largest entry is real positive, and ordered within a basis by descending
 eigenvalue phase of the defining unitary, phases taken in (0, 2pi].
 
+The unit of work is the basis stack: one C-contiguous (nb, p, p) complex
+array, atoms as columns.  The builders form it, the loader reads it and
+``_orthonormality_deviations`` checks it a chunk of bases at a time
+(``_chunks``), so no temporary holds much more than
+``STACK_CHUNK_ENTRIES`` entries, and each basis's ``atoms`` is a
+read-only view of it.  A chunk of chirps comes from one exponent table
+and is checked against its operators applied as monomial maps; a chunk
+of oscillator bases comes from one stacked Weil-operator product, one
+residual check and one ordering pass; a chunk of extended bases from one
+stacked product with the translation operators.
+
 Cross-basis inner products are formed by one blocked kernel,
 ``_cross_blocks``, and judged by one rule, ``within_coherence_bound``.
 The kernel stacks the atoms of each column panel of bases once and
@@ -36,6 +47,7 @@ from __future__ import annotations
 import io
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -58,12 +70,21 @@ from .linalg import (
     phase_normalize,
     unitary_eigenbasis,
 )
-from .operators import HeisenbergElement, SL2Element, heisenberg_operator, weil_operator
+from .operators import (
+    SL2Element,
+    heisenberg_action,
+    heisenberg_operators,
+    weil_operator,
+    weil_operators,
+)
 
 COHERENCE_SLACK = 1e-9
 ORTHONORMALITY_TOL = 1e-9
 # inner products held at once by one block of the cross-basis scan
 CROSS_BLOCK_SIZE = 2**15
+# entries of one chunk of a basis stack, the most that a stacked build,
+# check or load holds in any one temporary
+STACK_CHUNK_ENTRIES = CROSS_BLOCK_SIZE // 4
 # bins of the coherence_report histogram of sqrt(p)|<phi, psi>| over [0, max(mu, 1) + 0.5]
 HISTOGRAM_BINS = 40
 
@@ -122,7 +143,8 @@ class Torus:
 class OrthonormalBasis:
     """p unit vectors as columns of ``atoms``, labelled by their origin.
 
-    ``orthonormality_deviation`` is max|A^H A - I|, measured on construction.
+    ``orthonormality_deviation`` is max|A^H A - I|, measured on construction
+    by ``_orthonormality_deviations``.
     """
 
     label: str
@@ -130,28 +152,72 @@ class OrthonormalBasis:
     orthonormality_deviation: float = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # no entry of a unit vector exceeds 1 in modulus; rejecting such
-        # entries first keeps the Gram below free of overflow
-        if not (np.abs(self.atoms) <= 1.0 + ORTHONORMALITY_TOL).all():  # NaN fails too
-            raise IntegrityError(f"basis {self.label!r}: an entry is non-finite or exceeds 1")
-        g = self.atoms.conj().T @ self.atoms
-        dev = np.abs(g - np.eye(self.atoms.shape[1])).max()
-        if not dev <= ORTHONORMALITY_TOL:
-            raise IntegrityError(f"basis {self.label!r}: orthonormality deviation {dev:.3e}")
+        (dev,) = _orthonormality_deviations([self.label], self.atoms[None])
         object.__setattr__(self, "orthonormality_deviation", float(dev))
         self.atoms.setflags(write=False)  # bases are shared read-only
+
+    @classmethod
+    def _checked(cls, label: str, atoms: np.ndarray, deviation: float) -> "OrthonormalBasis":
+        """The basis of read-only ``atoms`` that ``_orthonormality_deviations``
+        has passed with ``deviation``, without a second check."""
+        basis = object.__new__(cls)
+        for name, value in (("label", label), ("atoms", atoms),
+                            ("orthonormality_deviation", deviation)):
+            object.__setattr__(basis, name, value)
+        return basis
+
+
+def _orthonormality_deviations(labels, A: np.ndarray) -> np.ndarray:
+    """max|A^H A - I| of each matrix of the (n, p, k) stack ``A``: the check of a basis.
+
+    No entry of a unit vector exceeds 1 in modulus; rejecting such entries
+    first keeps the Grams free of overflow.  The Grams of the whole stack
+    come from one stacked product.
+
+    Raises
+    ------
+    IntegrityError
+        Naming the first basis of ``labels`` that has a non-finite entry
+        or one above 1, or else the first whose deviation exceeds
+        ``ORTHONORMALITY_TOL``.
+    """
+    bounded = (np.abs(A) <= 1.0 + ORTHONORMALITY_TOL).all(axis=(1, 2))  # NaN fails too
+    if not bounded.all():
+        raise IntegrityError(
+            f"basis {labels[np.argmin(bounded)]!r}: an entry is non-finite or exceeds 1")
+    G = A.conj().swapaxes(1, 2) @ A
+    diagonal = np.arange(G.shape[-1])
+    G[:, diagonal, diagonal] -= 1
+    dev = np.abs(G).max(axis=(1, 2))
+    bad = ~(dev <= ORTHONORMALITY_TOL)
+    if bad.any():
+        k = np.argmax(bad)
+        raise IntegrityError(f"basis {labels[k]!r}: orthonormality deviation {dev[k]:.3e}")
+    return dev
+
+
+def _chunks(count: int, p: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive chunks of ``count`` p x p matrices, each
+    of at most ``STACK_CHUNK_ENTRIES`` entries, or of one matrix."""
+    step = max(1, STACK_CHUNK_ENTRIES // (p * p))
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 @dataclass
 class Dictionary:
-    """A disjoint union of pairwise mu-coherent p x p orthonormal bases: a tight frame."""
+    """A disjoint union of pairwise mu-coherent p x p orthonormal bases: a tight frame.
+
+    ``bases`` is stored as a tuple, so the p x p rule checked on
+    construction keeps holding.
+    """
 
     p: int
     kind: str
     mu: float
-    bases: list[OrthonormalBasis]
+    bases: tuple[OrthonormalBasis, ...]
 
     def __post_init__(self):
+        self.bases = tuple(self.bases)
         for b in self.bases:
             if b.atoms.shape != (self.p, self.p):
                 raise DimensionMismatchError(
@@ -174,39 +240,81 @@ class Dictionary:
         return self.atoms_matrix[:, index]
 
 
-def heisenberg_basis(field: PrimeField, line: Line) -> OrthonormalBasis:
-    """Orthonormal eigenbasis attached to a line, in closed form.
+def _stacked_dictionary(p: int, kind: str, labels: list[str], stack: np.ndarray) -> Dictionary:
+    """The dictionary of the (nb, p, p) basis stack, each basis checked once by
+    ``_orthonormality_deviations``, a chunk at a time.  The stack becomes
+    read-only, and each basis's atoms are a view of it."""
+    dev = np.empty(len(stack))
+    for lo, hi in _chunks(len(stack), p):
+        dev[lo:hi] = _orthonormality_deviations(labels[lo:hi], stack[lo:hi])
+    stack.setflags(write=False)
+    bases = map(OrthonormalBasis._checked, labels, stack, dev.tolist())
+    return Dictionary(p, kind, KIND_MU[kind], tuple(bases))
 
-    The vertical line's operator is diagonal, so its basis is the standard
-    delta basis in natural order.  For a line of slope m, atom j is the
-    chirp phi_j(t) = p^{-1/2} psi(-m t^2/2 - j t), the eigenvector of the
-    translation-modulation operator of (1, m, 0) with eigenvalue psi(-j).
+
+def _chirps(field: PrimeField, slopes: np.ndarray, labels, out: np.ndarray) -> None:
+    """Write the chirp bases of the lines of the given slopes into the
+    (len(slopes), p, p) stack ``out``, from one exponent table, and check
+    them (``_check_chirps``).
+
+    Atom j of the basis of slope m is the chirp
+    phi_j(t) = p^{-1/2} psi(-m t^2/2 - j t), the eigenvector of the
+    translation-modulation operator pi(1, m, 0) with eigenvalue psi(-j).
     Column order j = 0, 1, ..., p-1 is therefore descending eigenvalue
     phase in (0, 2pi], and entry t = 0 is 1/sqrt(p), so every atom is
-    already phase-normalized.  Each atom is checked against the operator.
+    already phase-normalized.
+    """
+    p = field.p
+    t = np.arange(p, dtype=np.int64)
+    quad = ((-field.inv2 * slopes) % p)[:, None] * ((t * t) % p)
+    expo = quad[:, :, None] - np.outer(t, t)
+    np.take(field.char_table, expo % p, out=out)
+    out /= np.sqrt(p)
+    _check_chirps(field, slopes, labels, out)
+
+
+def _check_chirps(field: PrimeField, slopes: np.ndarray, labels, atoms: np.ndarray) -> None:
+    """Check each atom j of the chirp bases ``atoms`` against pi(1, m, 0), with
+    eigenvalue psi(-j), the operator applied as the monomial map
+    (U f)(t) = psi(m(t+1) - m/2) f(t+1): p^2 operations a basis, not p^3.
 
     Raises
     ------
     DegenerateSpectrumError
-        If some atom misses its eigen-equation by more than
-        ``EIGENVECTOR_RESIDUAL_TOL``.
+        Naming the first basis of ``labels`` with an atom that misses its
+        eigen-equation by more than ``EIGENVECTOR_RESIDUAL_TOL``.
+    """
+    elements = np.stack([np.ones_like(slopes), slopes, np.zeros_like(slopes)], axis=1)
+    resid = heisenberg_action(field, elements, atoms)
+    resid -= atoms * field.char_table[-np.arange(field.p) % field.p]
+    _check_residuals(labels, np.abs(resid).max(axis=(1, 2)), "chirp")
+
+
+def _check_residuals(labels, resid: np.ndarray, what: str) -> None:
+    """Raise DegenerateSpectrumError naming the first basis of ``labels`` whose
+    largest eigenvector residual in ``resid`` exceeds ``EIGENVECTOR_RESIDUAL_TOL``."""
+    bad = ~(resid <= EIGENVECTOR_RESIDUAL_TOL)  # NaN fails too
+    if bad.any():
+        k = np.argmax(bad)
+        raise DegenerateSpectrumError(
+            f"basis {labels[k]!r}: {what} eigenvector residual {resid[k]:.3e} exceeds "
+            f"{EIGENVECTOR_RESIDUAL_TOL:.1e}"
+        )
+
+
+def heisenberg_basis(field: PrimeField, line: Line) -> OrthonormalBasis:
+    """Orthonormal eigenbasis attached to a line, in closed form.
+
+    The vertical line's operator is diagonal, so its basis is the standard
+    delta basis in natural order; any other line's basis is its chirps
+    (``_chirps``).
     """
     p = field.p
     if line.is_vertical:
         return OrthonormalBasis(line.label, np.eye(p, dtype=np.complex128))
-    t = np.arange(p, dtype=np.int64)
-    quad = ((-field.inv2 * line.slope) % p) * ((t * t) % p)
-    expo = (quad[:, None] - np.outer(t, t)) % p
-    atoms = field.char_table[expo] / np.sqrt(p)
-    U = heisenberg_operator(field, HeisenbergElement(1, line.slope, 0, p))
-    lam = field.char_table[(-t) % p]
-    resid = float(np.abs(U @ atoms - atoms * lam).max())
-    if not resid <= EIGENVECTOR_RESIDUAL_TOL:
-        raise DegenerateSpectrumError(
-            f"basis {line.label!r}: chirp eigenvector residual {resid:.3e} exceeds "
-            f"{EIGENVECTOR_RESIDUAL_TOL:.1e}"
-        )
-    return OrthonormalBasis(line.label, atoms)
+    atoms = np.empty((1, p, p), dtype=np.complex128)
+    _chirps(field, np.array([line.slope]), [line.label], atoms)
+    return OrthonormalBasis(line.label, atoms[0])
 
 
 def nonsplit_tori(field: PrimeField) -> list[Torus]:
@@ -231,12 +339,12 @@ def nonsplit_tori(field: PrimeField) -> list[Torus]:
     if order != p + 1:
         raise TorusCountError(f"model torus has {order} elements, expected {p + 1}")
 
-    a, b, c, d = _sl2_entries(p)
+    a, b, c, d = _sl2_entries(field)
     x = _conjugate(a, b, c, d, np.array([t0.a, t0.b, t0.c, t0.d]), p)
     # projective line of the traceless part: scale its first nonzero entry to 1
     line = np.stack([(x[0] - x[3]) % p, x[1], x[2]], axis=1)
     lead = line[np.arange(len(line)), np.argmax(line != 0, axis=1)]
-    line = (line * _inverses(p)[lead][:, None]) % p
+    line = (line * field.inverses[lead][:, None]) % p
     _, first = np.unique((line[:, 0] * p + line[:, 1]) * p + line[:, 2], return_index=True)
     first = np.sort(first)
     expected = p * (p - 1) // 2
@@ -255,15 +363,11 @@ def _model_generator(p: int) -> SL2Element:
     return SL2Element(g0.a, (g0.b * delta) % p, g0.b, g0.a, p)
 
 
-def _inverses(p: int) -> np.ndarray:
-    """Multiplicative inverses mod p of 0..p-1, with 0 standing in for 1/0."""
-    return np.array([0] + [pow(k, p - 2, p) for k in range(1, p)], dtype=np.int64)
-
-
-def _sl2_entries(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sl2_entries(field: PrimeField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Entries a, b, c, d of every element of SL_2(F_p), in lexicographic order."""
+    p = field.p
     r = np.arange(p, dtype=np.int64)
-    inverse = _inverses(p)[1:]
+    inverse = field.inverses[1:]
     # a = 0: b != 0 and c = -1/b, with d free
     b0 = np.repeat(r[1:], p)
     c0 = (-np.repeat(inverse, p)) % p
@@ -293,37 +397,39 @@ def _conjugate(a, b, c, d, t, p: int) -> tuple[np.ndarray, ...]:
 
 def oscillator_basis(field: PrimeField, torus: Torus) -> OrthonormalBasis:
     """Eigenbasis of the unitary operator of the torus generator."""
-    return _oscillator_bases(field, [torus])[0]
+    return OrthonormalBasis(torus.label, _oscillator_stack(field, [torus])[0])
 
 
-def _oscillator_bases(field: PrimeField, tori: list[Torus]) -> list[OrthonormalBasis]:
-    """The eigenbasis of each torus's generator, from one eigensolve.
+def _oscillator_stack(field: PrimeField, tori: list[Torus]) -> np.ndarray:
+    """The (len(tori), p, p) stack of the eigenbases of the torus generators,
+    from one eigensolve.
 
     U(g) U(t0) U(g)^-1 is U(g t0 g^-1) up to a global phase, so the Weil
     operator of a torus's conjugator g carries the model torus's eigenbasis
     onto an eigenbasis of the torus generator, with the model eigenvalues
-    times that phase.  Each carried basis is checked against the
-    generator's own operator, then ordered and phase-normalized by
-    ``order_eigenbasis``, as ``unitary_eigenbasis`` orders a solved basis.
+    times that phase.  A chunk of tori is carried by one stacked product,
+    checked against the generators' own operators, then ordered and
+    phase-normalized by ``order_eigenbasis``, as ``unitary_eigenbasis``
+    orders a solved basis.
 
     Raises
     ------
     DegenerateSpectrumError
-        If some atom misses its eigen-equation by more than
-        ``EIGENVECTOR_RESIDUAL_TOL``.
+        Naming the first torus with an atom that misses its eigen-equation
+        by more than ``EIGENVECTOR_RESIDUAL_TOL``.
     """
-    model = unitary_eigenbasis(weil_operator(field, _model_generator(field.p)))
-    bases = []
-    for torus in tori:
-        carried = weil_operator(field, torus.conjugator) @ model
-        lam, resid = eigen_residual(weil_operator(field, torus.generator), carried)
-        if not resid <= EIGENVECTOR_RESIDUAL_TOL:
-            raise DegenerateSpectrumError(
-                f"basis {torus.label!r}: carried eigenvector residual {resid:.3e} exceeds "
-                f"{EIGENVECTOR_RESIDUAL_TOL:.1e}"
-            )
-        bases.append(OrthonormalBasis(torus.label, order_eigenbasis(carried, lam)))
-    return bases
+    p = field.p
+    model = unitary_eigenbasis(weil_operator(field, _model_generator(p)))
+    conjugators, generators = (
+        np.array([(g.a, g.b, g.c, g.d) for g in elements], dtype=np.int64).reshape(-1, 4)
+        for elements in ([t.conjugator for t in tori], [t.generator for t in tori]))
+    stack = np.empty((len(tori), p, p), dtype=np.complex128)
+    for lo, hi in _chunks(len(tori), p):
+        carried = weil_operators(field, conjugators[lo:hi]) @ model
+        lam, resid = eigen_residual(weil_operators(field, generators[lo:hi]), carried)
+        _check_residuals([t.label for t in tori[lo:hi]], resid, "carried")
+        stack[lo:hi] = order_eigenbasis(carried, lam)
+    return stack
 
 
 def _cross_blocks(D: Dictionary, anchor: bool = False):
@@ -368,14 +474,21 @@ def _check_coherence(D: Dictionary, anchor: bool = False) -> float:
 def build_heisenberg_dictionary(field: PrimeField) -> Dictionary:
     """The p+1 line bases; cross coherence is exactly 1/sqrt(p) (verified).
 
-    The check scans the p pairs of the anchor basis ``bases[0]``.  A Weil
+    The chirps of the p sloped lines are formed a chunk at a time
+    (``_chirps``) and the vertical line's delta basis comes last.  The
+    check scans the p pairs of the anchor basis ``bases[0]``.  A Weil
     operator U(g) conjugates pi(v) to pi(gv), so it carries the basis of a
     line L onto the basis of the line gL up to atom phases and order, and
     SL_2(F_p) acts 2-transitively on the p+1 lines: every pair of line
     bases is carried to a pair that contains line 0.
     """
-    bases = [heisenberg_basis(field, ln) for ln in lines(field.p)]
-    D = Dictionary(field.p, "heisenberg", KIND_MU["heisenberg"], bases)
+    p = field.p
+    labels = [ln.label for ln in lines(p)]
+    stack = np.empty((p + 1, p, p), dtype=np.complex128)
+    for lo, hi in _chunks(p, p):
+        _chirps(field, np.arange(lo, hi), labels[lo:hi], stack[lo:hi])
+    stack[p] = np.eye(p)
+    D = _stacked_dictionary(p, "heisenberg", labels, stack)
     _check_coherence(D, anchor=True)
     return D
 
@@ -383,15 +496,16 @@ def build_heisenberg_dictionary(field: PrimeField) -> Dictionary:
 def build_oscillator_dictionary(field: PrimeField) -> Dictionary:
     """One basis per non-split torus, mu = 4 (coherence verified).
 
-    The bases come from one eigensolve (``_oscillator_bases``).  The check
+    The bases come from one eigensolve (``_oscillator_stack``).  The check
     scans the nb - 1 pairs of the anchor basis ``bases[0]``: SL_2(F_p) acts
     transitively on the non-split tori by conjugation, and U(h) carries the
     basis of a torus T onto the basis of h T h^-1 up to atom phases and
     order, so every pair of torus bases is carried to a pair that contains
     the first torus.
     """
-    bases = _oscillator_bases(field, nonsplit_tori(field))
-    D = Dictionary(field.p, "oscillator", KIND_MU["oscillator"], bases)
+    tori = nonsplit_tori(field)
+    stack = _oscillator_stack(field, tori)
+    D = _stacked_dictionary(field.p, "oscillator", [torus.label for torus in tori], stack)
     _check_coherence(D, anchor=True)
     return D
 
@@ -407,6 +521,9 @@ def build_extended_oscillator_dictionary(
     The full construction has p(p-1)p^2/2 bases and is gated behind
     ``allow_large`` above p = 5; ``translation_subsample`` selects a
     deterministic seeded subset of translations for desk-scale runs.
+    The bases are torus-major.  Each chunk of them comes from one stacked
+    product of the kept translations' operators with the oscillator
+    bases, phase-normalized at once; v = 0 keeps B_T as it is.
 
     With every translation, the check scans the nb - 1 pairs of the anchor
     basis ``bases[0]`` (the first torus, v = 0).  pi(v)^-1 carries a pair
@@ -431,19 +548,21 @@ def build_extended_oscillator_dictionary(
         chosen = rng.choice(len(translations), size=translation_subsample, replace=False)
         translations = [translations[i] for i in sorted(chosen)]
 
-    shifts = [
-        None if tau == w == 0 else heisenberg_operator(field, HeisenbergElement(tau, w, 0, p))
-        for tau, w in translations
-    ]
-    bases = []
-    for tb in _oscillator_bases(field, nonsplit_tori(field)):
-        for (tau, w), shift in zip(translations, shifts):
-            if shift is None:
-                bases.append(tb)
-            else:
-                atoms = phase_normalize(shift @ tb.atoms)
-                bases.append(OrthonormalBasis(f"{tb.label};v:{tau},{w}", atoms))
-    D = Dictionary(p, "extended_oscillator", KIND_MU["extended_oscillator"], bases)
+    tori = nonsplit_tori(field)
+    oscillator = _oscillator_stack(field, tori)
+    # translations are sorted, so v = 0 comes first when it is kept
+    zero = int(translations[0] == (0, 0))
+    shifts = heisenberg_operators(field, [(tau, w, 0) for tau, w in translations[zero:]])
+    labels = [torus.label if v == (0, 0) else f"{torus.label};v:{v[0]},{v[1]}"
+              for torus in tori for v in translations]
+    stack = np.empty((len(labels), p, p), dtype=np.complex128)
+    for lo, hi in _chunks(len(stack), p):
+        which, shift = np.divmod(np.arange(lo, hi), len(translations))
+        moved = shift >= zero
+        chunk = stack[lo:hi]
+        chunk[~moved] = oscillator[which[~moved]]
+        chunk[moved] = phase_normalize(shifts[shift[moved] - zero] @ oscillator[which[moved]])
+    D = _stacked_dictionary(p, "extended_oscillator", labels, stack)
     _check_coherence(D, anchor=translation_subsample is None)
     return D
 
@@ -596,25 +715,30 @@ def diagonal_torus_system(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _file_pieces(D: Dictionary):
+    """The file image of ``D`` in pieces: the header, then the records of one
+    chunk of bases at a time, each written into one buffer of its exact size."""
+    p = D.p
+    yield MAGIC + struct.pack("<IIBId", FORMAT_VERSION, p, KIND_CODES[D.kind], D.basis_count, D.mu)
+    for lo, hi in _chunks(D.basis_count, p):
+        labels = [b.label.encode("utf-8") for b in D.bases[lo:hi]]
+        buf = bytearray(sum(4 + len(label) + 16 * p * p for label in labels))
+        pos = 0
+        for b, label in zip(D.bases[lo:hi], labels):
+            struct.pack_into("<I", buf, pos, len(label))
+            pos += 4
+            buf[pos:pos + len(label)] = label
+            pos += len(label)
+            # atom-major: atom 0's p entries, then atom 1's, ...
+            out = np.frombuffer(buf, dtype="<c16", count=p * p, offset=pos)
+            out.reshape(p, p)[...] = b.atoms.T
+            pos += 16 * p * p
+        yield buf
+
+
 def dump_dictionary(D: Dictionary) -> bytearray:
-    """The file image of ``D``, written into one buffer of the exact file size."""
-    header = MAGIC + struct.pack(
-        "<IIBId", FORMAT_VERSION, D.p, KIND_CODES[D.kind], D.basis_count, D.mu)
-    labels = [b.label.encode("utf-8") for b in D.bases]
-    atom_bytes = 16 * D.p * D.p
-    buf = bytearray(len(header) + sum(4 + len(label) + atom_bytes for label in labels))
-    buf[:len(header)] = header
-    pos = len(header)
-    for b, label in zip(D.bases, labels):
-        struct.pack_into("<I", buf, pos, len(label))
-        pos += 4
-        buf[pos:pos + len(label)] = label
-        pos += len(label)
-        # atom-major: atom 0's p entries, then atom 1's, ...
-        out = np.frombuffer(buf, dtype="<c16", count=D.p * D.p, offset=pos)
-        out.reshape(D.p, D.p)[...] = b.atoms.T
-        pos += atom_bytes
-    return buf
+    """The file image of ``D``, joined into one buffer of the exact file size."""
+    return bytearray().join(_file_pieces(D))
 
 
 def _read_exact(buf, count: int, size: int) -> bytes:
@@ -627,13 +751,40 @@ def _read_exact(buf, count: int, size: int) -> bytes:
     return data
 
 
+def _read_into(buf, out: np.ndarray, size: int) -> None:
+    """Fill the C-contiguous array ``out`` with the next bytes of ``buf``, a
+    stream of ``size`` bytes, refusing a read past the end as ``_read_exact`` does."""
+    if buf.tell() + out.nbytes > size or buf.readinto(out) != out.nbytes:
+        raise FormatError("unexpected end of file")
+
+
+def _read_records(buf, size: int, labels: list[str], out: np.ndarray) -> None:
+    """Read the next len(out) records of ``buf`` into the chunk ``out`` of a
+    basis stack, appending their labels to ``labels``."""
+    # atom-major, as stored: atom 0's p entries, then atom 1's, ...
+    records = np.empty(out.shape, dtype="<c16")
+    for record in records:
+        (label_len,) = struct.unpack("<I", _read_exact(buf, 4, size))
+        raw_label = _read_exact(buf, label_len, size)
+        try:
+            labels.append(raw_label.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"basis label is not valid UTF-8: {exc}") from exc
+        _read_into(buf, record, size)
+    out[...] = records.transpose(0, 2, 1)
+
+
 def parse_dictionary(data: bytes) -> Dictionary:
     return _read_dictionary(io.BytesIO(data), len(data))
 
 
 def _read_dictionary(buf, size: int) -> Dictionary:
-    """The dictionary in the binary stream ``buf`` of ``size`` bytes, read one
-    record at a time, so only the current basis is held as raw bytes."""
+    """The dictionary in the binary stream ``buf`` of ``size`` bytes.
+
+    The records are read into the basis stack a chunk at a time
+    (``_read_records``), then every basis is checked once, as a built
+    dictionary's are (``_stacked_dictionary``).
+    """
     if _read_exact(buf, len(MAGIC), size) != MAGIC:
         raise FormatError("bad magic; not a dictionary file")
     version, p, kind_code, basis_count, mu = struct.unpack("<IIBId", _read_exact(buf, 21, size))
@@ -650,24 +801,18 @@ def _read_dictionary(buf, size: int) -> Dictionary:
         raise FormatError(f"stored mu = {mu!r} does not match kind {kind} (mu = {KIND_MU[kind]})")
     if basis_count * 16 * p * p > size:
         raise FormatError("declared basis count exceeds the file size")
-    bases = []
-    for _ in range(basis_count):
-        (label_len,) = struct.unpack("<I", _read_exact(buf, 4, size))
-        raw_label = _read_exact(buf, label_len, size)
-        try:
-            label = raw_label.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"basis label is not valid UTF-8: {exc}") from exc
-        raw = _read_exact(buf, 16 * p * p, size)
-        atoms = np.frombuffer(raw, dtype="<c16").reshape(p, p).T
-        bases.append(OrthonormalBasis(label, np.ascontiguousarray(atoms)))
+    stack = np.empty((basis_count, p, p), dtype=np.complex128)
+    labels = []
+    for lo, hi in _chunks(basis_count, p):
+        _read_records(buf, size, labels, stack[lo:hi])
     if buf.read(1):
         raise FormatError("trailing bytes after the last basis")
-    return Dictionary(p, kind, mu, bases)
+    return _stacked_dictionary(p, kind, labels, stack)
 
 
-def write_atomic(path, data: bytes | bytearray | str) -> None:
-    """Write ``data`` to ``path`` through a temp file and a rename.
+def write_atomic(path, data: bytes | bytearray | str | Iterable[bytes]) -> None:
+    """Write ``data``, or each of an iterable of byte pieces in turn, to
+    ``path`` through a temp file and a rename.
 
     Missing parent directories are created.  The temp file is removed if
     the write or the rename fails, so a failed write leaves neither a
@@ -677,7 +822,7 @@ def write_atomic(path, data: bytes | bytearray | str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w" if isinstance(data, str) else "wb") as fh:
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, (bytes, bytearray, str)) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.lexists(tmp):
@@ -686,7 +831,8 @@ def write_atomic(path, data: bytes | bytearray | str) -> None:
 
 
 def save_dictionary(path, D: Dictionary) -> None:
-    write_atomic(path, dump_dictionary(D))
+    """Write the file image of ``D`` a chunk of bases at a time, never whole."""
+    write_atomic(path, _file_pieces(D))
 
 
 def load_dictionary(path) -> Dictionary:

@@ -46,7 +46,14 @@ class PrimeField:
         self.inv2 = pow(2, p - 2, p)
         # e^(2*pi*i*k/p) for k = 0..p-1; all character values index into this
         self.char_table = np.exp(2j * np.pi * np.arange(p) / p)
-        self.char_table.setflags(write=False)
+        # inverses and quadratic characters of 0..p-1, with 0 standing in for 1/0
+        t = np.arange(p, dtype=np.int64)
+        self.inverses = np.array([0] + [pow(k, p - 2, p) for k in range(1, p)], dtype=np.int64)
+        self.legendre_table = np.full(p, -1, dtype=np.int64)
+        self.legendre_table[(t * t) % p] = 1
+        self.legendre_table[0] = 0
+        for table in (self.char_table, self.inverses, self.legendre_table):
+            table.setflags(write=False)
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"

@@ -98,52 +98,69 @@ def gram(vectors: np.ndarray) -> np.ndarray:
 def anchor_index(v: np.ndarray) -> int | np.ndarray:
     """Lowest index whose magnitude ties the maximum up to the relative window ``ANCHOR_RTOL``.
 
-    Taken per column of a matrix, so a matrix gives one index per column.
-    The window makes the choice stable for flat-magnitude vectors, where
-    exact argmax would land on rounding noise.
+    Taken per column of a matrix or of each matrix of a stack, so a
+    (..., p, k) array gives a (..., k) array of indices.  The window makes
+    the choice stable for flat-magnitude vectors, where exact argmax would
+    land on rounding noise.
     """
     mags = np.abs(v)
-    return np.argmax(mags >= mags.max(axis=0) * (1.0 - ANCHOR_RTOL), axis=0)
+    axis = 0 if mags.ndim == 1 else -2
+    return np.argmax(mags >= mags.max(axis=axis, keepdims=True) * (1.0 - ANCHOR_RTOL), axis=axis)
 
 
 def phase_normalize(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real and positive.
 
-    A vector is treated as one column.  Ties in magnitude resolve to the
-    lowest index, and the chosen entry is set to its modulus exactly.  A
-    zero column comes back unchanged.
+    A vector is treated as one column, and a (..., p, k) stack column by
+    column.  Ties in magnitude resolve to the lowest index, and the chosen
+    entry is set to its modulus exactly.  A zero column comes back
+    unchanged.
     """
     v = np.array(v, dtype=np.complex128)
-    cols = v.reshape(v.shape[0], -1)  # a view, also of a vector
-    j = np.arange(cols.shape[1])
-    k = anchor_index(cols)
-    anchor = cols[k, j]
+    _rotate_columns(v[:, None] if v.ndim == 1 else v)
+    return v
+
+
+def _rotate_columns(cols: np.ndarray) -> None:
+    """``phase_normalize`` of the (..., p, k) complex array ``cols``, in place."""
+    k = anchor_index(cols)[..., None, :]
+    anchor = np.take_along_axis(cols, k, axis=-2)
     # hypot is how abs() of one complex scalar rounds; np.abs on an array can
     # differ from it in the last bit
     m = np.hypot(anchor.real, anchor.imag)
     cols *= np.divide(anchor.conj(), m, out=np.ones_like(anchor), where=m > 0)
-    cols[k, j] = m
-    return v
+    np.put_along_axis(cols, k, m, axis=-2)
 
 
-def eigen_residual(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]:
+def eigen_residual(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rayleigh quotients of the unit columns of V under U, and the largest
-    entry of the eigenvector residual |U V - V diag(lambda)|."""
+    entry of the eigenvector residual |U V - V diag(lambda)|.
+
+    A (..., p, p) stack of U and V pairs gives the (..., p) quotients and
+    the (...) residuals, one per pair, from one stacked product.
+    """
     UV = U @ V
-    lam = np.einsum("ij,ij->j", V.conj(), UV)
-    return lam, float(np.abs(UV - V * lam).max())
+    buf = V.conj()
+    lam = np.einsum("...ij,...ij->...j", buf, UV)
+    UV -= np.multiply(V, lam[..., None, :], out=buf)  # V diag(lambda), in conj(V)'s place
+    return lam, np.abs(UV).max(axis=(-2, -1))
 
 
 def order_eigenbasis(V: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The eigenvector columns of V in descending eigenvalue phase, phases taken
     in (0, 2pi] so an eigenvalue 1 comes first, each column phase-normalized.
 
-    ``lam`` holds the column eigenvalues, unit complex numbers.
+    ``lam`` holds the column eigenvalues, unit complex numbers; a
+    (..., p, p) stack of V with its (..., p) eigenvalues is ordered matrix
+    by matrix.
     """
     # clockwise turns from 1 in [0, 1); the rounding sends the +-1e-17 angle
     # noise of an eigenvalue 1 to 0 whatever its sign
     turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
-    return phase_normalize(V[:, np.argsort(turns, kind="stable")])
+    order = np.argsort(turns, axis=-1, kind="stable")[..., None, :]
+    ordered = np.take_along_axis(np.asarray(V, dtype=np.complex128), order, axis=-1)
+    _rotate_columns(ordered)
+    return ordered
 
 
 def unitary_eigenbasis(U: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ MAX_VERTICES = 4
 MAX_ATOMS_SMALL_CLASS = 2000  # |V| <= 2
 MAX_ATOMS = 400  # |V| in {3, 4}
 # Gram entries held at once by one row block of a two-block walk sum
-_ROW_BLOCK_ENTRIES = 2**16
+_ROW_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)

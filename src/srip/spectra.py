@@ -16,7 +16,8 @@ from one stacked eigensolve, and only the eigenvalues are kept.
 
 Randomness comes from numpy's Philox counter-based 64-bit generator;
 trial i uses the key seed + i, so each trial's draw is independent of
-every other trial and of the order the trials run in.
+every other trial and of the order the trials run in.  A campaign
+builds one Philox and re-keys it for each trial (``_keyed_draws``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,29 @@ def sample_support(D: Dictionary, n: int, seed: int) -> np.ndarray:
         raise SupportTooLargeError(f"support size {n} exceeds dictionary size {N}")
     if n < 1:
         raise ValueError("support size must be at least 1")
-    return _distinct_indices(np.random.Generator(np.random.Philox(key=int(seed))), N, n)
+    seed = int(seed)
+    check_seed(seed, 1)
+    return _keyed_draws(N, n)(seed)
+
+
+def _keyed_draws(N: int, n: int):
+    """The function of a Philox key k that draws ``sample_support``'s support
+    of size n from range(N) with key k.
+
+    Every draw comes from one Philox, re-keyed by setting its state to the
+    fresh stream of key k, which costs a sixth of building a generator.
+    """
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    state = bits.state  # a fresh stream: counter 0, nothing buffered
+
+    def draw(key: int) -> np.ndarray:
+        # the 128-bit key as two 64-bit words, low word first, as Philox(key=k) splits it
+        state["state"]["key"] = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
+        bits.state = state
+        return _distinct_indices(rng, N, n)
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -130,10 +153,11 @@ def _campaign(D: Dictionary, epsilon: float, trials: int, seed: int) -> tuple[in
     n = campaign_size(D.p, epsilon, trials)
     check_seed(seed, trials)
     _check_support(n, D)
+    draw = _keyed_draws(D.atom_count, n)
     eigs = np.empty((trials, n))
     for lo in range(0, trials, TRIAL_CHUNK):
         hi = min(lo + TRIAL_CHUNK, trials)
-        supports = np.stack([sample_support(D, n, seed + i) for i in range(lo, hi)])
+        supports = np.stack([draw(seed + i) for i in range(lo, hi)])
         eigs[lo:hi] = _gram_stack(D, supports)[2]
     return n, eigs
 

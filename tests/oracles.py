@@ -180,3 +180,94 @@ def eigensolved_oscillator_bases(field, tori, translations=((0, 0),)):
                 shift = heisenberg_operator(field, HeisenbergElement(tau, w, 0, field.p))
                 out.append((f"{torus.label};v:{tau},{w}", phase_normalize(shift @ atoms)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dictionaries built one basis at a time, each operator formed densely
+# ---------------------------------------------------------------------------
+
+
+def _dense_heisenberg(field, tau: int, w: int, z: int) -> np.ndarray:
+    """pi(tau, w, z) as a dense matrix: (U f)(t) = psi(z - tau*w/2 + w*(t+tau)) f(t+tau)."""
+    p = field.p
+    t = np.arange(p)
+    M = np.zeros((p, p), dtype=np.complex128)
+    M[t, (t + tau) % p] = field.char_table[(z - field.inv2 * tau * w + w * (t + tau)) % p]
+    return M
+
+
+def _dense_weil(field, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """U(g) of g = [[a, b], [c, d]] from its closed-form entries, one element at a time."""
+    p = field.p
+    t = np.arange(p)
+    if b == 0:
+        ainv = field.inv(a)
+        M = np.zeros((p, p), dtype=np.complex128)
+        M[t, (ainv * t) % p] = field.legendre(a) * field.char_table[(-field.inv2 * c * ainv * t * t) % p]
+        return M
+    binv = field.inv(b)
+    tsq = (t * t) % p
+    row_expo = ((-field.inv2 * d * binv) % p) * tsq
+    col_expo = ((-field.inv2 * a * binv) % p) * tsq
+    expo = (row_expo[:, None] + np.outer((binv * t) % p, t) + col_expo[None, :]) % p
+    return field.legendre(b) * field.char_table[expo] / np.sqrt(p)
+
+
+def _normalized_columns(V: np.ndarray) -> np.ndarray:
+    """Each column rotated so its first near-largest entry is real positive, column by column."""
+    V = np.array(V, dtype=np.complex128)
+    for j in range(V.shape[1]):
+        mags = np.abs(V[:, j])
+        k = int(np.argmax(mags >= mags.max() * (1.0 - 1e-9)))
+        m = abs(V[k, j])
+        if m > 0:
+            V[:, j] *= V[k, j].conjugate() / m
+        V[k, j] = m
+    return V
+
+
+def per_basis_bases(field, kind: str, translations=((0, 0),)):
+    """(label, atoms, orthonormality deviation) of every basis of a dictionary
+    of ``kind``, built one basis at a time as the library once built them.
+
+    Heisenberg chirps are checked against the dense pi(1, m, 0); each
+    oscillator basis is the model eigenbasis carried by the dense Weil
+    operator of its torus's conjugator, checked against its generator's,
+    ordered by eigenvalue turn; extended bases are the dense pi(v) times
+    an oscillator basis, phase-normalized again.
+    """
+    from srip.dictionaries import _model_generator, lines, nonsplit_tori
+    from srip.linalg import unitary_eigenbasis
+
+    p = field.p
+    t = np.arange(p)
+    out = []
+    if kind == "heisenberg":
+        for ln in lines(p):
+            if ln.is_vertical:
+                out.append((ln.label, np.eye(p, dtype=np.complex128)))
+                continue
+            quad = ((-field.inv2 * ln.slope) % p) * ((t * t) % p)
+            atoms = field.char_table[(quad[:, None] - np.outer(t, t)) % p] / np.sqrt(p)
+            U = _dense_heisenberg(field, 1, ln.slope, 0)
+            assert np.abs(U @ atoms - atoms * field.char_table[(-t) % p]).max() <= 1e-8
+            out.append((ln.label, atoms))
+    else:
+        t0 = _model_generator(p)
+        model = unitary_eigenbasis(_dense_weil(field, t0.a, t0.b, t0.c, t0.d))
+        for torus in nonsplit_tori(field):
+            g, h = torus.conjugator, torus.generator
+            carried = _dense_weil(field, g.a, g.b, g.c, g.d) @ model
+            UV = _dense_weil(field, h.a, h.b, h.c, h.d) @ carried
+            lam = np.einsum("ij,ij->j", carried.conj(), UV)
+            assert np.abs(UV - carried * lam).max() <= 1e-8
+            turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
+            atoms = _normalized_columns(carried[:, np.argsort(turns, kind="stable")])
+            for tau, w in (translations if kind == "extended_oscillator" else [(0, 0)]):
+                if tau == w == 0:
+                    out.append((torus.label, atoms))
+                else:
+                    moved = _normalized_columns(_dense_heisenberg(field, tau, w, 0) @ atoms)
+                    out.append((f"{torus.label};v:{tau},{w}", moved))
+    return [(label, atoms, float(np.abs(atoms.conj().T @ atoms - np.eye(p)).max()))
+            for label, atoms in out]

@@ -431,7 +431,7 @@ def test_campaign_flags_rejected_before_any_support_is_drawn(tmp_path, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("a support was drawn before the campaign flags were checked")
 
-    monkeypatch.setattr(srip.spectra, "sample_support", refuse)
+    monkeypatch.setattr(srip.spectra, "_keyed_draws", refuse)
     code = _run(command, "--kind", "heisenberg", "--p", "11", "--trials", "3", *flag,
                 "--out-prefix", str(tmp_path / "run"))
     assert code == 2
@@ -478,7 +478,7 @@ def test_seed_outside_the_key_range_exits_2_before_building_or_drawing(
 
     monkeypatch.setattr(srip.cli, "build_heisenberg_dictionary", refuse)
     monkeypatch.setattr(srip.cli, "load_dictionary", refuse)
-    monkeypatch.setattr(srip.spectra, "sample_support", refuse)
+    monkeypatch.setattr(srip.spectra, "_keyed_draws", refuse)
     code = _run("srip", *source, "--seed", seed, "--trials", trials,
                 "--out-prefix", str(tmp_path / "s"))
     assert code == 2

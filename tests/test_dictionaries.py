@@ -232,14 +232,15 @@ def test_extended_oscillator_subsample_p7():
 
 def test_extended_oscillator_builds_each_translation_once(monkeypatch):
     import srip.dictionaries as dictionaries
+    from srip.operators import heisenberg_operators
 
     calls = []
 
-    def counting(field, element):
-        calls.append((element.tau, element.w))
-        return heisenberg_operator(field, element)
+    def counting(field, elements):
+        calls.extend((tau, w) for tau, w, _ in np.asarray(elements).tolist())
+        return heisenberg_operators(field, elements)
 
-    monkeypatch.setattr(dictionaries, "heisenberg_operator", counting)
+    monkeypatch.setattr(dictionaries, "heisenberg_operators", counting)
     D = build_extended_oscillator_dictionary(PrimeField(7), translation_subsample=8)
     assert D.basis_count == 21 * 8
     assert len(calls) <= 8
@@ -646,7 +647,7 @@ def test_dictionary_rejects_a_basis_that_is_not_p_by_p(dh5):
     # an orthonormal system of p - 2 vectors, and p = 5 bases declared under p = 7
     vectors, _ = diagonal_torus_system(PrimeField(5))
     with pytest.raises(DimensionMismatchError, match=r"'diagonal' has shape \(5, 3\)"):
-        Dictionary(5, "heisenberg", 1.0, dh5.bases + [OrthonormalBasis("diagonal", vectors)])
+        Dictionary(5, "heisenberg", 1.0, [*dh5.bases, OrthonormalBasis("diagonal", vectors)])
     with pytest.raises(DimensionMismatchError, match=r"'line:0' has shape \(5, 5\), not 7 x 7"):
         Dictionary(7, "heisenberg", 1.0, dh5.bases)
 
@@ -749,3 +750,146 @@ def test_heisenberg_build_check_covers_only_the_anchor_row(monkeypatch):
     others = np.hstack([b.atoms for b in D.bases[1:]])
     anchor_row = np.abs(D.bases[0].atoms.conj().T @ others)
     assert np.abs(np.hstack(blocks) - anchor_row).max() <= 1e-15
+
+
+# the stacked build, check and load
+# ---------------------------------------------------------------------------
+
+
+def _subsampled_translations(p, count, seed=0):
+    """The translations ``build_extended_oscillator_dictionary`` keeps, in order."""
+    every = [(tau, w) for tau in range(p) for w in range(p)]
+    chosen = np.random.Generator(np.random.Philox(key=seed)).choice(len(every), count, replace=False)
+    return [every[i] for i in sorted(chosen)]
+
+
+@pytest.mark.parametrize(
+    "kind, p, count",
+    [("heisenberg", p, None) for p in (5, 7, 13, 17, 31)]
+    + [("oscillator", p, None) for p in (5, 7, 13, 17, 31)]
+    + [("extended_oscillator", 5, None), ("extended_oscillator", 7, 8)],
+)
+def test_stacked_builds_equal_the_per_basis_builds_byte_for_byte(kind, p, count):
+    from oracles import per_basis_bases
+    from srip.dictionaries import KIND_MU
+
+    f = PrimeField(p)
+    if kind == "heisenberg":
+        D, translations = build_heisenberg_dictionary(f), None
+    elif kind == "oscillator":
+        D, translations = oscillator_dict(p), None
+    else:
+        D = build_extended_oscillator_dictionary(f, translation_subsample=count)
+        translations = _subsampled_translations(p, count) if count else \
+            [(tau, w) for tau in range(p) for w in range(p)]
+    expected = per_basis_bases(f, kind, translations)
+    assert [b.label for b in D.bases] == [label for label, _, _ in expected]
+    for b, (_, atoms, dev) in zip(D.bases, expected):
+        assert b.atoms.tobytes() == atoms.tobytes(), b.label
+        assert b.orthonormality_deviation == dev, b.label
+    one_at_a_time = Dictionary(p, kind, KIND_MU[kind],
+                               [OrthonormalBasis(label, atoms) for label, atoms, _ in expected])
+    assert dump_dictionary(D) == dump_dictionary(one_at_a_time)
+
+
+def test_stacked_bases_are_read_only_views_of_one_stack():
+    D = build_oscillator_dictionary(PrimeField(13))
+    stack = D.bases[0].atoms.base
+    assert stack is not None and stack.shape == (D.basis_count, 13, 13)
+    for b in D.bases:
+        assert b.atoms.base is stack
+        assert b.atoms.flags.c_contiguous and not b.atoms.flags.writeable
+    assert D.atoms_matrix.flags.c_contiguous
+    assert np.array_equal(D.atoms_matrix, np.hstack([b.atoms.copy() for b in D.bases]))
+
+
+def _record_offset(D, k):
+    """Byte offset of the atoms of basis k in the file image of D."""
+    return 8 + 21 + sum(4 + len(b.label.encode()) + 16 * D.p * D.p for b in D.bases[:k]) \
+        + 4 + len(D.bases[k].label.encode())
+
+
+@pytest.mark.parametrize("fault", ["entry", "orthonormality"])
+def test_a_bad_basis_mid_chunk_fails_the_load_by_its_label(tmp_path, fault):
+    import re
+
+    from srip.dictionaries import _chunks
+
+    D = oscillator_dict(13)
+    chunks = _chunks(D.basis_count, 13)
+    assert len(chunks) > 1
+    lo, hi = chunks[1]
+    k = (lo + hi) // 2
+    assert lo < k < hi - 1
+    data = bytearray(dump_dictionary(D))
+    atoms = D.bases[k].atoms.copy()
+    if fault == "entry":
+        atoms[3, 5] = 1.5  # an entry above 1
+        message = "an entry is non-finite or exceeds 1"
+    else:
+        atoms[:, 2] *= 1 + 1e-6  # every entry below 1, one atom 1e-6 too long
+        message = "orthonormality deviation"
+    start = _record_offset(D, k)
+    data[start:start + 16 * 169] = np.ascontiguousarray(atoms.T).astype("<c16").tobytes()
+    path = tmp_path / "bad.srip"
+    path.write_bytes(bytes(data))
+    for read in (lambda: parse_dictionary(bytes(data)), lambda: load_dictionary(path)):
+        with pytest.raises(IntegrityError, match=re.escape(f"basis {D.bases[k].label!r}: {message}")):
+            read()
+
+
+@pytest.mark.parametrize("p", [5, 13, 61])
+def test_the_monomial_chirp_check_is_the_operator(p):
+    from srip.operators import heisenberg_action
+
+    f = PrimeField(p)
+    D = build_heisenberg_dictionary(f)
+    slopes = np.arange(p)
+    atoms = np.stack([b.atoms for b in D.bases[:p]])
+    elements = np.stack([np.ones_like(slopes), slopes, 0 * slopes], axis=1)
+    applied = heisenberg_action(f, elements, atoms)
+    for m in range(p):
+        dense = heisenberg_operator(f, HeisenbergElement(1, m, 0, p)) @ atoms[m]
+        assert np.abs(applied[m] - dense).max() <= 1e-15, m
+
+
+def test_a_chirp_with_one_corrupted_entry_fails_its_check():
+    import srip.dictionaries as dictionaries
+    from srip.errors import DegenerateSpectrumError
+
+    f = PrimeField(13)
+    slopes = np.arange(5)
+    labels = [f"line:{m}" for m in slopes]
+    atoms = np.empty((5, 13, 13), dtype=complex)
+    dictionaries._chirps(f, slopes, labels, atoms)  # passes its own check
+    atoms[3, 7, 2] *= np.exp(1e-6j)
+    with pytest.raises(DegenerateSpectrumError, match="'line:3'"):
+        dictionaries._check_chirps(f, slopes, labels, atoms)
+
+
+@pytest.mark.parametrize("build, p", [(build_heisenberg_dictionary, 61),
+                                      (build_oscillator_dictionary, 17)])
+def test_build_memory_is_the_dictionary_plus_a_few_chunks(build, p):
+    import tracemalloc
+
+    from srip.dictionaries import STACK_CHUNK_ENTRIES
+
+    f = PrimeField(p)
+    build(PrimeField(5))  # first-call caches
+    tracemalloc.start()
+    try:
+        D = build(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the anchor coherence check holds about ten chunks' worth at once
+    assert peak <= 16 * D.basis_count * p * p + 16 * (16 * STACK_CHUNK_ENTRIES)
+
+
+def test_dictionary_bases_are_immutable(dh5):
+    D = Dictionary(5, "heisenberg", 1.0, list(dh5.bases))
+    vectors, _ = diagonal_torus_system(PrimeField(5))
+    with pytest.raises(AttributeError):
+        D.bases.append(OrthonormalBasis("diagonal", vectors))
+    assert isinstance(D.bases, tuple)
+    assert D.atom_count == D.atoms_matrix.shape[1] == 30

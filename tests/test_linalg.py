@@ -251,3 +251,25 @@ def test_stacked_gram_equals_each_gram_alone():
 def test_unitary_eigenbasis_rejects_a_stack():
     with pytest.raises(DimensionMismatchError):
         unitary_eigenbasis(np.stack([np.eye(3, dtype=complex)] * 2))
+
+
+def test_stacked_eigenbasis_steps_are_the_per_matrix_steps():
+    from srip.linalg import eigen_residual, order_eigenbasis
+
+    rng = np.random.default_rng(11)
+
+    def unitaries(count):
+        return np.stack([np.linalg.qr(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))[0]
+                         for _ in range(count)])
+
+    Us, Vs = unitaries(5), unitaries(5)
+    lam, resid = eigen_residual(Us, Vs)
+    ordered = order_eigenbasis(Vs, lam)
+    normalized = phase_normalize(Vs)
+    assert resid.shape == (5,) and lam.shape == (5, 7)
+    for k in range(5):
+        lam_k, resid_k = eigen_residual(Us[k], Vs[k])
+        assert lam[k].tobytes() == lam_k.tobytes() and resid[k] == resid_k
+        assert ordered[k].tobytes() == order_eigenbasis(Vs[k], lam_k).tobytes()
+        assert normalized[k].tobytes() == phase_normalize(Vs[k]).tobytes()
+        assert np.array_equal(anchor_index(Vs)[k], anchor_index(Vs[k]))

@@ -213,3 +213,39 @@ def test_sl2_inverse_and_action():
         tau, w = (int(x) for x in rng.integers(0, p, size=2))
         gv = g.apply((tau, w))
         assert gv == ((g.a * tau + g.b * w) % p, (g.c * tau + g.d * w) % p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
+def test_stacked_operators_are_the_single_element_operators(p):
+    from srip.operators import heisenberg_operators, weil_operators
+
+    f = PrimeField(p)
+    rng = np.random.default_rng(p)
+    gs = [random_sl2(rng, p) for _ in range(40)] + [(1, 0, 3 % p, 1), (p - 1, 0, 0, p - 1)]
+    stack = weil_operators(f, gs)
+    assert stack.shape == (len(gs), p, p)
+    for g, W in zip(gs, stack):
+        assert W.tobytes() == weil_operator(f, SL2Element(*g, p)).tobytes(), g
+    hs = rng.integers(0, p, size=(30, 3))
+    for h, U in zip(hs.tolist(), heisenberg_operators(f, hs)):
+        assert U.tobytes() == heisenberg_operator(f, HeisenbergElement(*h, p)).tobytes(), h
+
+
+def test_stacked_weil_operators_refuse_a_non_unimodular_row():
+    from srip.operators import weil_operators
+
+    with pytest.raises(NotUnimodularError):
+        weil_operators(PrimeField(7), [(1, 0, 0, 1), (2, 0, 0, 2)])
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_heisenberg_action_is_the_operator_product(p):
+    from srip.operators import heisenberg_action
+
+    f = PrimeField(p)
+    rng = np.random.default_rng(p)
+    hs = rng.integers(0, p, size=(12, 3))
+    F = rng.normal(size=(12, p, 3)) + 1j * rng.normal(size=(12, p, 3))
+    applied = heisenberg_action(f, hs, F)
+    for h, Fk, got in zip(hs.tolist(), F, applied):
+        assert np.abs(got - heisenberg_operator(f, HeisenbergElement(*h, p)) @ Fk).max() <= 1e-15

@@ -53,7 +53,7 @@ def test_bad_delta_exponent_raises_before_any_trial(dh11, monkeypatch, e):
     def refuse(*args, **kwargs):
         raise AssertionError("a trial was drawn before the delta exponent was checked")
 
-    monkeypatch.setattr(srip.spectra, "sample_support", refuse)
+    monkeypatch.setattr(srip.spectra, "_keyed_draws", refuse)
     with pytest.raises(ValueError, match="delta exponent"):
         srip_tail_frequencies(dh11, 0.3, delta_exponent=e)
     with pytest.raises(ValueError, match="delta exponent"):
@@ -69,7 +69,7 @@ def test_bad_campaign_parameters_raise_before_any_support_is_drawn(dh11, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("a support was drawn before the campaign parameters were checked")
 
-    monkeypatch.setattr(srip.spectra, "sample_support", refuse)
+    monkeypatch.setattr(srip.spectra, "_keyed_draws", refuse)
     calls = [run_spectrum]
     if "kmax" not in bad:
         calls.append(srip_tail_frequencies)
@@ -334,3 +334,23 @@ def test_stacked_ks_statistic_equals_the_row_statistics():
         assert isinstance(row, float) and got[idx] == row
     with pytest.raises(ValueError, match="empty"):
         ks_statistic(np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize("N, n", [(5, 1), (5, 5), (50, 7), (992, 31), (10302, 40), (2**33, 9)])
+def test_one_rekeyed_philox_draws_what_a_fresh_generator_draws(N, n):
+    from srip.paths import _distinct_indices
+    from srip.spectra import _keyed_draws
+
+    class _Size:  # sample_support reads only the atom count
+        atom_count = N
+
+    rng = np.random.default_rng(N + n)
+    keys = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
+    keys += [int(k) for k in rng.integers(0, 2**63, size=20)]
+    keys += [int(a) << 64 | int(b) for a, b in rng.integers(0, 2**63, size=(20, 2))]
+    draw = _keyed_draws(N, n)  # one generator, re-keyed for every draw below
+    for key in keys + keys[::-1]:
+        want = _distinct_indices(np.random.Generator(np.random.Philox(key=key)), N, n)
+        got = draw(key)
+        assert got.dtype == want.dtype and np.array_equal(got, want), key
+        assert np.array_equal(sample_support(_Size, n, key), want), key
