@@ -14,25 +14,29 @@ A dictionary is a disjoint union of orthonormal bases of C(F_p):
 * ``extended_oscillator``: every oscillator basis translated by every
   plane element (p(p-1)p^2/2 bases, mu = 4).
 
-Atoms are unit vectors stored as matrix columns, phase-normalized so the
-largest entry is real positive, and ordered within a basis by descending
-eigenvalue phase of the defining unitary, phases taken in (0, 2pi].
+Atoms are unit vectors, phase-normalized so the largest entry is real
+positive, and ordered within a basis by descending eigenvalue phase of
+the defining unitary, phases taken in (0, 2pi].
 
-The unit of work is the basis stack: one C-contiguous (nb, p, p) complex
-array, atoms as columns.  The builders form it, the loader reads it and
-``_orthonormality_deviations`` checks it a chunk of bases at a time
-(``_chunks``), so no temporary holds much more than
-``STACK_CHUNK_ENTRIES`` entries, and each basis's ``atoms`` is a
-read-only view of it.  A chunk of chirps comes from one exponent table
-and is checked against its operators applied as monomial maps; a chunk
-of oscillator bases comes from one stacked Weil-operator product, one
-residual check and one ordering pass; a chunk of extended bases from one
-stacked product with the translation operators.
+A dictionary holds its atoms in one read-only C-contiguous (nb, p, p)
+complex array, atom-major: row j of slice b is atom j of basis b, the
+layout of a SRIPDCT1 record.  Every other form is a view of it:
+``atoms_matrix`` (atoms as columns) is ``stack.reshape(N, p).T``, basis
+b's ``atoms`` is ``stack[b].T``, a panel of the coherence scan is
+``stack[c0:c1].reshape(-1, p)``; the loader reads each record straight
+into its slice and the writer writes the slices as they are.  The
+builders fill the stack, and ``Dictionary`` checks it a chunk of bases at
+a time (``_chunks``), so no temporary holds much more than
+``STACK_CHUNK_ENTRIES`` entries.  A chunk of chirps comes from one
+exponent table and is checked against its operators applied as monomial
+maps; a chunk of oscillator bases comes from one stacked Weil-operator
+product, one residual check and one ordering pass; a chunk of extended
+bases from one stacked product with the translation operators.
 
 Cross-basis inner products are formed by one blocked kernel,
 ``_cross_blocks``, and judged by one rule, ``within_coherence_bound``.
-The kernel stacks the atoms of each column panel of bases once and
-multiplies every earlier row basis against a view of it.
+The kernel multiplies every earlier row basis against a column panel of
+bases, a view of the stack.
 ``coherence_report`` scans every cross-basis pair and bins each block in
 one pass (``_bin_counts``), exactly as ``np.histogram`` on its edges
 would.  The builders of the full kinds scan only the pairs of the anchor
@@ -152,7 +156,7 @@ class OrthonormalBasis:
     orthonormality_deviation: float = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        (dev,) = _orthonormality_deviations([self.label], self.atoms[None])
+        (dev,) = _orthonormality_deviations([self.label], self.atoms.T[None])
         object.__setattr__(self, "orthonormality_deviation", float(dev))
         self.atoms.setflags(write=False)  # bases are shared read-only
 
@@ -167,8 +171,9 @@ class OrthonormalBasis:
         return basis
 
 
-def _orthonormality_deviations(labels, A: np.ndarray) -> np.ndarray:
-    """max|A^H A - I| of each matrix of the (n, p, k) stack ``A``: the check of a basis.
+def _orthonormality_deviations(labels, S: np.ndarray) -> np.ndarray:
+    """max|A^H A - I| of each matrix of the atom-major (n, k, p) stack ``S``,
+    its atoms A = S^T as columns: the check of a basis.
 
     No entry of a unit vector exceeds 1 in modulus; rejecting such entries
     first keeps the Grams free of overflow.  The Grams of the whole stack
@@ -181,11 +186,11 @@ def _orthonormality_deviations(labels, A: np.ndarray) -> np.ndarray:
         or one above 1, or else the first whose deviation exceeds
         ``ORTHONORMALITY_TOL``.
     """
-    bounded = (np.abs(A) <= 1.0 + ORTHONORMALITY_TOL).all(axis=(1, 2))  # NaN fails too
+    bounded = (np.abs(S) <= 1.0 + ORTHONORMALITY_TOL).all(axis=(1, 2))  # NaN fails too
     if not bounded.all():
         raise IntegrityError(
             f"basis {labels[np.argmin(bounded)]!r}: an entry is non-finite or exceeds 1")
-    G = A.conj().swapaxes(1, 2) @ A
+    G = S.conj() @ S.swapaxes(1, 2)
     diagonal = np.arange(G.shape[-1])
     G[:, diagonal, diagonal] -= 1
     dev = np.abs(G).max(axis=(1, 2))
@@ -207,75 +212,93 @@ def _chunks(count: int, p: int) -> list[tuple[int, int]]:
 class Dictionary:
     """A disjoint union of pairwise mu-coherent p x p orthonormal bases: a tight frame.
 
-    ``bases`` is stored as a tuple, so the p x p rule checked on
-    construction keeps holding.
+    ``stack`` holds every atom, atom-major: row j of ``stack[b]`` is atom j
+    of the basis ``labels[b]``.  Construction checks it a chunk of bases at
+    a time (``_orthonormality_deviations``), keeps each basis's deviation
+    in ``deviations`` and makes the stack read-only; ``bases`` and
+    ``atoms_matrix`` are views of it.
     """
 
     p: int
     kind: str
     mu: float
-    bases: tuple[OrthonormalBasis, ...]
+    labels: tuple[str, ...]
+    stack: np.ndarray
+    deviations: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        self.bases = tuple(self.bases)
-        for b in self.bases:
-            if b.atoms.shape != (self.p, self.p):
+        self.labels = tuple(self.labels)
+        self.stack = np.ascontiguousarray(self.stack, dtype=np.complex128)
+        if self.stack.shape != (len(self.labels), self.p, self.p):
+            raise DimensionMismatchError(f"basis stack has shape {self.stack.shape}, "
+                                         f"not {len(self.labels)} x {self.p} x {self.p}")
+        self.deviations = np.empty(len(self.labels))
+        for lo, hi in _chunks(len(self.labels), self.p):
+            self.deviations[lo:hi] = _orthonormality_deviations(self.labels[lo:hi],
+                                                                self.stack[lo:hi])
+        self.stack.setflags(write=False)
+
+    @classmethod
+    def from_bases(cls, p: int, kind: str, mu: float,
+                   bases: Iterable[OrthonormalBasis]) -> "Dictionary":
+        """The dictionary of ``bases``, stacked once; the first basis that is
+        not p x p raises DimensionMismatchError."""
+        bases = list(bases)
+        stack = np.empty((len(bases), p, p), dtype=np.complex128)
+        for slot, b in zip(stack, bases):
+            if b.atoms.shape != (p, p):
                 raise DimensionMismatchError(
-                    f"basis {b.label!r} has shape {b.atoms.shape}, not {self.p} x {self.p}")
+                    f"basis {b.label!r} has shape {b.atoms.shape}, not {p} x {p}")
+            slot[...] = b.atoms.T
+        return cls(p, kind, mu, [b.label for b in bases], stack)
+
+    @cached_property
+    def bases(self) -> tuple[OrthonormalBasis, ...]:
+        """Every basis in order, its ``atoms`` a view of ``stack``."""
+        return tuple(map(OrthonormalBasis._checked, self.labels,
+                         self.stack.transpose(0, 2, 1), self.deviations.tolist()))
 
     @property
     def basis_count(self) -> int:
-        return len(self.bases)
+        return len(self.labels)
 
     @property
     def atom_count(self) -> int:
-        return self.p * len(self.bases)
+        return self.p * len(self.labels)
 
-    @cached_property
+    @property
     def atoms_matrix(self) -> np.ndarray:
-        """p x atom_count matrix whose columns are all atoms in basis order."""
-        return np.hstack([b.atoms for b in self.bases])
+        """p x atom_count matrix whose columns are all atoms in basis order, a view of ``stack``."""
+        return self.stack.reshape(-1, self.p).T
 
     def atom(self, index: int) -> np.ndarray:
         return self.atoms_matrix[:, index]
 
 
-def _stacked_dictionary(p: int, kind: str, labels: list[str], stack: np.ndarray) -> Dictionary:
-    """The dictionary of the (nb, p, p) basis stack, each basis checked once by
-    ``_orthonormality_deviations``, a chunk at a time.  The stack becomes
-    read-only, and each basis's atoms are a view of it."""
-    dev = np.empty(len(stack))
-    for lo, hi in _chunks(len(stack), p):
-        dev[lo:hi] = _orthonormality_deviations(labels[lo:hi], stack[lo:hi])
-    stack.setflags(write=False)
-    bases = map(OrthonormalBasis._checked, labels, stack, dev.tolist())
-    return Dictionary(p, kind, KIND_MU[kind], tuple(bases))
-
-
 def _chirps(field: PrimeField, slopes: np.ndarray, labels, out: np.ndarray) -> None:
     """Write the chirp bases of the lines of the given slopes into the
-    (len(slopes), p, p) stack ``out``, from one exponent table, and check
-    them (``_check_chirps``).
+    atom-major (len(slopes), p, p) stack ``out``, from one exponent table,
+    and check them (``_check_chirps``).
 
     Atom j of the basis of slope m is the chirp
     phi_j(t) = p^{-1/2} psi(-m t^2/2 - j t), the eigenvector of the
     translation-modulation operator pi(1, m, 0) with eigenvalue psi(-j).
-    Column order j = 0, 1, ..., p-1 is therefore descending eigenvalue
+    Atom order j = 0, 1, ..., p-1 is therefore descending eigenvalue
     phase in (0, 2pi], and entry t = 0 is 1/sqrt(p), so every atom is
     already phase-normalized.
     """
     p = field.p
     t = np.arange(p, dtype=np.int64)
     quad = ((-field.inv2 * slopes) % p)[:, None] * ((t * t) % p)
-    expo = quad[:, :, None] - np.outer(t, t)
+    expo = quad[:, None, :] - np.outer(t, t)
     np.take(field.char_table, expo % p, out=out)
     out /= np.sqrt(p)
     _check_chirps(field, slopes, labels, out)
 
 
-def _check_chirps(field: PrimeField, slopes: np.ndarray, labels, atoms: np.ndarray) -> None:
-    """Check each atom j of the chirp bases ``atoms`` against pi(1, m, 0), with
-    eigenvalue psi(-j), the operator applied as the monomial map
+def _check_chirps(field: PrimeField, slopes: np.ndarray, labels, stack: np.ndarray) -> None:
+    """Check each atom j of the atom-major chirp bases ``stack`` against
+    pi(1, m, 0), with eigenvalue psi(-j), the operator applied as the monomial map
     (U f)(t) = psi(m(t+1) - m/2) f(t+1): p^2 operations a basis, not p^3.
 
     Raises
@@ -285,6 +308,7 @@ def _check_chirps(field: PrimeField, slopes: np.ndarray, labels, atoms: np.ndarr
         eigen-equation by more than ``EIGENVECTOR_RESIDUAL_TOL``.
     """
     elements = np.stack([np.ones_like(slopes), slopes, np.zeros_like(slopes)], axis=1)
+    atoms = stack.swapaxes(1, 2)
     resid = heisenberg_action(field, elements, atoms)
     resid -= atoms * field.char_table[-np.arange(field.p) % field.p]
     _check_residuals(labels, np.abs(resid).max(axis=(1, 2)), "chirp")
@@ -314,7 +338,7 @@ def heisenberg_basis(field: PrimeField, line: Line) -> OrthonormalBasis:
         return OrthonormalBasis(line.label, np.eye(p, dtype=np.complex128))
     atoms = np.empty((1, p, p), dtype=np.complex128)
     _chirps(field, np.array([line.slope]), [line.label], atoms)
-    return OrthonormalBasis(line.label, atoms[0])
+    return OrthonormalBasis(line.label, atoms[0].T)
 
 
 def nonsplit_tori(field: PrimeField) -> list[Torus]:
@@ -397,12 +421,12 @@ def _conjugate(a, b, c, d, t, p: int) -> tuple[np.ndarray, ...]:
 
 def oscillator_basis(field: PrimeField, torus: Torus) -> OrthonormalBasis:
     """Eigenbasis of the unitary operator of the torus generator."""
-    return OrthonormalBasis(torus.label, _oscillator_stack(field, [torus])[0])
+    return OrthonormalBasis(torus.label, _oscillator_stack(field, [torus])[0].T)
 
 
 def _oscillator_stack(field: PrimeField, tori: list[Torus]) -> np.ndarray:
-    """The (len(tori), p, p) stack of the eigenbases of the torus generators,
-    from one eigensolve.
+    """The atom-major (len(tori), p, p) stack of the eigenbases of the torus
+    generators, from one eigensolve.
 
     U(g) U(t0) U(g)^-1 is U(g t0 g^-1) up to a global phase, so the Weil
     operator of a torus's conjugator g carries the model torus's eigenbasis
@@ -428,7 +452,7 @@ def _oscillator_stack(field: PrimeField, tori: list[Torus]) -> np.ndarray:
         carried = weil_operators(field, conjugators[lo:hi]) @ model
         lam, resid = eigen_residual(weil_operators(field, generators[lo:hi]), carried)
         _check_residuals([t.label for t in tori[lo:hi]], resid, "carried")
-        stack[lo:hi] = order_eigenbasis(carried, lam)
+        stack[lo:hi] = order_eigenbasis(carried, lam).swapaxes(1, 2)
     return stack
 
 
@@ -436,22 +460,21 @@ def _cross_blocks(D: Dictionary, anchor: bool = False):
     """Yield |<phi, psi>| over every cross-basis atom pair, block by block.
 
     The bases after basis 0 are cut into column panels of
-    ``CROSS_BLOCK_SIZE / p^2`` bases (at least one), and each panel's
-    atoms are stacked once.  Every row basis x before the panel's last
-    basis meets the panel's bases after x, a view of the stacked columns,
-    so a block holds at most about ``CROSS_BLOCK_SIZE`` inner products:
-    the atoms of basis x as rows against those columns.  With ``anchor``,
-    only basis 0 is a row basis, so only the pairs that contain it are
-    formed, panel by panel.
+    ``CROSS_BLOCK_SIZE / p^2`` bases (at least one), each a view of the
+    stack.  Every row basis x before the panel's last basis meets the
+    panel's bases after x, so a block holds at most about
+    ``CROSS_BLOCK_SIZE`` inner products: the atoms of basis x as rows
+    against those atoms as columns.  With ``anchor``, only basis 0 is a
+    row basis, so only the pairs that contain it are formed, panel by
+    panel.
     """
     p, nb = D.p, D.basis_count
     step = max(1, CROSS_BLOCK_SIZE // (p * p))
     for c0 in range(1, nb, step):
-        cols = np.hstack([b.atoms for b in D.bases[c0:c0 + step]])
+        panel = D.stack[c0:c0 + step].reshape(-1, p)
         last = min(c0 + step, nb) - 1
         for x in range(min(last, 1) if anchor else last):
-            rows = D.bases[x].atoms.conj().T
-            yield np.abs(rows @ cols[:, (max(x + 1, c0) - c0) * p:])
+            yield np.abs(D.stack[x].conj() @ panel[(max(x + 1, c0) - c0) * p:].T)
 
 
 def within_coherence_bound(max_abs: float, mu: float, p: int) -> bool:
@@ -488,7 +511,7 @@ def build_heisenberg_dictionary(field: PrimeField) -> Dictionary:
     for lo, hi in _chunks(p, p):
         _chirps(field, np.arange(lo, hi), labels[lo:hi], stack[lo:hi])
     stack[p] = np.eye(p)
-    D = _stacked_dictionary(p, "heisenberg", labels, stack)
+    D = Dictionary(p, "heisenberg", KIND_MU["heisenberg"], labels, stack)
     _check_coherence(D, anchor=True)
     return D
 
@@ -505,7 +528,7 @@ def build_oscillator_dictionary(field: PrimeField) -> Dictionary:
     """
     tori = nonsplit_tori(field)
     stack = _oscillator_stack(field, tori)
-    D = _stacked_dictionary(field.p, "oscillator", [torus.label for torus in tori], stack)
+    D = Dictionary(field.p, "oscillator", KIND_MU["oscillator"], [t.label for t in tori], stack)
     _check_coherence(D, anchor=True)
     return D
 
@@ -549,7 +572,7 @@ def build_extended_oscillator_dictionary(
         translations = [translations[i] for i in sorted(chosen)]
 
     tori = nonsplit_tori(field)
-    oscillator = _oscillator_stack(field, tori)
+    oscillator = _oscillator_stack(field, tori).swapaxes(1, 2)  # atoms as columns
     # translations are sorted, so v = 0 comes first when it is kept
     zero = int(translations[0] == (0, 0))
     shifts = heisenberg_operators(field, [(tau, w, 0) for tau, w in translations[zero:]])
@@ -559,10 +582,10 @@ def build_extended_oscillator_dictionary(
     for lo, hi in _chunks(len(stack), p):
         which, shift = np.divmod(np.arange(lo, hi), len(translations))
         moved = shift >= zero
-        chunk = stack[lo:hi]
+        chunk = stack[lo:hi].swapaxes(1, 2)
         chunk[~moved] = oscillator[which[~moved]]
         chunk[moved] = phase_normalize(shifts[shift[moved] - zero] @ oscillator[which[moved]])
-    D = _stacked_dictionary(p, "extended_oscillator", labels, stack)
+    D = Dictionary(p, "extended_oscillator", KIND_MU["extended_oscillator"], labels, stack)
     _check_coherence(D, anchor=translation_subsample is None)
     return D
 
@@ -661,9 +684,7 @@ def coherence_report(D: Dictionary) -> CoherenceReport:
         max_cross_coherence=float(worst / sqrt_p) if pairs else 0.0,
         max_scaled_coherence=float(worst),
         min_scaled_coherence=float(least) if pairs else 0.0,
-        max_within_basis_deviation=max(
-            (b.orthonormality_deviation for b in D.bases), default=0.0
-        ),
+        max_within_basis_deviation=float(D.deviations.max(initial=0.0)),
         histogram_edges=[float(e) for e in edges],
         histogram_counts=[int(c) for c in counts],
         vacuous=vacuous,
@@ -716,24 +737,14 @@ def diagonal_torus_system(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _file_pieces(D: Dictionary):
-    """The file image of ``D`` in pieces: the header, then the records of one
-    chunk of bases at a time, each written into one buffer of its exact size."""
+    """The file image of ``D`` in pieces: the header, then for each record its
+    label length and label, then its atoms, the basis's slice of the stack as it is."""
     p = D.p
     yield MAGIC + struct.pack("<IIBId", FORMAT_VERSION, p, KIND_CODES[D.kind], D.basis_count, D.mu)
-    for lo, hi in _chunks(D.basis_count, p):
-        labels = [b.label.encode("utf-8") for b in D.bases[lo:hi]]
-        buf = bytearray(sum(4 + len(label) + 16 * p * p for label in labels))
-        pos = 0
-        for b, label in zip(D.bases[lo:hi], labels):
-            struct.pack_into("<I", buf, pos, len(label))
-            pos += 4
-            buf[pos:pos + len(label)] = label
-            pos += len(label)
-            # atom-major: atom 0's p entries, then atom 1's, ...
-            out = np.frombuffer(buf, dtype="<c16", count=p * p, offset=pos)
-            out.reshape(p, p)[...] = b.atoms.T
-            pos += 16 * p * p
-        yield buf
+    for label, atoms in zip(D.labels, D.stack.astype("<c16", copy=False)):
+        label = label.encode("utf-8")
+        yield struct.pack("<I", len(label)) + label
+        yield atoms
 
 
 def dump_dictionary(D: Dictionary) -> bytearray:
@@ -751,29 +762,6 @@ def _read_exact(buf, count: int, size: int) -> bytes:
     return data
 
 
-def _read_into(buf, out: np.ndarray, size: int) -> None:
-    """Fill the C-contiguous array ``out`` with the next bytes of ``buf``, a
-    stream of ``size`` bytes, refusing a read past the end as ``_read_exact`` does."""
-    if buf.tell() + out.nbytes > size or buf.readinto(out) != out.nbytes:
-        raise FormatError("unexpected end of file")
-
-
-def _read_records(buf, size: int, labels: list[str], out: np.ndarray) -> None:
-    """Read the next len(out) records of ``buf`` into the chunk ``out`` of a
-    basis stack, appending their labels to ``labels``."""
-    # atom-major, as stored: atom 0's p entries, then atom 1's, ...
-    records = np.empty(out.shape, dtype="<c16")
-    for record in records:
-        (label_len,) = struct.unpack("<I", _read_exact(buf, 4, size))
-        raw_label = _read_exact(buf, label_len, size)
-        try:
-            labels.append(raw_label.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"basis label is not valid UTF-8: {exc}") from exc
-        _read_into(buf, record, size)
-    out[...] = records.transpose(0, 2, 1)
-
-
 def parse_dictionary(data: bytes) -> Dictionary:
     return _read_dictionary(io.BytesIO(data), len(data))
 
@@ -781,9 +769,8 @@ def parse_dictionary(data: bytes) -> Dictionary:
 def _read_dictionary(buf, size: int) -> Dictionary:
     """The dictionary in the binary stream ``buf`` of ``size`` bytes.
 
-    The records are read into the basis stack a chunk at a time
-    (``_read_records``), then every basis is checked once, as a built
-    dictionary's are (``_stacked_dictionary``).
+    Each record's atoms are read straight into its slice of the stack,
+    then every basis is checked once, as a built dictionary's are.
     """
     if _read_exact(buf, len(MAGIC), size) != MAGIC:
         raise FormatError("bad magic; not a dictionary file")
@@ -801,17 +788,24 @@ def _read_dictionary(buf, size: int) -> Dictionary:
         raise FormatError(f"stored mu = {mu!r} does not match kind {kind} (mu = {KIND_MU[kind]})")
     if basis_count * 16 * p * p > size:
         raise FormatError("declared basis count exceeds the file size")
-    stack = np.empty((basis_count, p, p), dtype=np.complex128)
+    stack = np.empty((basis_count, p, p), dtype="<c16")
     labels = []
-    for lo, hi in _chunks(basis_count, p):
-        _read_records(buf, size, labels, stack[lo:hi])
+    for record in stack:
+        (label_len,) = struct.unpack("<I", _read_exact(buf, 4, size))
+        raw_label = _read_exact(buf, label_len, size)
+        try:
+            labels.append(raw_label.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"basis label is not valid UTF-8: {exc}") from exc
+        if buf.tell() + record.nbytes > size or buf.readinto(record) != record.nbytes:
+            raise FormatError("unexpected end of file")
     if buf.read(1):
         raise FormatError("trailing bytes after the last basis")
-    return _stacked_dictionary(p, kind, labels, stack)
+    return Dictionary(p, kind, mu, labels, stack)
 
 
-def write_atomic(path, data: bytes | bytearray | str | Iterable[bytes]) -> None:
-    """Write ``data``, or each of an iterable of byte pieces in turn, to
+def write_atomic(path, data: bytes | bytearray | str | Iterable[bytes | np.ndarray]) -> None:
+    """Write ``data``, or each of an iterable of bytes-like pieces in turn, to
     ``path`` through a temp file and a rename.
 
     Missing parent directories are created.  The temp file is removed if

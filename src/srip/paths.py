@@ -368,10 +368,10 @@ class _CoreSums:
     @cached_property
     def s2(self) -> np.ndarray:
         """sum_a (phi_a (x) phi_a)(phi_a (x) phi_a)^H as a p x p x p x p tensor."""
-        M = self.D.atoms_matrix
         p = self.D.p
-        Y = (M[:, None, :] * M[None, :, :]).reshape(p * p, -1)
-        return (Y @ Y.conj().T).reshape(p, p, p, p)
+        A = self.D.stack.reshape(-1, p)  # atoms as rows
+        Y = (A[:, :, None] * A[:, None, :]).reshape(-1, p * p)
+        return (Y.T @ Y.conj()).reshape(p, p, p, p)
 
     def __call__(self, key) -> complex:
         if key not in self.memo:

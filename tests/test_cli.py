@@ -200,7 +200,7 @@ def test_truncated_input_is_contract_violation(tmp_path):
 def test_coherence_violation_exits_3(tmp_path, dh5):
     from srip.dictionaries import Dictionary, save_dictionary
 
-    bad = Dictionary(5, "heisenberg", 1.0, [dh5.bases[0], dh5.bases[0]])
+    bad = Dictionary.from_bases(5, "heisenberg", 1.0, [dh5.bases[0], dh5.bases[0]])
     path = tmp_path / "bad.srip"
     save_dictionary(path, bad)
     assert _run("coherence", "--in", str(path)) == 3
@@ -217,7 +217,7 @@ def test_coherence_on_composite_dimension_exits_3(tmp_path, capsys):
     bases = [OrthonormalBasis("identity", np.eye(6, dtype=complex)),
              OrthonormalBasis("fourier", fourier)]
     path = tmp_path / "p6.srip"
-    save_dictionary(path, Dictionary(6, "heisenberg", 1.0, bases))
+    save_dictionary(path, Dictionary.from_bases(6, "heisenberg", 1.0, bases))
     assert _run("coherence", "--in", str(path)) == 3
     assert "dimension p = 6 is not prime" in capsys.readouterr().err
 
@@ -297,7 +297,7 @@ def test_moments_on_zero_basis_file_exits_2(tmp_path, capsys):
     from srip.dictionaries import Dictionary, save_dictionary
 
     empty = tmp_path / "empty.srip"
-    save_dictionary(empty, Dictionary(5, "heisenberg", 1.0, []))
+    save_dictionary(empty, Dictionary.from_bases(5, "heisenberg", 1.0, []))
     prefix = tmp_path / "out" / "m"
     code = _run("moments", "--in", str(empty), "--trials", "5", "--out-prefix", str(prefix))
     assert code == 2

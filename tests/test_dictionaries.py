@@ -407,7 +407,7 @@ def test_coherence_violation_detected(dh5, tmp_path):
     from srip.errors import CoherenceViolationError
 
     # duplicating a basis makes a cross pair with inner product 1 > mu/sqrt(p)
-    bad = Dictionary(5, "heisenberg", 1.0, [dh5.bases[0], dh5.bases[0]])
+    bad = Dictionary.from_bases(5, "heisenberg", 1.0, [dh5.bases[0], dh5.bases[0]])
     with pytest.raises(CoherenceViolationError):
         _check_coherence(bad)
     rep = coherence_report(bad)
@@ -480,7 +480,7 @@ def _extended7():
 
 def _duplicated5():
     b = _heisenberg(5).bases[0]
-    return Dictionary(5, "heisenberg", 1.0, [b, b])
+    return Dictionary.from_bases(5, "heisenberg", 1.0, [b, b])
 
 
 @pytest.mark.parametrize(
@@ -647,9 +647,12 @@ def test_dictionary_rejects_a_basis_that_is_not_p_by_p(dh5):
     # an orthonormal system of p - 2 vectors, and p = 5 bases declared under p = 7
     vectors, _ = diagonal_torus_system(PrimeField(5))
     with pytest.raises(DimensionMismatchError, match=r"'diagonal' has shape \(5, 3\)"):
-        Dictionary(5, "heisenberg", 1.0, [*dh5.bases, OrthonormalBasis("diagonal", vectors)])
+        Dictionary.from_bases(5, "heisenberg", 1.0,
+                              [*dh5.bases, OrthonormalBasis("diagonal", vectors)])
     with pytest.raises(DimensionMismatchError, match=r"'line:0' has shape \(5, 5\), not 7 x 7"):
-        Dictionary(7, "heisenberg", 1.0, dh5.bases)
+        Dictionary.from_bases(7, "heisenberg", 1.0, dh5.bases)
+    with pytest.raises(DimensionMismatchError, match=r"stack has shape \(2, 5, 5\), not 1 x 5 x 5"):
+        Dictionary(5, "heisenberg", 1.0, ["line:0"], np.zeros((2, 5, 5), dtype=complex))
 
 
 @pytest.mark.parametrize(
@@ -787,20 +790,43 @@ def test_stacked_builds_equal_the_per_basis_builds_byte_for_byte(kind, p, count)
     for b, (_, atoms, dev) in zip(D.bases, expected):
         assert b.atoms.tobytes() == atoms.tobytes(), b.label
         assert b.orthonormality_deviation == dev, b.label
-    one_at_a_time = Dictionary(p, kind, KIND_MU[kind],
-                               [OrthonormalBasis(label, atoms) for label, atoms, _ in expected])
+    one_at_a_time = Dictionary.from_bases(
+        p, kind, KIND_MU[kind], [OrthonormalBasis(label, atoms) for label, atoms, _ in expected])
     assert dump_dictionary(D) == dump_dictionary(one_at_a_time)
 
 
-def test_stacked_bases_are_read_only_views_of_one_stack():
-    D = build_oscillator_dictionary(PrimeField(13))
-    stack = D.bases[0].atoms.base
-    assert stack is not None and stack.shape == (D.basis_count, 13, 13)
-    for b in D.bases:
-        assert b.atoms.base is stack
-        assert b.atoms.flags.c_contiguous and not b.atoms.flags.writeable
-    assert D.atoms_matrix.flags.c_contiguous
+@pytest.mark.parametrize("source", ["built", "loaded", "hand-made"])
+def test_one_read_only_stack_is_the_atoms_matrix_every_basis_and_every_record(source, tmp_path):
+    built = build_oscillator_dictionary(PrimeField(13))
+    if source == "built":
+        D = built
+    elif source == "loaded":
+        save_dictionary(tmp_path / "o13.srip", built)
+        D = load_dictionary(tmp_path / "o13.srip")
+    else:
+        D = Dictionary.from_bases(13, "oscillator", 4.0,
+                                  [OrthonormalBasis(b.label, b.atoms.copy()) for b in built.bases])
+    stack = D.stack
+    assert stack.shape == (D.basis_count, 13, 13)
+    assert stack.flags.c_contiguous and not stack.flags.writeable
+    assert np.shares_memory(D.atoms_matrix, stack)
     assert np.array_equal(D.atoms_matrix, np.hstack([b.atoms.copy() for b in D.bases]))
+    data = dump_dictionary(D)
+    for k, b in enumerate(D.bases):
+        assert np.shares_memory(b.atoms, stack) and not b.atoms.flags.writeable
+        assert np.array_equal(b.atoms, built.bases[k].atoms)
+        start = _record_offset(D, k)
+        assert data[start:start + 16 * 169] == stack[k].tobytes(), b.label
+
+
+def test_a_dictionary_without_bases_has_a_p_by_0_atoms_matrix():
+    for D in (Dictionary.from_bases(5, "heisenberg", 1.0, []),
+              parse_dictionary(dump_dictionary(Dictionary.from_bases(5, "heisenberg", 1.0, [])))):
+        assert D.basis_count == D.atom_count == 0 and D.bases == ()
+        assert D.atoms_matrix.shape == (5, 0)
+        assert np.array_equal(synthesize(np.zeros(0), D), np.zeros(5))
+        with pytest.raises(IndexError):
+            D.atom(0)
 
 
 def _record_offset(D, k):
@@ -887,9 +913,29 @@ def test_build_memory_is_the_dictionary_plus_a_few_chunks(build, p):
 
 
 def test_dictionary_bases_are_immutable(dh5):
-    D = Dictionary(5, "heisenberg", 1.0, list(dh5.bases))
+    D = Dictionary.from_bases(5, "heisenberg", 1.0, list(dh5.bases))
     vectors, _ = diagonal_torus_system(PrimeField(5))
     with pytest.raises(AttributeError):
         D.bases.append(OrthonormalBasis("diagonal", vectors))
     assert isinstance(D.bases, tuple)
     assert D.atom_count == D.atoms_matrix.shape[1] == 30
+
+
+def test_load_memory_is_the_dictionary_plus_a_few_chunks(tmp_path):
+    import tracemalloc
+
+    from srip.dictionaries import STACK_CHUNK_ENTRIES
+
+    p = 61
+    path = tmp_path / "h61.srip"
+    save_dictionary(path, build_heisenberg_dictionary(PrimeField(p)))
+    load_dictionary(path).atoms_matrix  # first-call caches
+    tracemalloc.start()
+    try:
+        D = load_dictionary(path)
+        M = D.atoms_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (p, D.atom_count)
+    assert peak <= 16 * D.basis_count * p * p + 16 * (16 * STACK_CHUNK_ENTRIES)
