@@ -48,7 +48,6 @@ over all pairs.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 from collections.abc import Iterable
@@ -143,7 +142,7 @@ class Torus:
         return f"torus:{g.a},{g.b},{g.c},{g.d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """p unit vectors as columns of ``atoms``, labelled by their origin.
 
@@ -153,7 +152,7 @@ class OrthonormalBasis:
 
     label: str
     atoms: np.ndarray
-    orthonormality_deviation: float = dc_field(init=False, repr=False, compare=False)
+    orthonormality_deviation: float = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         (dev,) = _orthonormality_deviations([self.label], self.atoms.T[None])
@@ -208,7 +207,7 @@ def _chunks(count: int, p: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-@dataclass
+@dataclass(eq=False)
 class Dictionary:
     """A disjoint union of pairwise mu-coherent p x p orthonormal bases: a tight frame.
 
@@ -326,21 +325,6 @@ def _check_residuals(labels, resid: np.ndarray, what: str) -> None:
         )
 
 
-def heisenberg_basis(field: PrimeField, line: Line) -> OrthonormalBasis:
-    """Orthonormal eigenbasis attached to a line, in closed form.
-
-    The vertical line's operator is diagonal, so its basis is the standard
-    delta basis in natural order; any other line's basis is its chirps
-    (``_chirps``).
-    """
-    p = field.p
-    if line.is_vertical:
-        return OrthonormalBasis(line.label, np.eye(p, dtype=np.complex128))
-    atoms = np.empty((1, p, p), dtype=np.complex128)
-    _chirps(field, np.array([line.slope]), [line.label], atoms)
-    return OrthonormalBasis(line.label, atoms[0].T)
-
-
 def nonsplit_tori(field: PrimeField) -> list[Torus]:
     """All p(p-1)/2 non-split maximal tori of SL_2(F_p).
 
@@ -417,11 +401,6 @@ def _conjugate(a, b, c, d, t, p: int) -> tuple[np.ndarray, ...]:
         (mc * d - md * c) % p,
         (md * a - mc * b) % p,
     )
-
-
-def oscillator_basis(field: PrimeField, torus: Torus) -> OrthonormalBasis:
-    """Eigenbasis of the unitary operator of the torus generator."""
-    return OrthonormalBasis(torus.label, _oscillator_stack(field, [torus])[0].T)
 
 
 def _oscillator_stack(field: PrimeField, tori: list[Torus]) -> np.ndarray:
@@ -692,45 +671,6 @@ def coherence_report(D: Dictionary) -> CoherenceReport:
     )
 
 
-def synthesize(coefficients: np.ndarray, D: Dictionary) -> np.ndarray:
-    """The synthesis map: sum of f(phi) * phi over all atoms."""
-    f = np.asarray(coefficients, dtype=np.complex128)
-    if f.shape != (D.atom_count,):
-        raise DimensionMismatchError(
-            f"coefficient vector has shape {f.shape}, expected ({D.atom_count},)"
-        )
-    return D.atoms_matrix @ f
-
-
-def diagonal_torus_system(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form orthonormal system attached to the diagonal (split) torus.
-
-    Returns (vectors, characters): p-2 columns phi(t) = chi(t)/sqrt(p-1)
-    on t != 0, one for every multiplicative character chi except the
-    quadratic one, together with the character value table.  This system
-    has p-2 < p vectors, so no dictionary accepts it as a basis;
-    it exists as a validation target (each column is an eigenvector of
-    every scaling operator).
-    """
-    p = field.p
-    root = field.primitive_root()
-    log = np.zeros(p, dtype=np.int64)
-    acc = 1
-    for k in range(p - 1):
-        log[acc] = k
-        acc = (acc * root) % p
-    omega = np.exp(2j * np.pi / (p - 1))
-    quadratic_index = (p - 1) // 2
-    indices = [j for j in range(p - 1) if j != quadratic_index]
-    vectors = np.zeros((p, len(indices)), dtype=np.complex128)
-    characters = np.zeros((p, len(indices)), dtype=np.complex128)
-    for col, j in enumerate(indices):
-        chi = omega ** ((j * log[1:]) % (p - 1))
-        characters[1:, col] = chi
-        vectors[1:, col] = chi / np.sqrt(p - 1)
-    return vectors, characters
-
-
 # ---------------------------------------------------------------------------
 # persistence: little-endian binary container, bit-exact round trip
 # ---------------------------------------------------------------------------
@@ -747,11 +687,6 @@ def _file_pieces(D: Dictionary):
         yield atoms
 
 
-def dump_dictionary(D: Dictionary) -> bytearray:
-    """The file image of ``D``, joined into one buffer of the exact file size."""
-    return bytearray().join(_file_pieces(D))
-
-
 def _read_exact(buf, count: int, size: int) -> bytes:
     """The next ``count`` bytes of ``buf``, a stream of ``size`` bytes.  A read
     past the end is refused before it starts: a file read allocates its
@@ -760,10 +695,6 @@ def _read_exact(buf, count: int, size: int) -> bytes:
     if len(data) != count:
         raise FormatError("unexpected end of file")
     return data
-
-
-def parse_dictionary(data: bytes) -> Dictionary:
-    return _read_dictionary(io.BytesIO(data), len(data))
 
 
 def _read_dictionary(buf, size: int) -> Dictionary:

@@ -37,14 +37,6 @@ class NotATreeError(SripError):
     """Path class is not a tree, so the tree encoding is undefined."""
 
 
-class SingleVisitError(SripError):
-    """The chosen vertex is not crossed exactly once by the path."""
-
-
-class ZeroScalingError(SripError):
-    """Scaling operators require a nonzero field element."""
-
-
 class NotUnimodularError(SripError):
     """2x2 matrix entries do not satisfy det = 1 mod p."""
 

@@ -88,29 +88,6 @@ class PrimeField:
         r = pow(a, (self.p - 1) // 2, self.p)
         return 1 if r == 1 else -1
 
-    def primitive_root(self) -> int:
-        """Smallest generator of the multiplicative group F_p^x."""
-        order = self.p - 1
-        prime_factors = _prime_factors(order)
-        for g in range(2, self.p):
-            if all(pow(g, order // q, self.p) != 1 for q in prime_factors):
-                return g
-        raise AssertionError("no primitive root found; p is not prime")
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
 
 @lru_cache(maxsize=None)
 def find_nonresidue(p: int) -> int:

@@ -27,7 +27,7 @@ _BASE_PHASE = 0.5371
 _MAX_RETRIES = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianEig:
     """Spectral decomposition: eigenvalues descending, eigenvectors as columns."""
 
@@ -66,20 +66,6 @@ def hermitian_eig(A: np.ndarray) -> HermitianEig:
     """
     w, V = np.linalg.eigh(_check_hermitian(A))
     return HermitianEig(w[..., ::-1].copy(), np.ascontiguousarray(V[..., ::-1]))
-
-
-def op_norm(A: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix: max |eigenvalue|."""
-    eig = hermitian_eig(A)
-    return float(np.abs(eig.eigenvalues).max()) if eig.eigenvalues.size else 0.0
-
-
-def trace_power(A: np.ndarray, k: int) -> float:
-    """Tr(A^k) of a Hermitian matrix, computed through its eigenvalues."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    eig = hermitian_eig(A)
-    return float(np.sum(eig.eigenvalues**k))
 
 
 def gram(vectors: np.ndarray) -> np.ndarray:

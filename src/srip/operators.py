@@ -9,10 +9,13 @@ elements come as one (n, p, p) stack from one such computation
 element is its one-element case.  ``heisenberg_action`` applies a stack
 of Heisenberg operators as the monomial maps they are.
 
-The symplectic operators are assembled by generator decomposition; their
-global phase is arbitrary and all consumers are phase-invariant.  The
-conjugation identity U(g) pi(h) U(g)^{-1} = pi(g h), which is phase-free,
-is the correctness oracle exercised by the test battery.
+The symplectic operators come from the closed-form entries of a
+generator decomposition; their global phase is arbitrary and all
+consumers are phase-invariant.  The conjugation identity
+U(g) pi(h) U(g)^{-1} = pi(g h), which is phase-free, is the correctness
+oracle exercised by the test battery; the generator matrices themselves
+(scaling, chirp and Fourier) and the group law of the semidirect product
+SL_2 x| H are test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnimodularError, ZeroScalingError
+from .errors import NotUnimodularError
 from .field import PrimeField
 
 
@@ -142,33 +145,6 @@ def heisenberg_action(field: PrimeField, h, F: np.ndarray) -> np.ndarray:
     return phase[:, :, None] * np.take_along_axis(F, cols[:, :, None], axis=1)
 
 
-def scaling_operator(field: PrimeField, a: int) -> np.ndarray:
-    """(S_a f)(t) = legendre(a) * f(a^{-1} t), for nonzero a."""
-    p = field.p
-    if a % p == 0:
-        raise ZeroScalingError("scaling requires a nonzero field element")
-    ainv = field.inv(a)
-    t = np.arange(p)
-    M = np.zeros((p, p), dtype=np.complex128)
-    M[t, (ainv * t) % p] = field.legendre(a)
-    return M
-
-
-def chirp_operator(field: PrimeField, u: int) -> np.ndarray:
-    """(M_u f)(t) = psi(-u t^2 / 2) f(t): diagonal quadratic phase."""
-    p = field.p
-    t = np.arange(p)
-    expo = (-field.inv2 * u * t * t) % p
-    return np.diag(field.char_table[expo])
-
-
-def fourier_operator(field: PrimeField) -> np.ndarray:
-    """(F f)(w) = p^{-1/2} sum_t psi(w t) f(t): the discrete Fourier matrix."""
-    p = field.p
-    t = np.arange(p)
-    return field.char_table[np.outer(t, t) % p] / np.sqrt(p)
-
-
 def weil_operators(field: PrimeField, g) -> np.ndarray:
     """The (n, p, p) stack of unitary operators of the elements of SL_2(F_p)
     given as (n, 4) integer rows (a, b, c, d), each fixed up to a global unit phase.
@@ -215,18 +191,3 @@ def weil_operator(field: PrimeField, g: SL2Element) -> np.ndarray:
     if g.p != field.p:
         raise ValueError("element and field use different primes")
     return weil_operators(field, [(g.a, g.b, g.c, g.d)])[0]
-
-
-def jacobi_operator(field: PrimeField, g: SL2Element, h: HeisenbergElement) -> np.ndarray:
-    """Operator of the pair (g, h) in the semidirect product: U(g) pi(h)."""
-    return weil_operator(field, g) @ heisenberg_operator(field, h)
-
-
-def jacobi_multiply(
-    j1: tuple[SL2Element, HeisenbergElement],
-    j2: tuple[SL2Element, HeisenbergElement],
-) -> tuple[SL2Element, HeisenbergElement]:
-    """Group law of SL_2 x| H matching the operator product U(g) pi(h)."""
-    g1, h1 = j1
-    g2, h2 = j2
-    return g1 * g2, g2.inverse().act_heisenberg(h1) * h2

@@ -16,6 +16,11 @@ process, keyed by its first-visit form, and a core of three or more
 degree-2 blocks is contracted in p dimensions on the degree-2 moment
 operator, any other on the Gram matrix), which ties the Monte Carlo spectral statistics to closed
 combinatorial quantities.
+
+The rest of the combinatorics that the engine is checked against (Dyck
+decoding of tree classes, vertex surgery, the completeness identity and
+the interleaving of two walks) lives with the test oracles, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .dictionaries import Dictionary
-from .errors import BudgetExceededError, NotATreeError, SingleVisitError
+from .errors import BudgetExceededError, NotATreeError
 from .linalg import gram
 
 MAX_LENGTH = 10
@@ -132,27 +137,6 @@ def enumerate_path_classes(k: int) -> list[PathClass]:
     return out
 
 
-def labeled_closed_paths(n: int, k: int):
-    """Every strict closed path of length k on the label set {1..n} (generator)."""
-    path = [0] * (k + 1)
-
-    def extend(pos: int):
-        if pos == k:
-            if path[0] != path[k - 1]:
-                path[k] = path[0]
-                yield tuple(path)
-            return
-        for v in range(1, n + 1):
-            if v == path[pos - 1]:
-                continue
-            path[pos] = v
-            yield from extend(pos + 1)
-
-    for start in range(1, n + 1):
-        path[0] = start
-        yield from extend(1)
-
-
 def tree_to_dyck(pc: PathClass) -> tuple[int, ...]:
     """First-visit encoding of a tree class as a word of +1/-1 letters."""
     if not pc.is_tree:
@@ -166,36 +150,6 @@ def tree_to_dyck(pc: PathClass) -> tuple[int, ...]:
             seen.add(v)
             word.append(1)
     return tuple(word)
-
-
-def dyck_to_tree(word) -> PathClass:
-    """Inverse of the first-visit encoding.
-
-    The word must have nonnegative prefix sums and total sum zero (the
-    zero-sum condition is what makes the encoding invertible).
-    """
-    word = tuple(word)
-    if any(d not in (1, -1) for d in word):
-        raise ValueError("word letters must be +1 or -1")
-    total = 0
-    for d in word:
-        total += d
-        if total < 0:
-            raise ValueError("prefix sums must stay nonnegative")
-    if total != 0:
-        raise ValueError("word must sum to zero")
-    steps = [1]
-    stack = [1]
-    next_label = 2
-    for d in word:
-        if d == 1:
-            stack.append(next_label)
-            steps.append(next_label)
-            next_label += 1
-        else:
-            stack.pop()
-            steps.append(stack[-1])
-    return PathClass(tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +419,6 @@ def class_normalization(pc: PathClass, n: int, p: int) -> float:
     return p ** (pc.k / 2) * float(n) ** (pc.vertex_count - 1 - pc.k / 2)
 
 
-def tail_bound_exponent(pc: PathClass, epsilon: float) -> float:
-    """Exponent of p in the incoherence bound on the normalized expectation.
-
-    With n = p^(1-epsilon), the product of the class normalization and the
-    coherence bound mu^{k/2} p^{-k/2} scales like p to this exponent; it is
-    negative exactly when k > 2(|V|-1), forcing such classes to vanish.
-    """
-    return (1.0 - epsilon) * (pc.vertex_count - 1 - pc.k / 2)
-
-
 def exact_spectral_moment(D: Dictionary, n: int, k: int) -> float:
     """Exact expectation of the k-th spectral moment of the normalized error.
 
@@ -599,119 +543,3 @@ def support_size(p: int, epsilon: float) -> int:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     return int(math.floor(p ** (1.0 - epsilon) + 1e-9))
-
-
-# ---------------------------------------------------------------------------
-# vertex surgery and the completeness identity
-# ---------------------------------------------------------------------------
-
-
-def _single_visit(steps: tuple[int, ...], vertex: int) -> tuple[tuple[int, ...], int]:
-    """The walk and the position of a once-crossed vertex, which is not the start.
-
-    A walk that starts at the vertex is rotated by one, so the vertex has
-    a neighbour on either side.
-    """
-    positions = [i for i in range(len(steps) - 1) if steps[i] == vertex]
-    if len(positions) != 1:
-        raise SingleVisitError(
-            f"vertex {vertex} is crossed {len(positions)} times in {steps}; need exactly 1"
-        )
-    if positions[0] == 0:
-        return _rotate(steps, 1), len(steps) - 2
-    return steps, positions[0]
-
-
-def _rotate(steps: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """Start the closed walk at position r (weights are rotation-invariant)."""
-    return steps[r:-1] + steps[: r + 1]
-
-
-def delete_vertex(steps: tuple[int, ...], vertex: int) -> tuple[int, ...]:
-    """Surgery removing a once-crossed vertex.
-
-    Distinct neighbours are joined by a new edge (length drops by 1);
-    equal neighbours collapse the detour (length drops by 2).
-    """
-    steps, i0 = _single_visit(steps, vertex)
-    vl, vr = steps[i0 - 1], steps[i0 + 1]
-    if vl != vr:
-        return steps[:i0] + steps[i0 + 1 :]
-    return steps[:i0] + steps[i0 + 2 :]
-
-
-def replace_vertex(steps: tuple[int, ...], vertex: int, replacement: int) -> tuple[int, ...]:
-    """Surgery rerouting a once-crossed vertex through another vertex."""
-    steps, i0 = _single_visit(steps, vertex)
-    return steps[:i0] + (replacement,) + steps[i0 + 1 :]
-
-
-def _walk_weight(steps, assign: dict, M: np.ndarray) -> complex:
-    w = 1.0 + 0.0j
-    for u, v in zip(steps, steps[1:]):
-        a = M[:, assign[u]]
-        b = M[:, assign[v]]
-        w *= np.vdot(b, a)  # sum_t a(t) conj(b(t))
-    return w
-
-
-def completeness_residual(
-    pc: PathClass, vertex: int, D: Dictionary, samples: int = 100, seed: int = 0
-) -> float:
-    """Max residual of the basis-completeness identity over sampled assignments.
-
-    For a vertex crossed exactly once, summing the walk weight over every
-    dictionary atom substituted at that vertex equals the basis count
-    times the weight of the vertex-deleted walk; the identity is exact
-    (it is Parseval applied within each orthonormal basis).
-    """
-    steps = pc.steps
-    steps, i0 = _single_visit(steps, vertex)
-    vl, vr = steps[i0 - 1], steps[i0 + 1]
-    reduced = delete_vertex(steps, vertex)
-    others = []
-    for x in steps[:-1]:
-        if x != vertex and x not in others:
-            others.append(x)
-
-    M = D.atoms_matrix
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    worst = 0.0
-    for _ in range(samples):
-        assign = dict(zip(others, _distinct_indices(rng, D.atom_count, len(others)).tolist()))
-
-        scalar = 1.0 + 0.0j
-        for u, v in zip(steps, steps[1:]):
-            if vertex in (u, v):
-                continue
-            scalar *= np.vdot(M[:, assign[v]], M[:, assign[u]])
-        al = M[:, assign[vl]]
-        ar = M[:, assign[vr]]
-        left_factors = M.conj().T @ al  # <a_l, b> for every atom b
-        right_factors = M.T @ ar.conj()  # <b, a_r> for every atom b
-        lhs = scalar * np.sum(left_factors * right_factors)
-        rhs = D.basis_count * _walk_weight(reduced, assign, M)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-def interleave(path1: tuple[int, ...], path2: tuple[int, ...]) -> tuple[int, ...]:
-    """Concatenation of two vertex-sharing closed walks into one of double length.
-
-    The second walk is spliced into the first at the first shared vertex.
-    The map is injective on pairs, which is what bounds the variance of
-    the spectral moments.
-    """
-    k = len(path1) - 1
-    if len(path2) - 1 != k:
-        raise ValueError("both walks must have the same length")
-    v2 = set(path2)
-    i1 = next((i for i in range(k) if path1[i] in v2), None)
-    if i1 is None:
-        raise ValueError("walks share no vertex")
-    i2 = next(i for i in range(k) if path2[i] == path1[i1])
-    out = list(path1[: i1 + 1])
-    for j in range(1, k + 1):
-        out.append(path2[(i2 + j) % k])
-    out.extend(path1[i1 + 1 :])
-    return tuple(out)

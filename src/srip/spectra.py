@@ -3,10 +3,11 @@
 A trial draws an injective ordered support of size n = floor(p^(1-eps))
 uniformly at random, forms the Gram matrix G of the selected atoms and
 the normalized error E = sqrt(p/n) (G - I), and records the spectrum of
-E.  Tail frequencies of ||G - I||, sample moments of the spectral
-distribution, and the comparison against the semicircle law all derive
-from the per-trial eigenvalues, which one core, ``_campaign``, draws
-under the campaign rules: trials >= 1, 0 < eps < 1, 2 <= n <= |D| and
+E.  One entry point, ``run_spectrum``, derives the tail frequencies of
+||G - I||, the sample moments of the spectral distribution and the
+comparison against the semicircle law from the per-trial eigenvalues,
+which one core, ``_campaign``, draws under the campaign rules:
+trials >= 1, 0 < eps < 1, 2 <= n <= |D| and
 0 <= seed <= seed + trials - 1 < 2^128 (``check_seed``).  The moment and
 tail tables add kmax >= 1 (``check_kmax``) and a finite delta exponent
 e > -2 (``check_delta_exponent``).
@@ -68,7 +69,7 @@ def _keyed_draws(N: int, n: int):
     return draw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramSample:
     """One sampled support with its Gram matrix and normalized error spectrum."""
 
@@ -102,19 +103,6 @@ def gram_sample(D: Dictionary, support: np.ndarray) -> GramSample:
     support = np.asarray(support)
     G, E, eigenvalues = _gram_stack(D, support[None])
     return GramSample(support, G[0], E[0], eigenvalues[0], D.p, len(support))
-
-
-def rip_deviation(sample: GramSample) -> float:
-    """Exact sup of | ||synthesis(f)|| - ||f|| | over unit f supported on the sample.
-
-    Computed from the Gram spectrum: lambda_i(G) = 1 + sqrt(n/p) lambda_i(E),
-    with the smallest eigenvalue clamped at 0 before the square root.
-    """
-    scale = math.sqrt(sample.n / sample.p)
-    lam = 1.0 + scale * sample.eigenvalues
-    lam_max = float(lam[0])
-    lam_min = max(float(lam[-1]), 0.0)
-    return max(math.sqrt(lam_max) - 1.0, 1.0 - math.sqrt(lam_min), 0.0)
 
 
 def campaign_size(p: int, epsilon: float, trials: int) -> int:
@@ -194,24 +182,6 @@ def check_delta_exponent(delta_exponent: float) -> None:
         )
 
 
-def srip_tail_frequencies(
-    D: Dictionary,
-    epsilon: float,
-    delta_exponent: float = 0.5,
-    trials: int = 200,
-    seed: int = 42,
-) -> list[TailThreshold]:
-    """Fraction of trials with ||G - I|| at or above each configured threshold.
-
-    Two threshold families are reported: p^(-eps/2), and
-    (n/p)^(1/(2+e)) with e = ``delta_exponent``, checked by
-    ``check_delta_exponent`` before any trial is drawn.
-    """
-    check_delta_exponent(delta_exponent)
-    n, eigs = _campaign(D, epsilon, trials, seed)
-    return _tail_rows(eigs, D.p, n, epsilon, delta_exponent)
-
-
 @dataclass(frozen=True)
 class MomentStatistics:
     k: int
@@ -236,22 +206,6 @@ def _moment_rows(eigs: np.ndarray, kmax: int) -> list[MomentStatistics]:
     return rows
 
 
-def moment_statistics(
-    D: Dictionary,
-    epsilon: float,
-    kmax: int = 6,
-    trials: int = 200,
-    seed: int = 42,
-) -> list[MomentStatistics]:
-    """Sample mean and unbiased variance of the spectral moments m_k, k <= kmax.
-
-    ``kmax`` is checked by ``check_kmax`` before any trial is drawn.
-    """
-    check_kmax(kmax)
-    _, eigs = _campaign(D, epsilon, trials, seed)
-    return _moment_rows(eigs, kmax)
-
-
 def catalan_number(m: int) -> int:
     """binom(2m, m) / (m + 1), exactly."""
     if m < 0:
@@ -264,15 +218,6 @@ def semicircle_moment(k: int) -> int:
     if k < 0:
         raise ValueError("k must be >= 0")
     return 0 if k % 2 else catalan_number(k // 2)
-
-
-def semicircle_density(x) -> np.ndarray:
-    """(1/2pi) sqrt(4 - x^2) on [-2, 2]."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) <= 2.0
-    out[inside] = np.sqrt(4.0 - x[inside] ** 2) / (2.0 * np.pi)
-    return out
 
 
 def semicircle_cdf(x) -> np.ndarray:
@@ -298,7 +243,7 @@ def ks_statistic(sample: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralReport:
     """Aggregated statistics of one Monte Carlo campaign."""
 

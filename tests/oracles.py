@@ -1,8 +1,34 @@
-"""Brute-force reference computations kept independent of the library paths."""
+"""Brute-force reference computations kept independent of the library paths.
 
+The sections from "the Weil generators" on hold reference code that came
+from the package, where no command ran it, with its bodies unchanged:
+
+* from ``srip.operators``: ``scaling_operator``, ``chirp_operator``,
+  ``fourier_operator``, ``jacobi_operator`` and ``jacobi_multiply``, with
+  ``ZeroScalingError`` from ``srip.errors``;
+* from ``srip.dictionaries``: ``synthesize``, ``dump_dictionary``,
+  ``parse_dictionary`` and ``diagonal_torus_system``, with the
+  ``PrimeField.primitive_root`` method (here a function of the field) and
+  ``_prime_factors`` from ``srip.field``;
+* from ``srip.spectra``: ``rip_deviation`` and ``semicircle_density``;
+* from ``srip.paths``: ``dyck_to_tree``, ``tail_bound_exponent``,
+  ``delete_vertex``, ``replace_vertex``, ``completeness_residual`` and
+  ``interleave``, with their helpers and ``SingleVisitError`` from
+  ``srip.errors``.
+"""
+
+import io
 import itertools
+import math
 
 import numpy as np
+
+from srip.dictionaries import Dictionary, _file_pieces, _read_dictionary
+from srip.errors import DimensionMismatchError, SripError
+from srip.field import PrimeField
+from srip.operators import HeisenbergElement, SL2Element, heisenberg_operator, weil_operator
+from srip.paths import PathClass, _distinct_indices
+from srip.spectra import GramSample
 
 
 def strict_closed_paths(n: int, k: int):
@@ -271,3 +297,318 @@ def per_basis_bases(field, kind: str, translations=((0, 0),)):
                     out.append((f"{torus.label};v:{tau},{w}", moved))
     return [(label, atoms, float(np.abs(atoms.conj().T @ atoms - np.eye(p)).max()))
             for label, atoms in out]
+
+
+# ---------------------------------------------------------------------------
+# the Weil generators and the group law of SL_2 x| H
+# ---------------------------------------------------------------------------
+
+
+class ZeroScalingError(SripError):
+    """Scaling operators require a nonzero field element."""
+
+
+def scaling_operator(field: PrimeField, a: int) -> np.ndarray:
+    """(S_a f)(t) = legendre(a) * f(a^{-1} t), for nonzero a."""
+    p = field.p
+    if a % p == 0:
+        raise ZeroScalingError("scaling requires a nonzero field element")
+    ainv = field.inv(a)
+    t = np.arange(p)
+    M = np.zeros((p, p), dtype=np.complex128)
+    M[t, (ainv * t) % p] = field.legendre(a)
+    return M
+
+
+def chirp_operator(field: PrimeField, u: int) -> np.ndarray:
+    """(M_u f)(t) = psi(-u t^2 / 2) f(t): diagonal quadratic phase."""
+    p = field.p
+    t = np.arange(p)
+    expo = (-field.inv2 * u * t * t) % p
+    return np.diag(field.char_table[expo])
+
+
+def fourier_operator(field: PrimeField) -> np.ndarray:
+    """(F f)(w) = p^{-1/2} sum_t psi(w t) f(t): the discrete Fourier matrix."""
+    p = field.p
+    t = np.arange(p)
+    return field.char_table[np.outer(t, t) % p] / np.sqrt(p)
+
+
+def jacobi_operator(field: PrimeField, g: SL2Element, h: HeisenbergElement) -> np.ndarray:
+    """Operator of the pair (g, h) in the semidirect product: U(g) pi(h)."""
+    return weil_operator(field, g) @ heisenberg_operator(field, h)
+
+
+def jacobi_multiply(
+    j1: tuple[SL2Element, HeisenbergElement],
+    j2: tuple[SL2Element, HeisenbergElement],
+) -> tuple[SL2Element, HeisenbergElement]:
+    """Group law of SL_2 x| H matching the operator product U(g) pi(h)."""
+    g1, h1 = j1
+    g2, h2 = j2
+    return g1 * g2, g2.inverse().act_heisenberg(h1) * h2
+
+
+# ---------------------------------------------------------------------------
+# synthesis, in-memory file images and the split torus
+# ---------------------------------------------------------------------------
+
+
+def synthesize(coefficients: np.ndarray, D: Dictionary) -> np.ndarray:
+    """The synthesis map: sum of f(phi) * phi over all atoms."""
+    f = np.asarray(coefficients, dtype=np.complex128)
+    if f.shape != (D.atom_count,):
+        raise DimensionMismatchError(
+            f"coefficient vector has shape {f.shape}, expected ({D.atom_count},)"
+        )
+    return D.atoms_matrix @ f
+
+
+def dump_dictionary(D: Dictionary) -> bytearray:
+    """The file image of ``D``, joined into one buffer of the exact file size."""
+    return bytearray().join(_file_pieces(D))
+
+
+def parse_dictionary(data: bytes) -> Dictionary:
+    return _read_dictionary(io.BytesIO(data), len(data))
+
+
+def primitive_root(field: PrimeField) -> int:
+    """Smallest generator of the multiplicative group F_p^x."""
+    order = field.p - 1
+    prime_factors = _prime_factors(order)
+    for g in range(2, field.p):
+        if all(pow(g, order // q, field.p) != 1 for q in prime_factors):
+            return g
+    raise AssertionError("no primitive root found; p is not prime")
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def diagonal_torus_system(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form orthonormal system attached to the diagonal (split) torus.
+
+    Returns (vectors, characters): p-2 columns phi(t) = chi(t)/sqrt(p-1)
+    on t != 0, one for every multiplicative character chi except the
+    quadratic one, together with the character value table.  This system
+    has p-2 < p vectors, so no dictionary accepts it as a basis;
+    it exists as a validation target (each column is an eigenvector of
+    every scaling operator).
+    """
+    p = field.p
+    root = primitive_root(field)
+    log = np.zeros(p, dtype=np.int64)
+    acc = 1
+    for k in range(p - 1):
+        log[acc] = k
+        acc = (acc * root) % p
+    omega = np.exp(2j * np.pi / (p - 1))
+    quadratic_index = (p - 1) // 2
+    indices = [j for j in range(p - 1) if j != quadratic_index]
+    vectors = np.zeros((p, len(indices)), dtype=np.complex128)
+    characters = np.zeros((p, len(indices)), dtype=np.complex128)
+    for col, j in enumerate(indices):
+        chi = omega ** ((j * log[1:]) % (p - 1))
+        characters[1:, col] = chi
+        vectors[1:, col] = chi / np.sqrt(p - 1)
+    return vectors, characters
+
+
+# ---------------------------------------------------------------------------
+# the RIP deviation of one sample and the semicircle density
+# ---------------------------------------------------------------------------
+
+
+def rip_deviation(sample: GramSample) -> float:
+    """Exact sup of | ||synthesis(f)|| - ||f|| | over unit f supported on the sample.
+
+    Computed from the Gram spectrum: lambda_i(G) = 1 + sqrt(n/p) lambda_i(E),
+    with the smallest eigenvalue clamped at 0 before the square root.
+    """
+    scale = math.sqrt(sample.n / sample.p)
+    lam = 1.0 + scale * sample.eigenvalues
+    lam_max = float(lam[0])
+    lam_min = max(float(lam[-1]), 0.0)
+    return max(math.sqrt(lam_max) - 1.0, 1.0 - math.sqrt(lam_min), 0.0)
+
+
+def semicircle_density(x) -> np.ndarray:
+    """(1/2pi) sqrt(4 - x^2) on [-2, 2]."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    inside = np.abs(x) <= 2.0
+    out[inside] = np.sqrt(4.0 - x[inside] ** 2) / (2.0 * np.pi)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Dyck decoding, vertex surgery, the completeness identity, interleaving
+# ---------------------------------------------------------------------------
+
+
+def dyck_to_tree(word) -> PathClass:
+    """Inverse of the first-visit encoding.
+
+    The word must have nonnegative prefix sums and total sum zero (the
+    zero-sum condition is what makes the encoding invertible).
+    """
+    word = tuple(word)
+    if any(d not in (1, -1) for d in word):
+        raise ValueError("word letters must be +1 or -1")
+    total = 0
+    for d in word:
+        total += d
+        if total < 0:
+            raise ValueError("prefix sums must stay nonnegative")
+    if total != 0:
+        raise ValueError("word must sum to zero")
+    steps = [1]
+    stack = [1]
+    next_label = 2
+    for d in word:
+        if d == 1:
+            stack.append(next_label)
+            steps.append(next_label)
+            next_label += 1
+        else:
+            stack.pop()
+            steps.append(stack[-1])
+    return PathClass(tuple(steps))
+
+
+def tail_bound_exponent(pc: PathClass, epsilon: float) -> float:
+    """Exponent of p in the incoherence bound on the normalized expectation.
+
+    With n = p^(1-epsilon), the product of the class normalization and the
+    coherence bound mu^{k/2} p^{-k/2} scales like p to this exponent; it is
+    negative exactly when k > 2(|V|-1), forcing such classes to vanish.
+    """
+    return (1.0 - epsilon) * (pc.vertex_count - 1 - pc.k / 2)
+
+
+class SingleVisitError(SripError):
+    """The chosen vertex is not crossed exactly once by the path."""
+
+
+def _single_visit(steps: tuple[int, ...], vertex: int) -> tuple[tuple[int, ...], int]:
+    """The walk and the position of a once-crossed vertex, which is not the start.
+
+    A walk that starts at the vertex is rotated by one, so the vertex has
+    a neighbour on either side.
+    """
+    positions = [i for i in range(len(steps) - 1) if steps[i] == vertex]
+    if len(positions) != 1:
+        raise SingleVisitError(
+            f"vertex {vertex} is crossed {len(positions)} times in {steps}; need exactly 1"
+        )
+    if positions[0] == 0:
+        return _rotate(steps, 1), len(steps) - 2
+    return steps, positions[0]
+
+
+def _rotate(steps: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Start the closed walk at position r (weights are rotation-invariant)."""
+    return steps[r:-1] + steps[: r + 1]
+
+
+def delete_vertex(steps: tuple[int, ...], vertex: int) -> tuple[int, ...]:
+    """Surgery removing a once-crossed vertex.
+
+    Distinct neighbours are joined by a new edge (length drops by 1);
+    equal neighbours collapse the detour (length drops by 2).
+    """
+    steps, i0 = _single_visit(steps, vertex)
+    vl, vr = steps[i0 - 1], steps[i0 + 1]
+    if vl != vr:
+        return steps[:i0] + steps[i0 + 1 :]
+    return steps[:i0] + steps[i0 + 2 :]
+
+
+def replace_vertex(steps: tuple[int, ...], vertex: int, replacement: int) -> tuple[int, ...]:
+    """Surgery rerouting a once-crossed vertex through another vertex."""
+    steps, i0 = _single_visit(steps, vertex)
+    return steps[:i0] + (replacement,) + steps[i0 + 1 :]
+
+
+def _walk_weight(steps, assign: dict, M: np.ndarray) -> complex:
+    w = 1.0 + 0.0j
+    for u, v in zip(steps, steps[1:]):
+        a = M[:, assign[u]]
+        b = M[:, assign[v]]
+        w *= np.vdot(b, a)  # sum_t a(t) conj(b(t))
+    return w
+
+
+def completeness_residual(
+    pc: PathClass, vertex: int, D: Dictionary, samples: int = 100, seed: int = 0
+) -> float:
+    """Max residual of the basis-completeness identity over sampled assignments.
+
+    For a vertex crossed exactly once, summing the walk weight over every
+    dictionary atom substituted at that vertex equals the basis count
+    times the weight of the vertex-deleted walk; the identity is exact
+    (it is Parseval applied within each orthonormal basis).
+    """
+    steps = pc.steps
+    steps, i0 = _single_visit(steps, vertex)
+    vl, vr = steps[i0 - 1], steps[i0 + 1]
+    reduced = delete_vertex(steps, vertex)
+    others = []
+    for x in steps[:-1]:
+        if x != vertex and x not in others:
+            others.append(x)
+
+    M = D.atoms_matrix
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    worst = 0.0
+    for _ in range(samples):
+        assign = dict(zip(others, _distinct_indices(rng, D.atom_count, len(others)).tolist()))
+
+        scalar = 1.0 + 0.0j
+        for u, v in zip(steps, steps[1:]):
+            if vertex in (u, v):
+                continue
+            scalar *= np.vdot(M[:, assign[v]], M[:, assign[u]])
+        al = M[:, assign[vl]]
+        ar = M[:, assign[vr]]
+        left_factors = M.conj().T @ al  # <a_l, b> for every atom b
+        right_factors = M.T @ ar.conj()  # <b, a_r> for every atom b
+        lhs = scalar * np.sum(left_factors * right_factors)
+        rhs = D.basis_count * _walk_weight(reduced, assign, M)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def interleave(path1: tuple[int, ...], path2: tuple[int, ...]) -> tuple[int, ...]:
+    """Concatenation of two vertex-sharing closed walks into one of double length.
+
+    The second walk is spliced into the first at the first shared vertex.
+    The map is injective on pairs, which is what bounds the variance of
+    the spectral moments.
+    """
+    k = len(path1) - 1
+    if len(path2) - 1 != k:
+        raise ValueError("both walks must have the same length")
+    v2 = set(path2)
+    i1 = next((i for i in range(k) if path1[i] in v2), None)
+    if i1 is None:
+        raise ValueError("walks share no vertex")
+    i2 = next(i for i in range(k) if path2[i] == path1[i1])
+    out = list(path1[: i1 + 1])
+    for j in range(1, k + 1):
+        out.append(path2[(i2 + j) % k])
+    out.extend(path1[i1 + 1 :])
+    return tuple(out)

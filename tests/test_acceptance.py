@@ -21,22 +21,22 @@ from srip.operators import (
 from srip.paths import (
     PathClass,
     class_normalization,
-    completeness_residual,
-    dyck_to_tree,
     enumerate_path_classes,
     exact_spectral_moment,
     expected_weight,
     tree_to_dyck,
 )
-from srip.spectra import (
-    catalan_number,
-    moment_statistics,
-    run_spectrum,
-    srip_tail_frequencies,
-)
+from srip.spectra import catalan_number, run_spectrum
 
 from conftest import heisenberg_dict, oscillator_dict
-from oracles import brute_expected_weight, random_hermitian, random_sl2, trace_by_path_sum
+from oracles import (
+    brute_expected_weight,
+    completeness_residual,
+    dyck_to_tree,
+    random_hermitian,
+    random_sl2,
+    trace_by_path_sum,
+)
 
 SEED = 42
 TRIALS = 200
@@ -54,7 +54,8 @@ def campaign_reports():
 
 @pytest.fixture(scope="module")
 def crit5_stats():
-    return moment_statistics(heisenberg_dict(11), epsilon=EPSILON, kmax=4, trials=10_000, seed=SEED)
+    return run_spectrum(heisenberg_dict(11), epsilon=EPSILON, kmax=4, trials=10_000,
+                        seed=SEED).moments
 
 
 def test_criterion_1_heisenberg_coherence_equality():
@@ -216,15 +217,15 @@ def test_criterion_8_semicircle_convergence_trend(campaign_reports):
 def test_criterion_9_srip_tail_trend(campaign_reports, single_basis5):
     freqs = [campaign_reports[p].tails[0].frequency for p in LADDER]
     assert all(a >= b for a, b in zip(freqs, freqs[1:])), f"tail frequencies {freqs}"
-    control = srip_tail_frequencies(single_basis5, epsilon=EPSILON, trials=50, seed=SEED)
+    control = run_spectrum(single_basis5, epsilon=EPSILON, trials=50, seed=SEED).tails
     assert all(t.frequency == 0.0 for t in control)
     print(f"criterion 9 PASS: tail frequencies {freqs} nonincreasing across p in "
           f"{LADDER}; single-basis control is exactly 0")
 
 
 def test_criterion_10_determinism(campaign_reports, crit5_stats):
-    rerun5 = moment_statistics(heisenberg_dict(11), epsilon=EPSILON, kmax=4,
-                               trials=10_000, seed=SEED)
+    rerun5 = run_spectrum(heisenberg_dict(11), epsilon=EPSILON, kmax=4,
+                          trials=10_000, seed=SEED).moments
     assert rerun5 == crit5_stats
 
     for p in LADDER:
@@ -249,16 +250,21 @@ def test_variance_scaling_stays_bounded(campaign_reports):
 
 
 def _exact_triangle_weight(D):
-    """Exact E of G[a,b]G[b,c]G[c,a] over injective triples (unbudgeted oracle)."""
+    """Exact E of G[a,b]G[b,c]G[c,a] over injective triples (unbudgeted oracle).
+
+    The N x N Gram G = M^T conj(M) is never formed.  Through the p x p
+    matrix F = conj(M) M^T, the cyclic trace gives tr G^3 = tr F^3, and
+    (G^2)_aa = sum_ij M_ia F_ij conj(M_ja); each of the three terms with one
+    coincidence is sum_a G_aa (G^2)_aa.
+    """
     M = D.atoms_matrix
     N = M.shape[1]
-    G = M.T @ M.conj()
-    d = np.diag(G)
-    tr3 = np.einsum("ab,bc,ca->", G, G, G, optimize=True)
-    m_ab = np.einsum("a,ac,ca->", d, G, G, optimize=True)
-    m_bc = np.einsum("ab,b,ba->", G, d, G, optimize=True)
-    m_ac = np.einsum("ab,ba,a->", G, G, d, optimize=True)
-    m_all = np.einsum("a,a,a->", d, d, d)
+    F = M.conj() @ M.T
+    d = np.einsum("ia,ia->a", M, M.conj())
+    g2 = np.einsum("ia,ia->a", M, F @ M.conj())
+    tr3 = np.trace(F @ F @ F)
+    m_ab = m_bc = m_ac = np.sum(d * g2)
+    m_all = np.sum(d**3)
     return (tr3 - m_ab - m_bc - m_ac + 2 * m_all) / (N * (N - 1) * (N - 2))
 
 

@@ -4,22 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from srip.dictionaries import (
     Dictionary,
-    Line,
     OrthonormalBasis,
     build_extended_oscillator_dictionary,
     build_heisenberg_dictionary,
     build_oscillator_dictionary,
     coherence_report,
-    diagonal_torus_system,
-    dump_dictionary,
-    heisenberg_basis,
     lines,
     load_dictionary,
     nonsplit_tori,
-    oscillator_basis,
-    parse_dictionary,
     save_dictionary,
-    synthesize,
 )
 from srip.errors import (
     DimensionMismatchError,
@@ -34,11 +27,17 @@ from srip.operators import (
     HeisenbergElement,
     SL2Element,
     heisenberg_operator,
-    scaling_operator,
     weil_operator,
 )
 
-from conftest import oscillator_dict
+from conftest import heisenberg_dict, oscillator_dict
+from oracles import (
+    diagonal_torus_system,
+    dump_dictionary,
+    parse_dictionary,
+    scaling_operator,
+    synthesize,
+)
 
 
 def test_lines_count_and_distinct_slopes():
@@ -63,17 +62,14 @@ def test_lines_partition_nonzero_points():
 
 
 def test_vertical_line_basis_is_identity():
-    f = PrimeField(7)
-    b = heisenberg_basis(f, Line(None))
+    b = heisenberg_dict(7).bases[-1]  # the vertical line comes last
     assert np.array_equal(b.atoms, np.eye(7, dtype=complex))
 
 
 def test_line_bases_have_flat_magnitude():
-    f = PrimeField(7)
-    for ln in lines(7):
+    for ln, b in zip(lines(7), heisenberg_dict(7).bases):
         if ln.is_vertical:
             continue
-        b = heisenberg_basis(f, ln)
         assert np.abs(np.abs(b.atoms) - 1 / np.sqrt(7)).max() <= 1e-8
 
 
@@ -82,11 +78,11 @@ def test_line_basis_fixed_atom_comes_first(p):
     # the eigenvalue-1 atom leads every line basis, whatever the sign of
     # the rounding noise in its eigenvalue's angle
     f = PrimeField(p)
-    for ln in lines(p):
+    for ln, b in zip(lines(p), heisenberg_dict(p).bases):
         if ln.is_vertical:
             continue
         U = heisenberg_operator(f, HeisenbergElement(1, ln.slope, 0, p))
-        v = heisenberg_basis(f, ln).atoms[:, 0]
+        v = b.atoms[:, 0]
         assert np.abs(U @ v - v).max() <= 1e-9, ln.label
 
 
@@ -144,7 +140,7 @@ def test_nonsplit_tori_structure():
 def test_oscillator_basis_eigenvector_residuals():
     f = PrimeField(7)
     torus = nonsplit_tori(f)[0]
-    b = oscillator_basis(f, torus)
+    b = oscillator_dict(7).bases[0]
     U = weil_operator(f, torus.generator)
     assert b.atoms.shape == (7, 7)
     lam = np.einsum("ij,ik,kj->j", b.atoms.conj(), U, b.atoms)
@@ -155,7 +151,7 @@ def test_oscillator_basis_independent_of_generator():
     # p = 7: gcd(3, p+1) = 1, so t0^3 generates the same torus
     f = PrimeField(7)
     torus = nonsplit_tori(f)[2]
-    b1 = oscillator_basis(f, torus).atoms
+    b1 = oscillator_dict(7).bases[2].atoms
     cubed = torus.generator * torus.generator * torus.generator
     b2 = unitary_eigenbasis(weil_operator(f, cubed))
     overlap = np.abs(b1.conj().T @ b2)
@@ -590,12 +586,12 @@ def test_histogram_leaves_out_pairs_above_its_range():
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_heisenberg_basis_matches_eigensolve(p):
     f = PrimeField(p)
-    for ln in lines(p):
+    for ln, b in zip(lines(p), heisenberg_dict(p).bases):
         if ln.is_vertical:
             continue
         U = heisenberg_operator(f, HeisenbergElement(1, ln.slope, 0, p))
         solved = unitary_eigenbasis(U)
-        assert np.abs(heisenberg_basis(f, ln).atoms - solved).max() <= 1e-12, ln.label
+        assert np.abs(b.atoms - solved).max() <= 1e-12, ln.label
 
 
 def test_huge_atoms_raise_integrity_error_without_warnings(dh5):

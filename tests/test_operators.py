@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from srip.errors import NotUnimodularError, ZeroScalingError
+from srip.errors import NotUnimodularError
 from srip.field import PrimeField
-from srip.operators import (
-    HeisenbergElement,
-    SL2Element,
+from srip.operators import HeisenbergElement, SL2Element, heisenberg_operator, weil_operator
+
+from oracles import (
+    ZeroScalingError,
     chirp_operator,
     fourier_operator,
-    heisenberg_operator,
     jacobi_multiply,
     jacobi_operator,
+    random_sl2,
     scaling_operator,
-    weil_operator,
 )
-
-from oracles import random_sl2
 
 UNITARITY_TOL = 1e-10
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from srip.dictionaries import build_heisenberg_dictionary
 from srip.errors import SupportTooLargeError
-from srip.linalg import op_norm
+from srip.field import PrimeField
+from srip.linalg import hermitian_eig
 from srip.spectra import (
     TRIAL_CHUNK,
     GramSample,
@@ -13,15 +15,13 @@ from srip.spectra import (
     check_seed,
     gram_sample,
     ks_statistic,
-    moment_statistics,
-    rip_deviation,
     run_spectrum,
     sample_support,
     semicircle_cdf,
-    semicircle_density,
     semicircle_moment,
-    srip_tail_frequencies,
 )
+
+from oracles import rip_deviation, semicircle_density
 
 
 def test_sample_support_full_permutation(dh5):
@@ -55,8 +55,6 @@ def test_bad_delta_exponent_raises_before_any_trial(dh11, monkeypatch, e):
 
     monkeypatch.setattr(srip.spectra, "_keyed_draws", refuse)
     with pytest.raises(ValueError, match="delta exponent"):
-        srip_tail_frequencies(dh11, 0.3, delta_exponent=e)
-    with pytest.raises(ValueError, match="delta exponent"):
         run_spectrum(dh11, 0.3, delta_exponent=e)
 
 
@@ -70,14 +68,8 @@ def test_bad_campaign_parameters_raise_before_any_support_is_drawn(dh11, monkeyp
         raise AssertionError("a support was drawn before the campaign parameters were checked")
 
     monkeypatch.setattr(srip.spectra, "_keyed_draws", refuse)
-    calls = [run_spectrum]
-    if "kmax" not in bad:
-        calls.append(srip_tail_frequencies)
-    if "delta_exponent" not in bad:
-        calls.append(moment_statistics)
-    for call in calls:
-        with pytest.raises(ValueError, match="delta exponent|kmax|seed"):
-            call(dh11, 0.3, **bad)
+    with pytest.raises(ValueError, match="delta exponent|kmax|seed"):
+        run_spectrum(dh11, 0.3, **bad)
 
 
 def test_the_last_philox_key_is_a_valid_seed(dh5):
@@ -115,6 +107,22 @@ def test_gram_sample_size_one(dh5):
     assert np.abs(gs.E).max() <= 1e-11
 
 
+def test_records_that_hold_arrays_compare_by_identity(dh5):
+    # == on two equal but distinct builds, bases, solves or reports must not
+    # compare their arrays elementwise, which raises
+    D = build_heisenberg_dictionary(PrimeField(5))
+    assert (D == dh5) is False and D == D
+    assert (D.bases[0] == dh5.bases[0]) is False and D.bases[0] == D.bases[0]
+    gs = gram_sample(dh5, sample_support(dh5, 3, 0))
+    assert (gs == gram_sample(dh5, gs.support)) is False and gs == gs
+    eig = hermitian_eig(gs.G)
+    assert (eig == hermitian_eig(gs.G)) is False and eig == eig
+    r1, r2 = (run_spectrum(dh5, trials=3, seed=1) for _ in range(2))
+    assert r1.to_dict() == r2.to_dict()
+    assert (r1 == r2) is False and r1 == r1
+    assert len({D, D.bases[0], gs, eig, r1}) == 5
+
+
 def test_gram_sample_invariants(dh11):
     for seed in range(5):
         s = sample_support(dh11, 5, seed)
@@ -125,7 +133,7 @@ def test_gram_sample_invariants(dh11):
         assert np.abs(gs.E - scaled).max() <= 1e-12
         assert abs(gs.eigenvalues.sum()) <= 1e-8  # Tr E = 0, zero diagonal
         # operator-norm identity
-        direct = op_norm(gs.G - np.eye(gs.n))
+        direct = np.abs(hermitian_eig(gs.G - np.eye(gs.n)).eigenvalues).max()
         via_E = math.sqrt(gs.n / gs.p) * np.abs(gs.eigenvalues).max()
         assert abs(direct - via_E) <= 1e-10
 
@@ -193,7 +201,7 @@ def test_rip_deviation_against_iterative_maximization(dh11):
 
 
 def test_srip_single_basis_control(single_basis5):
-    tails = srip_tail_frequencies(single_basis5, epsilon=0.3, trials=50, seed=1)
+    tails = run_spectrum(single_basis5, epsilon=0.3, trials=50, seed=1).tails
     for t in tails:
         assert t.frequency == 0.0
 
@@ -210,7 +218,7 @@ def test_srip_frequency_monotone_in_threshold(dh11):
 
 
 def test_srip_reports_both_threshold_kinds(dh11):
-    tails = srip_tail_frequencies(dh11, epsilon=0.3, delta_exponent=0.5, trials=20, seed=2)
+    tails = run_spectrum(dh11, epsilon=0.3, delta_exponent=0.5, trials=20, seed=2).tails
     kinds = {t.kind for t in tails}
     assert kinds == {"p^(-eps/2)", "(n/p)^(1/(2+e))"}
     assert tails[0].threshold == pytest.approx(11 ** (-0.15))
@@ -218,7 +226,7 @@ def test_srip_reports_both_threshold_kinds(dh11):
 
 
 def test_moment_statistics_first_moment_vanishes(dh11):
-    stats = moment_statistics(dh11, epsilon=0.3, kmax=2, trials=100, seed=3)
+    stats = run_spectrum(dh11, epsilon=0.3, kmax=2, trials=100, seed=3).moments
     assert abs(stats[0].mean) <= 1e-8
     assert stats[0].k == 1 and stats[1].k == 2
     assert stats[1].variance >= 0.0
@@ -227,17 +235,16 @@ def test_moment_statistics_first_moment_vanishes(dh11):
 def test_moment_statistics_rejects_support_below_two(dh5):
     # floor(5^0.1) = 1: a 1 x 1 Gram matrix has no spectrum to speak of
     with pytest.raises(ValueError, match="too small"):
-        moment_statistics(dh5, epsilon=0.9, kmax=2, trials=5, seed=0)
+        run_spectrum(dh5, epsilon=0.9, kmax=2, trials=5, seed=0)
 
 
 def test_campaign_rules_agree_across_reductions(dh5):
-    for call in (moment_statistics, srip_tail_frequencies, run_spectrum):
-        with pytest.raises(ValueError, match="too small"):
-            call(dh5, epsilon=0.9, trials=5)
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            call(dh5, epsilon=0.3, trials=0)
-        with pytest.raises(ValueError, match="epsilon"):
-            call(dh5, epsilon=1.5, trials=5)
+    with pytest.raises(ValueError, match="too small"):
+        run_spectrum(dh5, epsilon=0.9, trials=5)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_spectrum(dh5, epsilon=0.3, trials=0)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_spectrum(dh5, epsilon=1.5, trials=5)
 
 
 def test_catalan_examples():
