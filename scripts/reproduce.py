@@ -35,11 +35,10 @@ EPSILON = 0.3
 TRIALS = 200
 SEED = 42
 KMAX = 6
-# (builder, p, builder arguments); oscillator rows stop at p = 31, since the
-# pairwise scan of coherence_report takes minutes at p = 61 (builds take seconds)
+# (builder, p, builder arguments)
 DICTIONARIES = (
     [(build_heisenberg_dictionary, p, {}) for p in (5, 7, 11, 13, 17, 19, 31, 61, 101)]
-    + [(build_oscillator_dictionary, p, {}) for p in (5, 7, 11, 13, 17, 31)]
+    + [(build_oscillator_dictionary, p, {}) for p in (5, 7, 11, 13, 17, 31, 61)]
     + [(build_extended_oscillator_dictionary, 5, {}),
        (build_extended_oscillator_dictionary, 7,
         {"translation_subsample": 8, "subsample_seed": 0})]

@@ -36,14 +36,17 @@ bases from one stacked product with the translation operators.
 Cross-basis inner products are formed by one blocked kernel,
 ``_cross_blocks``, and judged by one rule, ``within_coherence_bound``.
 The kernel multiplies every earlier row basis against a column panel of
-bases, a view of the stack.
-``coherence_report`` scans every cross-basis pair and bins each block in
-one pass (``_bin_counts``), exactly as ``np.histogram`` on its edges
-would.  The builders of the full kinds scan only the pairs of the anchor
-basis ``bases[0]``: the Heisenberg-Weil group carries every pair of their
-bases, up to atom phases and order, to a pair that contains the anchor,
-and a unitary keeps |<phi, psi>|, so the anchor's maximum is the maximum
-over all pairs.
+bases, a view of the stack.  The builders of the full kinds mark their
+dictionaries as orbits (``Dictionary.orbit``): the Heisenberg-Weil group
+carries every pair of their bases, up to atom phases and order, to a pair
+that contains the anchor basis ``bases[0]``, and a unitary keeps
+|<phi, psi>|, so the anchor's pairs hold every value that any pair holds.
+On an orbit the build check and ``coherence_report`` scan only the anchor
+row; on any other dictionary ``coherence_report`` scans every cross-basis
+pair.  It bins each block in one pass (``_bin_counts``), exactly as
+``np.histogram`` on its edges would.  A file carries no proof of its
+symmetry, so a loaded dictionary is no orbit; ``identical_build`` gives
+the build itself for a file that is byte for byte its own build.
 """
 
 from __future__ import annotations
@@ -215,7 +218,10 @@ class Dictionary:
     of the basis ``labels[b]``.  Construction checks it a chunk of bases at
     a time (``_orthonormality_deviations``), keeps each basis's deviation
     in ``deviations`` and makes the stack read-only; ``bases`` and
-    ``atoms_matrix`` are views of it.
+    ``atoms_matrix`` are views of it.  ``orbit`` marks a dictionary whose
+    every basis pair a unitary carries, up to atom phases and order, onto
+    a pair that contains ``bases[0]``; only the builders of the full kinds
+    set it, and files do not record it.
     """
 
     p: int
@@ -224,6 +230,7 @@ class Dictionary:
     labels: tuple[str, ...]
     stack: np.ndarray
     deviations: np.ndarray = dc_field(init=False, repr=False)
+    orbit: bool = dc_field(default=False, kw_only=True)
 
     def __post_init__(self):
         self.labels = tuple(self.labels)
@@ -236,6 +243,11 @@ class Dictionary:
             self.deviations[lo:hi] = _orthonormality_deviations(self.labels[lo:hi],
                                                                 self.stack[lo:hi])
         self.stack.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        if name == "orbit" and name in self.__dict__:
+            raise AttributeError("a dictionary's orbit marker is fixed at construction")
+        super().__setattr__(name, value)
 
     @classmethod
     def from_bases(cls, p: int, kind: str, mu: float,
@@ -490,7 +502,7 @@ def build_heisenberg_dictionary(field: PrimeField) -> Dictionary:
     for lo, hi in _chunks(p, p):
         _chirps(field, np.arange(lo, hi), labels[lo:hi], stack[lo:hi])
     stack[p] = np.eye(p)
-    D = Dictionary(p, "heisenberg", KIND_MU["heisenberg"], labels, stack)
+    D = Dictionary(p, "heisenberg", KIND_MU["heisenberg"], labels, stack, orbit=True)
     _check_coherence(D, anchor=True)
     return D
 
@@ -507,7 +519,8 @@ def build_oscillator_dictionary(field: PrimeField) -> Dictionary:
     """
     tori = nonsplit_tori(field)
     stack = _oscillator_stack(field, tori)
-    D = Dictionary(field.p, "oscillator", KIND_MU["oscillator"], [t.label for t in tori], stack)
+    D = Dictionary(field.p, "oscillator", KIND_MU["oscillator"], [t.label for t in tori], stack,
+                   orbit=True)
     _check_coherence(D, anchor=True)
     return D
 
@@ -564,14 +577,16 @@ def build_extended_oscillator_dictionary(
         chunk = stack[lo:hi].swapaxes(1, 2)
         chunk[~moved] = oscillator[which[~moved]]
         chunk[moved] = phase_normalize(shifts[shift[moved] - zero] @ oscillator[which[moved]])
-    D = Dictionary(p, "extended_oscillator", KIND_MU["extended_oscillator"], labels, stack)
-    _check_coherence(D, anchor=translation_subsample is None)
+    D = Dictionary(p, "extended_oscillator", KIND_MU["extended_oscillator"], labels, stack,
+                   orbit=translation_subsample is None)
+    _check_coherence(D, anchor=D.orbit)
     return D
 
 
 @dataclass
 class CoherenceReport:
-    """Outcome of a full or sampled coherence scan of one dictionary."""
+    """Outcome of the coherence scan of one dictionary; ``scan`` says which
+    pairs were formed, "anchor" (the anchor row of an orbit) or "pairwise"."""
 
     p: int
     kind: str
@@ -587,6 +602,7 @@ class CoherenceReport:
     histogram_counts: list[int] = dc_field(default_factory=list)
     vacuous: bool = False
     passed: bool = True
+    scan: str = "pairwise"
 
 
 # a scaled value this close to an integer may sit on either side of the edge
@@ -631,10 +647,15 @@ def _bin_counts(block: np.ndarray, edges: np.ndarray, counts: np.ndarray) -> flo
 
 
 def coherence_report(D: Dictionary) -> CoherenceReport:
-    """Scan every cross-basis pair: max and histogram of sqrt(p)*|<phi, psi>|.
+    """Max, min and histogram of sqrt(p)*|<phi, psi>| over every cross-basis pair.
 
-    Violations are reported, not raised.  A single-basis dictionary has no
-    cross pairs and is flagged as a vacuous pass.
+    An orbit dictionary is scanned through its anchor row: each basis's
+    row of pairs holds the anchor row's values, and each pair lies in two
+    rows, so the pair count and every histogram count are nb/2 times the
+    row's, and the row's max and min are those of every pair.  Any other
+    dictionary is scanned pair by pair.  Violations are reported, not
+    raised.  A single-basis dictionary has no cross pairs and is flagged
+    as a vacuous pass.
     """
     p = D.p
     sqrt_p = np.sqrt(p)
@@ -644,11 +665,14 @@ def coherence_report(D: Dictionary) -> CoherenceReport:
     raw_worst = 0.0
     least = float("inf")
     pairs = 0
-    for block in _cross_blocks(D):
+    for block in _cross_blocks(D, anchor=D.orbit):
         raw_worst = max(raw_worst, float(block.max()))
         block *= sqrt_p
         pairs += block.size
         least = min(least, _bin_counts(block, edges, counts))
+    if D.orbit:
+        pairs = pairs * nb // 2
+        counts = counts * nb // 2
     # rounding is monotone, so this is the largest scaled entry bit for bit
     worst = float(raw_worst * sqrt_p)
     vacuous = nb < 2
@@ -668,6 +692,7 @@ def coherence_report(D: Dictionary) -> CoherenceReport:
         histogram_counts=[int(c) for c in counts],
         vacuous=vacuous,
         passed=passed,
+        scan="anchor" if D.orbit else "pairwise",
     )
 
 
@@ -697,12 +722,10 @@ def _read_exact(buf, count: int, size: int) -> bytes:
     return data
 
 
-def _read_dictionary(buf, size: int) -> Dictionary:
-    """The dictionary in the binary stream ``buf`` of ``size`` bytes.
-
-    Each record's atoms are read straight into its slice of the stack,
-    then every basis is checked once, as a built dictionary's are.
-    """
+def _read_header(buf, size: int) -> tuple[int, str, int, float]:
+    """(p, kind, basis count, mu) from the header at the start of the binary
+    stream ``buf`` of ``size`` bytes, once it has passed every check of the
+    format, the declared basis count against ``size`` included."""
     if _read_exact(buf, len(MAGIC), size) != MAGIC:
         raise FormatError("bad magic; not a dictionary file")
     version, p, kind_code, basis_count, mu = struct.unpack("<IIBId", _read_exact(buf, 21, size))
@@ -719,6 +742,16 @@ def _read_dictionary(buf, size: int) -> Dictionary:
         raise FormatError(f"stored mu = {mu!r} does not match kind {kind} (mu = {KIND_MU[kind]})")
     if basis_count * 16 * p * p > size:
         raise FormatError("declared basis count exceeds the file size")
+    return p, kind, basis_count, mu
+
+
+def _read_dictionary(buf, size: int) -> Dictionary:
+    """The dictionary in the binary stream ``buf`` of ``size`` bytes.
+
+    Each record's atoms are read straight into its slice of the stack,
+    then every basis is checked once, as a built dictionary's are.
+    """
+    p, kind, basis_count, mu = _read_header(buf, size)
     stack = np.empty((basis_count, p, p), dtype="<c16")
     labels = []
     for record in stack:
@@ -735,9 +768,9 @@ def _read_dictionary(buf, size: int) -> Dictionary:
     return Dictionary(p, kind, mu, labels, stack)
 
 
-def write_atomic(path, data: bytes | bytearray | str | Iterable[bytes | np.ndarray]) -> None:
-    """Write ``data``, or each of an iterable of bytes-like pieces in turn, to
-    ``path`` through a temp file and a rename.
+def write_atomic(path, data: str | Iterable[bytes | np.ndarray]) -> None:
+    """Write the text ``data``, or each of an iterable of bytes-like pieces in
+    turn, to ``path`` through a temp file and a rename.
 
     Missing parent directories are created.  The temp file is removed if
     the write or the rename fails, so a failed write leaves neither a
@@ -747,7 +780,7 @@ def write_atomic(path, data: bytes | bytearray | str | Iterable[bytes | np.ndarr
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w" if isinstance(data, str) else "wb") as fh:
-            fh.writelines([data] if isinstance(data, (bytes, bytearray, str)) else data)
+            fh.writelines([data] if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.lexists(tmp):
@@ -763,3 +796,46 @@ def save_dictionary(path, D: Dictionary) -> None:
 def load_dictionary(path) -> Dictionary:
     with open(path, "rb") as fh:
         return _read_dictionary(fh, os.fstat(fh.fileno()).st_size)
+
+
+def _orbit_basis_count(kind: str, p: int) -> int:
+    """The basis count of the full dictionary of ``kind`` over F_p."""
+    tori = p * (p - 1) // 2
+    return {"heisenberg": p + 1, "oscillator": tori, "extended_oscillator": tori * p * p}[kind]
+
+
+def _holds_file_image(buf, D: Dictionary) -> bool:
+    """Whether the binary stream ``buf`` is the file image of ``D``, byte for
+    byte and to its end.  It is read from the start a piece at a time, each
+    record's atoms into one buffer and compared with ``D``'s as integers,
+    so no second stack is held; the first difference stops the read."""
+    buf.seek(0)
+    record = np.empty(2 * D.p * D.p, dtype="<u8")
+    for piece in _file_pieces(D):
+        if isinstance(piece, bytes):
+            same = buf.read(len(piece)) == piece
+        else:
+            same = (buf.readinto(record) == record.nbytes
+                    and np.array_equal(record, piece.reshape(-1).view("<u8")))
+        if not same:
+            return False
+    return not buf.read(1)
+
+
+def identical_build(path, build) -> Dictionary | None:
+    """``build(kind, p)`` if the file at ``path`` is byte for byte that build
+    of the kind and p its header declares, else None.
+
+    The header passes every check of the loader first, so nothing is built
+    for a file the loader refuses outright, nor larger than the file.  Only
+    a full orbit kind is built: the heisenberg and oscillator kinds, and the
+    extended kind with every translation.  The build is an orbit by
+    construction, so a file equal to it is one too and may be reported
+    through the anchor row.
+    """
+    with open(path, "rb") as fh:
+        p, kind, basis_count, _ = _read_header(fh, os.fstat(fh.fileno()).st_size)
+        if basis_count != _orbit_basis_count(kind, p):
+            return None
+        D = build(kind, p)
+        return D if _holds_file_image(fh, D) else None

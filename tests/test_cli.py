@@ -503,3 +503,128 @@ def test_p_zero_is_a_given_p(tmp_path, monkeypatch, capsys, command, source, mes
     assert _run(command, *source, "--trials", "3", "--out-prefix", "x") == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# srip coherence --in: the anchor row for a file that is its own build
+# ---------------------------------------------------------------------------
+
+
+def _spy_scans(monkeypatch):
+    """Record the ``anchor`` argument of every ``_cross_blocks`` call."""
+    import srip.dictionaries as dictionaries
+
+    anchors = []
+    real = dictionaries._cross_blocks
+
+    def spy(D, anchor=False):
+        anchors.append(anchor)
+        return real(D, anchor)
+
+    monkeypatch.setattr(dictionaries, "_cross_blocks", spy)
+    return anchors
+
+
+def _count_builds(monkeypatch):
+    import srip.cli
+
+    built = []
+    for name in ("build_heisenberg_dictionary", "build_oscillator_dictionary",
+                 "build_extended_oscillator_dictionary"):
+        def counted(*args, _real=getattr(srip.cli, name), **kwargs):
+            built.append(_real.__name__)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(srip.cli, name, counted)
+    return built
+
+
+@pytest.mark.parametrize("kind, p", [("heisenberg", 13), ("oscillator", 11),
+                                     ("extended_oscillator", 5)])
+def test_saved_orbit_file_takes_the_anchor_route(tmp_path, monkeypatch, capsys, kind, p):
+    from dataclasses import asdict
+
+    from srip.cli import _build
+    from srip.dictionaries import coherence_report
+
+    path, out = tmp_path / "d.srip", tmp_path / "d.json"
+    assert _run("build", "--kind", kind, "--p", str(p), "--out", str(path)) == 0
+    data = path.read_bytes()
+    capsys.readouterr()
+    anchors = _spy_scans(monkeypatch)
+    assert _run("coherence", "--in", str(path), "--out", str(out)) == 0
+    assert anchors and set(anchors) == {True}
+    assert "anchor scan -> pass" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["report"] == asdict(coherence_report(_build(kind, p)))
+    assert payload["report"]["scan"] == "anchor"
+    assert path.read_bytes() == data
+
+
+def test_perturbed_orbit_file_loads_and_takes_the_pairwise_route(tmp_path, monkeypatch):
+    from oracles import pairwise_coherence
+    from srip.dictionaries import load_dictionary
+
+    path, out = tmp_path / "o7.srip", tmp_path / "o7.json"
+    assert _run("build", "--kind", "oscillator", "--p", "7", "--out", str(path)) == 0
+    data = bytearray(path.read_bytes())
+    # the real part of the first entry of the last record, moved by 1e-12
+    at = len(data) - 16 * 7 * 7
+    (value,) = struct.unpack_from("<d", data, at)
+    struct.pack_into("<d", data, at, value + 1e-12)
+    path.write_bytes(bytes(data))
+    anchors = _spy_scans(monkeypatch)
+    built = _count_builds(monkeypatch)
+    assert _run("coherence", "--in", str(path), "--out", str(out)) == 0
+    assert built == ["build_oscillator_dictionary"]  # one build more than the scan
+    assert anchors[-1] is False
+    report = json.loads(out.read_text())["report"]
+    assert report["scan"] == "pairwise"
+    pairs, worst, least, counts = pairwise_coherence(load_dictionary(path))
+    assert report["cross_pairs_checked"] == pairs
+    assert report["histogram_counts"] == counts
+    assert abs(report["max_scaled_coherence"] - worst) <= 1e-14
+
+
+def test_oversized_header_exits_3_before_any_build(tmp_path, monkeypatch, capsys):
+    import srip.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dictionary was built for a header the loader refuses")
+
+    for name in ("build_heisenberg_dictionary", "build_oscillator_dictionary",
+                 "build_extended_oscillator_dictionary"):
+        monkeypatch.setattr(srip.cli, name, refuse)
+    path = tmp_path / "h99991.srip"
+    path.write_bytes(b"SRIPDCT1" + struct.pack("<IIBId", 1, 99991, 0, 99992, 1.0) + bytes(64))
+    assert _run("coherence", "--in", str(path)) == 3
+    assert "declared basis count exceeds the file size" in capsys.readouterr().err
+
+
+def test_subsampled_and_hand_made_files_take_the_pairwise_route(tmp_path, monkeypatch, dh7):
+    from srip.dictionaries import Dictionary, save_dictionary
+
+    sub = tmp_path / "e7.srip"
+    assert _run("build", "--kind", "extended_oscillator", "--p", "7", "--translations", "3",
+                "--out", str(sub)) == 0
+    hand = tmp_path / "h7.srip"
+    save_dictionary(hand, Dictionary.from_bases(7, "heisenberg", 1.0, dh7.bases[::-1]))
+    anchors = _spy_scans(monkeypatch)
+    built = _count_builds(monkeypatch)
+    for path, builds in ((sub, []), (hand, ["build_heisenberg_dictionary"])):
+        out = tmp_path / "report.json"
+        anchors.clear()
+        built.clear()
+        assert _run("coherence", "--in", str(path), "--out", str(out)) == 0
+        assert built == builds  # a subsample is never built: its count is not the full one
+        assert anchors[-1] is False
+        assert json.loads(out.read_text())["report"]["scan"] == "pairwise"
+
+
+def test_orbit_file_with_a_trailing_byte_exits_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "h5.srip"
+    assert _run("build", "--kind", "heisenberg", "--p", "5", "--out", str(path)) == 0
+    path.write_bytes(path.read_bytes() + b"\0")
+    built = _count_builds(monkeypatch)
+    assert _run("coherence", "--in", str(path)) == 3
+    assert built == ["build_heisenberg_dictionary"]
+    assert "trailing bytes after the last basis" in capsys.readouterr().err

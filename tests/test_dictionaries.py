@@ -935,3 +935,71 @@ def test_load_memory_is_the_dictionary_plus_a_few_chunks(tmp_path):
         tracemalloc.stop()
     assert M.shape == (p, D.atom_count)
     assert peak <= 16 * D.basis_count * p * p + 16 * (16 * STACK_CHUNK_ENTRIES)
+
+
+# orbit dictionaries: reports through the anchor row
+# ---------------------------------------------------------------------------
+
+
+def _orbit(kind, p):
+    if kind == "heisenberg":
+        return heisenberg_dict(p)
+    if kind == "oscillator":
+        return oscillator_dict(p)
+    return build_extended_oscillator_dictionary(PrimeField(p))
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("heisenberg", p) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)]
+    + [("oscillator", p) for p in (5, 7, 11, 13, 17, 19)]
+    + [pytest.param("oscillator", p, marks=pytest.mark.slow) for p in (23, 29, 31)]
+    + [("extended_oscillator", 5)],
+)
+def test_anchor_report_equals_pairwise_oracle(kind, p):
+    from oracles import pairwise_coherence
+
+    D = _orbit(kind, p)
+    assert D.orbit
+    rep = coherence_report(D)
+    pairs, worst, least, counts = pairwise_coherence(D)
+    assert rep.scan == "anchor"
+    assert rep.cross_pairs_checked == pairs
+    assert rep.histogram_counts == counts
+    assert abs(rep.max_scaled_coherence - worst) <= 1e-14
+    assert abs(rep.min_scaled_coherence - least) <= 1e-14
+
+
+def test_only_full_builds_are_orbits(tmp_path, dh5):
+    subsample = build_extended_oscillator_dictionary(PrimeField(5), translation_subsample=25)
+    hand_made = Dictionary.from_bases(5, "heisenberg", 1.0, dh5.bases)
+    save_dictionary(tmp_path / "h5.srip", dh5)
+    loaded = load_dictionary(tmp_path / "h5.srip")
+    for D in (subsample, hand_made, loaded):
+        assert not D.orbit
+        assert coherence_report(D).scan == "pairwise"
+        with pytest.raises(AttributeError, match="fixed at construction"):
+            D.orbit = True
+    # the marker is not part of the file: the same bases write the same bytes
+    save_dictionary(tmp_path / "hand.srip", hand_made)
+    assert (tmp_path / "hand.srip").read_bytes() == (tmp_path / "h5.srip").read_bytes()
+    with pytest.raises(TypeError):
+        Dictionary(5, "heisenberg", 1.0, dh5.labels, dh5.stack, True)  # keyword only
+
+
+def test_orbit_report_reads_the_anchor_row_only(monkeypatch):
+    import srip.dictionaries as dictionaries
+
+    D = oscillator_dict(13)
+    anchors = []
+    real = dictionaries._cross_blocks
+
+    def spy(D, anchor=False):
+        anchors.append(anchor)
+        return real(D, anchor)
+
+    monkeypatch.setattr(dictionaries, "_cross_blocks", spy)
+    rep = coherence_report(D)
+    assert anchors == [True]
+    assert rep.cross_pairs_checked == 78 * 77 // 2 * 13 * 13
+    assert sum(rep.histogram_counts) == rep.cross_pairs_checked
