@@ -21,10 +21,10 @@ the defining unitary, phases taken in (0, 2pi].
 A dictionary holds its atoms in one read-only C-contiguous (nb, p, p)
 complex array, atom-major: row j of slice b is atom j of basis b, the
 layout of a SRIPDCT1 record.  Every other form is a view of it:
-``atoms_matrix`` (atoms as columns) is ``stack.reshape(N, p).T``, basis
-b's ``atoms`` is ``stack[b].T``, a panel of the coherence scan is
-``stack[c0:c1].reshape(-1, p)``; the loader reads each record straight
-into its slice and the writer writes the slices as they are.  The
+``atoms_matrix`` (atoms as columns) is ``stack.reshape(N, p).T``, the
+atoms of basis b as columns are ``stack[b].T``, a panel of the coherence
+scan is ``stack[c0:c1].reshape(-1, p)``; the loader reads each record
+straight into its slice and the writer writes the slices as they are.  The
 builders fill the stack, and ``Dictionary`` checks it a chunk of bases at
 a time (``_chunks``), so no temporary holds much more than
 ``STACK_CHUNK_ENTRIES`` entries.  A chunk of chirps comes from one
@@ -39,14 +39,14 @@ The kernel multiplies every earlier row basis against a column panel of
 bases, a view of the stack.  The builders of the full kinds mark their
 dictionaries as orbits (``Dictionary.orbit``): the Heisenberg-Weil group
 carries every pair of their bases, up to atom phases and order, to a pair
-that contains the anchor basis ``bases[0]``, and a unitary keeps
-|<phi, psi>|, so the anchor's pairs hold every value that any pair holds.
-On an orbit the build check and ``coherence_report`` scan only the anchor
-row; on any other dictionary ``coherence_report`` scans every cross-basis
-pair.  It bins each block in one pass (``_bin_counts``), exactly as
-``np.histogram`` on its edges would.  A file carries no proof of its
-symmetry, so a loaded dictionary is no orbit; ``identical_build`` gives
-the build itself for a file that is byte for byte its own build.
+that contains the anchor, the first basis ``stack[0]``, and a unitary
+keeps |<phi, psi>|, so the anchor's pairs hold every value that any pair
+holds.  On an orbit the build check and ``coherence_report`` scan only
+the anchor row; on any other dictionary ``coherence_report`` scans every
+cross-basis pair.  It bins each block in one pass (``_bin_counts``),
+exactly as ``np.histogram`` on its edges would.  A file carries no proof
+of its symmetry, so a loaded dictionary is no orbit; ``identical_build``
+gives the build itself for a file that is byte for byte its own build.
 """
 
 from __future__ import annotations
@@ -145,34 +145,6 @@ class Torus:
         return f"torus:{g.a},{g.b},{g.c},{g.d}"
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
-    """p unit vectors as columns of ``atoms``, labelled by their origin.
-
-    ``orthonormality_deviation`` is max|A^H A - I|, measured on construction
-    by ``_orthonormality_deviations``.
-    """
-
-    label: str
-    atoms: np.ndarray
-    orthonormality_deviation: float = dc_field(init=False, repr=False)
-
-    def __post_init__(self):
-        (dev,) = _orthonormality_deviations([self.label], self.atoms.T[None])
-        object.__setattr__(self, "orthonormality_deviation", float(dev))
-        self.atoms.setflags(write=False)  # bases are shared read-only
-
-    @classmethod
-    def _checked(cls, label: str, atoms: np.ndarray, deviation: float) -> "OrthonormalBasis":
-        """The basis of read-only ``atoms`` that ``_orthonormality_deviations``
-        has passed with ``deviation``, without a second check."""
-        basis = object.__new__(cls)
-        for name, value in (("label", label), ("atoms", atoms),
-                            ("orthonormality_deviation", deviation)):
-            object.__setattr__(basis, name, value)
-        return basis
-
-
 def _orthonormality_deviations(labels, S: np.ndarray) -> np.ndarray:
     """max|A^H A - I| of each matrix of the atom-major (n, k, p) stack ``S``,
     its atoms A = S^T as columns: the check of a basis.
@@ -217,11 +189,11 @@ class Dictionary:
     ``stack`` holds every atom, atom-major: row j of ``stack[b]`` is atom j
     of the basis ``labels[b]``.  Construction checks it a chunk of bases at
     a time (``_orthonormality_deviations``), keeps each basis's deviation
-    in ``deviations`` and makes the stack read-only; ``bases`` and
-    ``atoms_matrix`` are views of it.  ``orbit`` marks a dictionary whose
-    every basis pair a unitary carries, up to atom phases and order, onto
-    a pair that contains ``bases[0]``; only the builders of the full kinds
-    set it, and files do not record it.
+    in ``deviations`` and makes the stack read-only; ``atoms_matrix`` is
+    a view of it.  ``orbit`` marks a dictionary whose every basis pair a
+    unitary carries, up to atom phases and order, onto a pair that
+    contains the first basis, ``stack[0]``; only the builders of the full
+    kinds set it, and files do not record it.
     """
 
     p: int
@@ -249,26 +221,6 @@ class Dictionary:
             raise AttributeError("a dictionary's orbit marker is fixed at construction")
         super().__setattr__(name, value)
 
-    @classmethod
-    def from_bases(cls, p: int, kind: str, mu: float,
-                   bases: Iterable[OrthonormalBasis]) -> "Dictionary":
-        """The dictionary of ``bases``, stacked once; the first basis that is
-        not p x p raises DimensionMismatchError."""
-        bases = list(bases)
-        stack = np.empty((len(bases), p, p), dtype=np.complex128)
-        for slot, b in zip(stack, bases):
-            if b.atoms.shape != (p, p):
-                raise DimensionMismatchError(
-                    f"basis {b.label!r} has shape {b.atoms.shape}, not {p} x {p}")
-            slot[...] = b.atoms.T
-        return cls(p, kind, mu, [b.label for b in bases], stack)
-
-    @cached_property
-    def bases(self) -> tuple[OrthonormalBasis, ...]:
-        """Every basis in order, its ``atoms`` a view of ``stack``."""
-        return tuple(map(OrthonormalBasis._checked, self.labels,
-                         self.stack.transpose(0, 2, 1), self.deviations.tolist()))
-
     @property
     def basis_count(self) -> int:
         return len(self.labels)
@@ -281,9 +233,6 @@ class Dictionary:
     def atoms_matrix(self) -> np.ndarray:
         """p x atom_count matrix whose columns are all atoms in basis order, a view of ``stack``."""
         return self.stack.reshape(-1, self.p).T
-
-    def atom(self, index: int) -> np.ndarray:
-        return self.atoms_matrix[:, index]
 
 
 def _chirps(field: PrimeField, slopes: np.ndarray, labels, out: np.ndarray) -> None:
@@ -490,11 +439,11 @@ def build_heisenberg_dictionary(field: PrimeField) -> Dictionary:
 
     The chirps of the p sloped lines are formed a chunk at a time
     (``_chirps``) and the vertical line's delta basis comes last.  The
-    check scans the p pairs of the anchor basis ``bases[0]``.  A Weil
-    operator U(g) conjugates pi(v) to pi(gv), so it carries the basis of a
-    line L onto the basis of the line gL up to atom phases and order, and
-    SL_2(F_p) acts 2-transitively on the p+1 lines: every pair of line
-    bases is carried to a pair that contains line 0.
+    check scans the p pairs of the anchor, the first basis ``stack[0]``.
+    A Weil operator U(g) conjugates pi(v) to pi(gv), so it carries the
+    basis of a line L onto the basis of the line gL up to atom phases and
+    order, and SL_2(F_p) acts 2-transitively on the p+1 lines: every pair
+    of line bases is carried to a pair that contains line 0.
     """
     p = field.p
     labels = [ln.label for ln in lines(p)]
@@ -511,11 +460,11 @@ def build_oscillator_dictionary(field: PrimeField) -> Dictionary:
     """One basis per non-split torus, mu = 4 (coherence verified).
 
     The bases come from one eigensolve (``_oscillator_stack``).  The check
-    scans the nb - 1 pairs of the anchor basis ``bases[0]``: SL_2(F_p) acts
-    transitively on the non-split tori by conjugation, and U(h) carries the
-    basis of a torus T onto the basis of h T h^-1 up to atom phases and
-    order, so every pair of torus bases is carried to a pair that contains
-    the first torus.
+    scans the nb - 1 pairs of the anchor, the first basis ``stack[0]``:
+    SL_2(F_p) acts transitively on the non-split tori by conjugation, and
+    U(h) carries the basis of a torus T onto the basis of h T h^-1 up to
+    atom phases and order, so every pair of torus bases is carried to a
+    pair that contains the first torus.
     """
     tori = nonsplit_tori(field)
     stack = _oscillator_stack(field, tori)
@@ -540,11 +489,12 @@ def build_extended_oscillator_dictionary(
     product of the kept translations' operators with the oscillator
     bases, phase-normalized at once; v = 0 keeps B_T as it is.
 
-    With every translation, the check scans the nb - 1 pairs of the anchor
-    basis ``bases[0]`` (the first torus, v = 0).  pi(v)^-1 carries a pair
-    (pi(v) B_T, pi(w) B_S) to (B_T, pi(w - v) B_S) up to phases, and a Weil
-    operator U(h) with h T h^-1 equal to the first torus carries that to
-    (B_{hTh^-1}, pi(h(w - v)) B_{hSh^-1}), since U(h) pi(u) U(h)^-1 = pi(hu).
+    With every translation, the check scans the nb - 1 pairs of the
+    anchor, the first basis ``stack[0]`` (the first torus, v = 0).
+    pi(v)^-1 carries a pair (pi(v) B_T, pi(w) B_S) to (B_T, pi(w - v) B_S)
+    up to phases, and a Weil operator U(h) with h T h^-1 equal to the first
+    torus carries that to (B_{hTh^-1}, pi(h(w - v)) B_{hSh^-1}), since
+    U(h) pi(u) U(h)^-1 = pi(hu).
     A seeded subsample is not closed under this action, so its check scans
     every pair of retained bases.
     """

@@ -64,22 +64,6 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def half(self, a: int) -> int:
-        """a/2 mod p, i.e. multiplication by the inverse of 2."""
-        return (a * self.inv2) % self.p
-
-    def additive_character(self, z: int) -> complex:
-        """e^(2*pi*i*z/p), the unit character of the additive group."""
-        return complex(self.char_table[z % self.p])
-
     def legendre(self, a: int) -> int:
         """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0."""
         a = a % self.p

@@ -87,22 +87,9 @@ class SL2Element:
             p,
         )
 
-    def inverse(self) -> "SL2Element":
-        return SL2Element(self.d, -self.b, -self.c, self.a, self.p)
-
     @classmethod
     def identity(cls, p: int) -> "SL2Element":
         return cls(1, 0, 0, 1, p)
-
-    def apply(self, v: tuple[int, int]) -> tuple[int, int]:
-        """Tautological action on the plane: (tau, w) -> (a*tau + b*w, c*tau + d*w)."""
-        tau, w = v
-        return ((self.a * tau + self.b * w) % self.p, (self.c * tau + self.d * w) % self.p)
-
-    def act_heisenberg(self, h: HeisenbergElement) -> HeisenbergElement:
-        """Automorphism of the Heisenberg group fixing the center."""
-        tau, w = self.apply((h.tau, h.w))
-        return HeisenbergElement(tau, w, h.z, self.p)
 
 
 def _monomial(field: PrimeField, h) -> tuple[np.ndarray, np.ndarray]:

@@ -41,4 +41,4 @@ def dh11():
 @pytest.fixture(scope="session")
 def single_basis5(dh5):
     """A dictionary consisting of one orthonormal basis (Gram is always I)."""
-    return Dictionary.from_bases(5, "heisenberg", 1.0, [dh5.bases[0]])
+    return Dictionary(5, "heisenberg", 1.0, dh5.labels[:1], dh5.stack[:1])

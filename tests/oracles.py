@@ -5,7 +5,9 @@ from the package, where no command ran it, with its bodies unchanged:
 
 * from ``srip.operators``: ``scaling_operator``, ``chirp_operator``,
   ``fourier_operator``, ``jacobi_operator`` and ``jacobi_multiply``, with
-  ``ZeroScalingError`` from ``srip.errors``;
+  ``ZeroScalingError`` from ``srip.errors``, and the ``SL2Element``
+  methods ``inverse``, ``apply`` and ``act_heisenberg`` (here functions
+  of the element);
 * from ``srip.dictionaries``: ``synthesize``, ``dump_dictionary``,
   ``parse_dictionary`` and ``diagonal_torus_system``, with the
   ``PrimeField.primitive_root`` method (here a function of the field) and
@@ -169,7 +171,7 @@ def pairwise_coherence(D, bins: int = 40):
     counts = np.zeros(bins, dtype=np.int64)
     pairs, worst, least = 0, 0.0, float("inf")
     for x, y in itertools.combinations(range(D.basis_count), 2):
-        block = sqrt_p * np.abs(D.bases[x].atoms.conj().T @ D.bases[y].atoms)
+        block = sqrt_p * np.abs(D.stack[x].conj() @ D.stack[y].T)
         pairs += block.size
         worst = max(worst, float(block.max()))
         least = min(least, float(block.min()))
@@ -181,7 +183,7 @@ def pairwise_values(D):
     """|<phi, psi>| of every atom pair from two different bases, one basis pair
     at a time, flattened in (x, y) basis-pair order."""
     return np.concatenate([
-        np.abs(D.bases[x].atoms.conj().T @ D.bases[y].atoms).ravel()
+        np.abs(D.stack[x].conj() @ D.stack[y].T).ravel()
         for x, y in itertools.combinations(range(D.basis_count), 2)
     ])
 
@@ -227,11 +229,11 @@ def _dense_weil(field, a: int, b: int, c: int, d: int) -> np.ndarray:
     p = field.p
     t = np.arange(p)
     if b == 0:
-        ainv = field.inv(a)
+        ainv = pow(a, p - 2, p)
         M = np.zeros((p, p), dtype=np.complex128)
         M[t, (ainv * t) % p] = field.legendre(a) * field.char_table[(-field.inv2 * c * ainv * t * t) % p]
         return M
-    binv = field.inv(b)
+    binv = pow(b, p - 2, p)
     tsq = (t * t) % p
     row_expo = ((-field.inv2 * d * binv) % p) * tsq
     col_expo = ((-field.inv2 * a * binv) % p) * tsq
@@ -313,7 +315,7 @@ def scaling_operator(field: PrimeField, a: int) -> np.ndarray:
     p = field.p
     if a % p == 0:
         raise ZeroScalingError("scaling requires a nonzero field element")
-    ainv = field.inv(a)
+    ainv = pow(a, p - 2, p)
     t = np.arange(p)
     M = np.zeros((p, p), dtype=np.complex128)
     M[t, (ainv * t) % p] = field.legendre(a)
@@ -340,6 +342,22 @@ def jacobi_operator(field: PrimeField, g: SL2Element, h: HeisenbergElement) -> n
     return weil_operator(field, g) @ heisenberg_operator(field, h)
 
 
+def inverse(g: SL2Element) -> SL2Element:
+    return SL2Element(g.d, -g.b, -g.c, g.a, g.p)
+
+
+def apply(g: SL2Element, v: tuple[int, int]) -> tuple[int, int]:
+    """Tautological action on the plane: (tau, w) -> (a*tau + b*w, c*tau + d*w)."""
+    tau, w = v
+    return ((g.a * tau + g.b * w) % g.p, (g.c * tau + g.d * w) % g.p)
+
+
+def act_heisenberg(g: SL2Element, h: HeisenbergElement) -> HeisenbergElement:
+    """Automorphism of the Heisenberg group fixing the center."""
+    tau, w = apply(g, (h.tau, h.w))
+    return HeisenbergElement(tau, w, h.z, g.p)
+
+
 def jacobi_multiply(
     j1: tuple[SL2Element, HeisenbergElement],
     j2: tuple[SL2Element, HeisenbergElement],
@@ -347,7 +365,7 @@ def jacobi_multiply(
     """Group law of SL_2 x| H matching the operator product U(g) pi(h)."""
     g1, h1 = j1
     g2, h2 = j2
-    return g1 * g2, g2.inverse().act_heisenberg(h1) * h2
+    return g1 * g2, act_heisenberg(inverse(g2), h1) * h2
 
 
 # ---------------------------------------------------------------------------

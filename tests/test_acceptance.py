@@ -30,6 +30,7 @@ from srip.spectra import catalan_number, run_spectrum
 
 from conftest import heisenberg_dict, oscillator_dict
 from oracles import (
+    act_heisenberg,
     brute_expected_weight,
     completeness_residual,
     dyck_to_tree,
@@ -115,7 +116,7 @@ def test_criterion_3_representation_identities():
                 np.abs(U1 @ heisenberg_operator(f, h2) - heisenberg_operator(f, h1 * h2)).max(),
             )
             lhs = W @ U1 @ W.conj().T
-            rhs = heisenberg_operator(f, g.act_heisenberg(h1))
+            rhs = heisenberg_operator(f, act_heisenberg(g, h1))
             worst_conj = max(worst_conj, np.abs(lhs - rhs).max())
     assert worst_unitary <= 1e-10
     assert worst_hom <= 1e-10

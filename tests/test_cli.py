@@ -200,7 +200,7 @@ def test_truncated_input_is_contract_violation(tmp_path):
 def test_coherence_violation_exits_3(tmp_path, dh5):
     from srip.dictionaries import Dictionary, save_dictionary
 
-    bad = Dictionary.from_bases(5, "heisenberg", 1.0, [dh5.bases[0], dh5.bases[0]])
+    bad = Dictionary(5, "heisenberg", 1.0, ["line:0"] * 2, dh5.stack[[0, 0]])
     path = tmp_path / "bad.srip"
     save_dictionary(path, bad)
     assert _run("coherence", "--in", str(path)) == 3
@@ -209,15 +209,14 @@ def test_coherence_violation_exits_3(tmp_path, dh5):
 def test_coherence_on_composite_dimension_exits_3(tmp_path, capsys):
     import numpy as np
 
-    from srip.dictionaries import Dictionary, OrthonormalBasis, save_dictionary
+    from srip.dictionaries import Dictionary, save_dictionary
 
     # the identity and the 6-point Fourier basis: mu-coherent, but p = 6 is no prime
     t = np.arange(6)
     fourier = np.exp(2j * np.pi * np.outer(t, t) / 6) / np.sqrt(6)
-    bases = [OrthonormalBasis("identity", np.eye(6, dtype=complex)),
-             OrthonormalBasis("fourier", fourier)]
+    stack = np.stack([np.eye(6), fourier])  # both symmetric: rows and columns are the atoms
     path = tmp_path / "p6.srip"
-    save_dictionary(path, Dictionary.from_bases(6, "heisenberg", 1.0, bases))
+    save_dictionary(path, Dictionary(6, "heisenberg", 1.0, ["identity", "fourier"], stack))
     assert _run("coherence", "--in", str(path)) == 3
     assert "dimension p = 6 is not prime" in capsys.readouterr().err
 
@@ -294,10 +293,12 @@ def test_bad_epsilon_exits_2_before_building(tmp_path, monkeypatch):
 
 
 def test_moments_on_zero_basis_file_exits_2(tmp_path, capsys):
+    import numpy as np
+
     from srip.dictionaries import Dictionary, save_dictionary
 
     empty = tmp_path / "empty.srip"
-    save_dictionary(empty, Dictionary.from_bases(5, "heisenberg", 1.0, []))
+    save_dictionary(empty, Dictionary(5, "heisenberg", 1.0, [], np.zeros((0, 5, 5))))
     prefix = tmp_path / "out" / "m"
     code = _run("moments", "--in", str(empty), "--trials", "5", "--out-prefix", str(prefix))
     assert code == 2
@@ -607,7 +608,7 @@ def test_subsampled_and_hand_made_files_take_the_pairwise_route(tmp_path, monkey
     assert _run("build", "--kind", "extended_oscillator", "--p", "7", "--translations", "3",
                 "--out", str(sub)) == 0
     hand = tmp_path / "h7.srip"
-    save_dictionary(hand, Dictionary.from_bases(7, "heisenberg", 1.0, dh7.bases[::-1]))
+    save_dictionary(hand, Dictionary(7, "heisenberg", 1.0, dh7.labels[::-1], dh7.stack[::-1]))
     anchors = _spy_scans(monkeypatch)
     built = _count_builds(monkeypatch)
     for path, builds in ((sub, []), (hand, ["build_heisenberg_dictionary"])):

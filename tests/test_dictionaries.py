@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from srip.dictionaries import (
     Dictionary,
-    OrthonormalBasis,
     build_extended_oscillator_dictionary,
     build_heisenberg_dictionary,
     build_oscillator_dictionary,
@@ -62,15 +61,15 @@ def test_lines_partition_nonzero_points():
 
 
 def test_vertical_line_basis_is_identity():
-    b = heisenberg_dict(7).bases[-1]  # the vertical line comes last
-    assert np.array_equal(b.atoms, np.eye(7, dtype=complex))
+    atoms = heisenberg_dict(7).stack[-1].T  # the vertical line comes last
+    assert np.array_equal(atoms, np.eye(7, dtype=complex))
 
 
 def test_line_bases_have_flat_magnitude():
-    for ln, b in zip(lines(7), heisenberg_dict(7).bases):
+    for ln, atoms in zip(lines(7), heisenberg_dict(7).stack.transpose(0, 2, 1)):
         if ln.is_vertical:
             continue
-        assert np.abs(np.abs(b.atoms) - 1 / np.sqrt(7)).max() <= 1e-8
+        assert np.abs(np.abs(atoms) - 1 / np.sqrt(7)).max() <= 1e-8
 
 
 @pytest.mark.parametrize("p", [11, 13])
@@ -78,11 +77,11 @@ def test_line_basis_fixed_atom_comes_first(p):
     # the eigenvalue-1 atom leads every line basis, whatever the sign of
     # the rounding noise in its eigenvalue's angle
     f = PrimeField(p)
-    for ln, b in zip(lines(p), heisenberg_dict(p).bases):
+    for ln, rows in zip(lines(p), heisenberg_dict(p).stack):
         if ln.is_vertical:
             continue
         U = heisenberg_operator(f, HeisenbergElement(1, ln.slope, 0, p))
-        v = b.atoms[:, 0]
+        v = rows[0]
         assert np.abs(U @ v - v).max() <= 1e-9, ln.label
 
 
@@ -102,9 +101,9 @@ def test_heisenberg_cross_coherence_is_exact_equality(dh5, dh7):
 def test_atoms_unit_norm_and_phase_convention(dh7):
     from srip.linalg import anchor_index
 
-    for basis in dh7.bases:
-        for j in range(basis.atoms.shape[1]):
-            v = basis.atoms[:, j]
+    for atoms in dh7.stack.transpose(0, 2, 1):
+        for j in range(atoms.shape[1]):
+            v = atoms[:, j]
             assert abs(np.linalg.norm(v) - 1) <= 1e-10
             k = anchor_index(v)
             assert v[k].imag == 0.0
@@ -140,18 +139,18 @@ def test_nonsplit_tori_structure():
 def test_oscillator_basis_eigenvector_residuals():
     f = PrimeField(7)
     torus = nonsplit_tori(f)[0]
-    b = oscillator_dict(7).bases[0]
+    atoms = oscillator_dict(7).stack[0].T
     U = weil_operator(f, torus.generator)
-    assert b.atoms.shape == (7, 7)
-    lam = np.einsum("ij,ik,kj->j", b.atoms.conj(), U, b.atoms)
-    assert np.abs(U @ b.atoms - b.atoms * lam).max() <= 1e-8
+    assert atoms.shape == (7, 7)
+    lam = np.einsum("ij,ik,kj->j", atoms.conj(), U, atoms)
+    assert np.abs(U @ atoms - atoms * lam).max() <= 1e-8
 
 
 def test_oscillator_basis_independent_of_generator():
     # p = 7: gcd(3, p+1) = 1, so t0^3 generates the same torus
     f = PrimeField(7)
     torus = nonsplit_tori(f)[2]
-    b1 = oscillator_dict(7).bases[2].atoms
+    b1 = oscillator_dict(7).stack[2].T
     cubed = torus.generator * torus.generator * torus.generator
     b2 = unitary_eigenbasis(weil_operator(f, cubed))
     overlap = np.abs(b1.conj().T @ b2)
@@ -163,14 +162,15 @@ def test_oscillator_basis_independent_of_generator():
 @pytest.mark.parametrize("p", [7, 13])
 def test_oscillator_atoms_ordered_eigenvectors_of_torus_generator(p):
     f = PrimeField(p)
-    for torus, basis in zip(nonsplit_tori(f), oscillator_dict(p).bases):
+    D = oscillator_dict(p)
+    for torus, label, rows in zip(nonsplit_tori(f), D.labels, D.stack):
         U = weil_operator(f, torus.generator)
-        A = basis.atoms
+        A = rows.T
         lam = np.einsum("ij,ij->j", A.conj(), U @ A)
-        assert np.abs(U @ A - A * lam).max() <= 1e-8, basis.label
+        assert np.abs(U @ A - A * lam).max() <= 1e-8, label
         turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
         assert (turns >= 0).all() and (turns < 1).all()
-        assert (np.diff(turns) > 0).all(), basis.label
+        assert (np.diff(turns) > 0).all(), label
 
 
 def test_oscillator_dictionary_counts_and_coherence():
@@ -207,10 +207,11 @@ def test_extended_oscillator_full_p5():
 def test_extended_oscillator_zero_translation_matches_oscillator():
     D = build_extended_oscillator_dictionary(PrimeField(5))
     DO = oscillator_dict(5)
-    zero_bases = [b for b in D.bases if b.label.endswith(";v:0,0") or ";" not in b.label]
+    zero_bases = [D.stack[k] for k, label in enumerate(D.labels)
+                  if label.endswith(";v:0,0") or ";" not in label]
     assert len(zero_bases) == DO.basis_count
-    for zb, ob in zip(zero_bases, DO.bases):
-        assert np.array_equal(zb.atoms, ob.atoms)
+    for zb, ob in zip(zero_bases, DO.stack):
+        assert np.array_equal(zb, ob)
 
 
 def test_extended_oscillator_needs_opt_in_above_p5():
@@ -261,7 +262,7 @@ def test_synthesize_indicator_and_zero(dh5):
     N = dh5.atom_count
     f = np.zeros(N, dtype=complex)
     f[17] = 1.0
-    assert np.array_equal(synthesize(f, dh5), dh5.atom(17))
+    assert np.array_equal(synthesize(f, dh5), dh5.atoms_matrix[:, 17])
     assert np.abs(synthesize(np.zeros(N, dtype=complex), dh5)).max() == 0.0
     with pytest.raises(DimensionMismatchError):
         synthesize(np.zeros(N - 1, dtype=complex), dh5)
@@ -311,9 +312,9 @@ def test_round_trip_is_byte_identical(tmp_path, dh7):
     assert f1.read_bytes() == f2.read_bytes()
     assert D2.atom_count == 56
     assert D2.kind == "heisenberg" and D2.mu == 1.0
-    for b1, b2 in zip(dh7.bases, D2.bases):
-        assert b1.label == b2.label
-        assert np.array_equal(b1.atoms, b2.atoms)
+    assert D2.labels == dh7.labels
+    for k in range(dh7.basis_count):
+        assert np.array_equal(dh7.stack[k], D2.stack[k])
 
 
 def test_truncated_file_raises(dh5):
@@ -403,7 +404,7 @@ def test_coherence_violation_detected(dh5, tmp_path):
     from srip.errors import CoherenceViolationError
 
     # duplicating a basis makes a cross pair with inner product 1 > mu/sqrt(p)
-    bad = Dictionary.from_bases(5, "heisenberg", 1.0, [dh5.bases[0], dh5.bases[0]])
+    bad = Dictionary(5, "heisenberg", 1.0, ["line:0"] * 2, dh5.stack[[0, 0]])
     with pytest.raises(CoherenceViolationError):
         _check_coherence(bad)
     rep = coherence_report(bad)
@@ -431,10 +432,10 @@ def test_stored_mu_must_match_kind(dh5, mu):
 
 
 def test_non_finite_atom_fails_integrity(dh5):
-    atoms = dh5.bases[1].atoms.copy()
+    atoms = dh5.stack[1].T.copy()
     atoms[2, 3] = np.nan
     with pytest.raises(IntegrityError):
-        OrthonormalBasis("line:1", atoms)
+        Dictionary(5, "heisenberg", 1.0, ["line:1"], atoms.T[None])
 
 
 @settings(max_examples=200, deadline=None)
@@ -475,8 +476,7 @@ def _extended7():
 
 
 def _duplicated5():
-    b = _heisenberg(5).bases[0]
-    return Dictionary.from_bases(5, "heisenberg", 1.0, [b, b])
+    return Dictionary(5, "heisenberg", 1.0, ["line:0"] * 2, _heisenberg(5).stack[[0, 0]])
 
 
 @pytest.mark.parametrize(
@@ -586,12 +586,12 @@ def test_histogram_leaves_out_pairs_above_its_range():
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_heisenberg_basis_matches_eigensolve(p):
     f = PrimeField(p)
-    for ln, b in zip(lines(p), heisenberg_dict(p).bases):
+    for ln, rows in zip(lines(p), heisenberg_dict(p).stack):
         if ln.is_vertical:
             continue
         U = heisenberg_operator(f, HeisenbergElement(1, ln.slope, 0, p))
         solved = unitary_eigenbasis(U)
-        assert np.abs(b.atoms - solved).max() <= 1e-12, ln.label
+        assert np.abs(rows.T - solved).max() <= 1e-12, ln.label
 
 
 def test_huge_atoms_raise_integrity_error_without_warnings(dh5):
@@ -640,13 +640,6 @@ def test_build_check_raises_exactly_when_report_fails(make):
 
 
 def test_dictionary_rejects_a_basis_that_is_not_p_by_p(dh5):
-    # an orthonormal system of p - 2 vectors, and p = 5 bases declared under p = 7
-    vectors, _ = diagonal_torus_system(PrimeField(5))
-    with pytest.raises(DimensionMismatchError, match=r"'diagonal' has shape \(5, 3\)"):
-        Dictionary.from_bases(5, "heisenberg", 1.0,
-                              [*dh5.bases, OrthonormalBasis("diagonal", vectors)])
-    with pytest.raises(DimensionMismatchError, match=r"'line:0' has shape \(5, 5\), not 7 x 7"):
-        Dictionary.from_bases(7, "heisenberg", 1.0, dh5.bases)
     with pytest.raises(DimensionMismatchError, match=r"stack has shape \(2, 5, 5\), not 1 x 5 x 5"):
         Dictionary(5, "heisenberg", 1.0, ["line:0"], np.zeros((2, 5, 5), dtype=complex))
 
@@ -661,8 +654,8 @@ def test_atom_count_and_file_round_trip_of_every_kind(make):
     D = make()
     assert D.atom_count == D.p * D.basis_count == D.atoms_matrix.shape[1]
     D2 = parse_dictionary(dump_dictionary(D))
-    assert [b.label for b in D2.bases] == [b.label for b in D.bases]
-    assert all(b2.atoms.tobytes() == b.atoms.tobytes() for b, b2 in zip(D.bases, D2.bases))
+    assert D2.labels == D.labels
+    assert all(D2.stack[k].tobytes() == D.stack[k].tobytes() for k in range(D.basis_count))
 
 
 # the group-action build and the anchor-row coherence check
@@ -670,9 +663,9 @@ def test_atom_count_and_file_round_trip_of_every_kind(make):
 
 
 def _assert_bases_match(D, expected):
-    assert [b.label for b in D.bases] == [label for label, _ in expected]
-    for b, (_, atoms) in zip(D.bases, expected):
-        assert np.abs(b.atoms - atoms).max() <= 1e-12, b.label
+    assert list(D.labels) == [label for label, _ in expected]
+    for rows, (label, atoms) in zip(D.stack, expected):
+        assert np.abs(rows.T - atoms).max() <= 1e-12, label
 
 
 @pytest.mark.parametrize("p", [7, 13, 17])
@@ -690,8 +683,8 @@ def test_extended_bases_match_per_torus_eigensolve():
     D = _extended7()
     # the seeded translations, read off the first torus's bases
     translations = [
-        tuple(int(x) for x in b.label.split(";v:")[1].split(",")) if ";v:" in b.label else (0, 0)
-        for b in D.bases[:8]
+        tuple(int(x) for x in label.split(";v:")[1].split(",")) if ";v:" in label else (0, 0)
+        for label in D.labels[:8]
     ]
     _assert_bases_match(D, eigensolved_oscillator_bases(f, nonsplit_tori(f), translations))
 
@@ -746,8 +739,8 @@ def test_heisenberg_build_check_covers_only_the_anchor_row(monkeypatch):
 
     monkeypatch.setattr(dictionaries, "_cross_blocks", spy)
     D = build_heisenberg_dictionary(PrimeField(61))
-    others = np.hstack([b.atoms for b in D.bases[1:]])
-    anchor_row = np.abs(D.bases[0].atoms.conj().T @ others)
+    others = D.atoms_matrix[:, D.p:]
+    anchor_row = np.abs(D.stack[0].conj() @ others)
     assert np.abs(np.hstack(blocks) - anchor_row).max() <= 1e-15
 
 
@@ -782,12 +775,12 @@ def test_stacked_builds_equal_the_per_basis_builds_byte_for_byte(kind, p, count)
         translations = _subsampled_translations(p, count) if count else \
             [(tau, w) for tau in range(p) for w in range(p)]
     expected = per_basis_bases(f, kind, translations)
-    assert [b.label for b in D.bases] == [label for label, _, _ in expected]
-    for b, (_, atoms, dev) in zip(D.bases, expected):
-        assert b.atoms.tobytes() == atoms.tobytes(), b.label
-        assert b.orthonormality_deviation == dev, b.label
-    one_at_a_time = Dictionary.from_bases(
-        p, kind, KIND_MU[kind], [OrthonormalBasis(label, atoms) for label, atoms, _ in expected])
+    assert list(D.labels) == [label for label, _, _ in expected]
+    for rows, deviation, (label, atoms, dev) in zip(D.stack, D.deviations, expected):
+        assert rows.T.tobytes() == atoms.tobytes(), label
+        assert deviation == dev, label
+    one_at_a_time = Dictionary(p, kind, KIND_MU[kind], [label for label, _, _ in expected],
+                               np.stack([atoms.T for _, atoms, _ in expected]))
     assert dump_dictionary(D) == dump_dictionary(one_at_a_time)
 
 
@@ -800,35 +793,35 @@ def test_one_read_only_stack_is_the_atoms_matrix_every_basis_and_every_record(so
         save_dictionary(tmp_path / "o13.srip", built)
         D = load_dictionary(tmp_path / "o13.srip")
     else:
-        D = Dictionary.from_bases(13, "oscillator", 4.0,
-                                  [OrthonormalBasis(b.label, b.atoms.copy()) for b in built.bases])
+        D = Dictionary(13, "oscillator", 4.0, built.labels, built.stack.copy())
     stack = D.stack
     assert stack.shape == (D.basis_count, 13, 13)
     assert stack.flags.c_contiguous and not stack.flags.writeable
     assert np.shares_memory(D.atoms_matrix, stack)
-    assert np.array_equal(D.atoms_matrix, np.hstack([b.atoms.copy() for b in D.bases]))
+    assert np.array_equal(D.atoms_matrix, np.hstack([rows.T.copy() for rows in stack]))
     data = dump_dictionary(D)
-    for k, b in enumerate(D.bases):
-        assert np.shares_memory(b.atoms, stack) and not b.atoms.flags.writeable
-        assert np.array_equal(b.atoms, built.bases[k].atoms)
+    for k, label in enumerate(D.labels):
+        atoms = stack[k].T
+        assert np.shares_memory(atoms, stack) and not atoms.flags.writeable
+        assert np.array_equal(atoms, built.stack[k].T)
         start = _record_offset(D, k)
-        assert data[start:start + 16 * 169] == stack[k].tobytes(), b.label
+        assert data[start:start + 16 * 169] == stack[k].tobytes(), label
 
 
 def test_a_dictionary_without_bases_has_a_p_by_0_atoms_matrix():
-    for D in (Dictionary.from_bases(5, "heisenberg", 1.0, []),
-              parse_dictionary(dump_dictionary(Dictionary.from_bases(5, "heisenberg", 1.0, [])))):
-        assert D.basis_count == D.atom_count == 0 and D.bases == ()
+    empty = Dictionary(5, "heisenberg", 1.0, [], np.zeros((0, 5, 5), dtype=complex))
+    for D in (empty, parse_dictionary(dump_dictionary(empty))):
+        assert D.basis_count == D.atom_count == 0 and D.labels == ()
         assert D.atoms_matrix.shape == (5, 0)
         assert np.array_equal(synthesize(np.zeros(0), D), np.zeros(5))
         with pytest.raises(IndexError):
-            D.atom(0)
+            D.atoms_matrix[:, 0]
 
 
 def _record_offset(D, k):
     """Byte offset of the atoms of basis k in the file image of D."""
-    return 8 + 21 + sum(4 + len(b.label.encode()) + 16 * D.p * D.p for b in D.bases[:k]) \
-        + 4 + len(D.bases[k].label.encode())
+    return 8 + 21 + sum(4 + len(label.encode()) + 16 * D.p * D.p for label in D.labels[:k]) \
+        + 4 + len(D.labels[k].encode())
 
 
 @pytest.mark.parametrize("fault", ["entry", "orthonormality"])
@@ -844,7 +837,7 @@ def test_a_bad_basis_mid_chunk_fails_the_load_by_its_label(tmp_path, fault):
     k = (lo + hi) // 2
     assert lo < k < hi - 1
     data = bytearray(dump_dictionary(D))
-    atoms = D.bases[k].atoms.copy()
+    atoms = D.stack[k].T.copy()
     if fault == "entry":
         atoms[3, 5] = 1.5  # an entry above 1
         message = "an entry is non-finite or exceeds 1"
@@ -856,7 +849,7 @@ def test_a_bad_basis_mid_chunk_fails_the_load_by_its_label(tmp_path, fault):
     path = tmp_path / "bad.srip"
     path.write_bytes(bytes(data))
     for read in (lambda: parse_dictionary(bytes(data)), lambda: load_dictionary(path)):
-        with pytest.raises(IntegrityError, match=re.escape(f"basis {D.bases[k].label!r}: {message}")):
+        with pytest.raises(IntegrityError, match=re.escape(f"basis {D.labels[k]!r}: {message}")):
             read()
 
 
@@ -867,7 +860,7 @@ def test_the_monomial_chirp_check_is_the_operator(p):
     f = PrimeField(p)
     D = build_heisenberg_dictionary(f)
     slopes = np.arange(p)
-    atoms = np.stack([b.atoms for b in D.bases[:p]])
+    atoms = np.stack([rows.T for rows in D.stack[:p]])
     elements = np.stack([np.ones_like(slopes), slopes, 0 * slopes], axis=1)
     applied = heisenberg_action(f, elements, atoms)
     for m in range(p):
@@ -909,11 +902,7 @@ def test_build_memory_is_the_dictionary_plus_a_few_chunks(build, p):
 
 
 def test_dictionary_bases_are_immutable(dh5):
-    D = Dictionary.from_bases(5, "heisenberg", 1.0, list(dh5.bases))
-    vectors, _ = diagonal_torus_system(PrimeField(5))
-    with pytest.raises(AttributeError):
-        D.bases.append(OrthonormalBasis("diagonal", vectors))
-    assert isinstance(D.bases, tuple)
+    D = Dictionary(5, "heisenberg", 1.0, list(dh5.labels), dh5.stack.copy())
     assert D.atom_count == D.atoms_matrix.shape[1] == 30
 
 
@@ -972,7 +961,7 @@ def test_anchor_report_equals_pairwise_oracle(kind, p):
 
 def test_only_full_builds_are_orbits(tmp_path, dh5):
     subsample = build_extended_oscillator_dictionary(PrimeField(5), translation_subsample=25)
-    hand_made = Dictionary.from_bases(5, "heisenberg", 1.0, dh5.bases)
+    hand_made = Dictionary(5, "heisenberg", 1.0, dh5.labels, dh5.stack.copy())
     save_dictionary(tmp_path / "h5.srip", dh5)
     loaded = load_dictionary(tmp_path / "h5.srip")
     for D in (subsample, hand_made, loaded):

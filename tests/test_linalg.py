@@ -116,8 +116,8 @@ def test_gram_inner_product_convention():
 
 
 def test_gram_cross_line_atoms(dh5):
-    a = dh5.bases[0].atoms[:, 2]
-    b = dh5.bases[3].atoms[:, 1]
+    a = dh5.stack[0, 2]
+    b = dh5.stack[3, 1]
     G = gram(np.column_stack([a, b]))
     assert abs(abs(G[0, 1]) - 1 / np.sqrt(5)) < 1e-10
 

@@ -209,7 +209,7 @@ def test_expected_weight_matches_bruteforce(steps, dh5):
 
 def test_expected_weight_four_vertices_against_bruteforce(single_basis5, dh5):
     # small dictionary keeps the literal enumeration cheap
-    sub = Dictionary.from_bases(5, "heisenberg", 1.0, dh5.bases[:2])
+    sub = Dictionary(5, "heisenberg", 1.0, dh5.labels[:2], dh5.stack[:2])
     impl = expected_weight(PathClass((1, 2, 3, 4, 1)), sub)
     brute = brute_expected_weight((1, 2, 3, 4, 1), sub.atoms_matrix)
     assert abs(impl - brute) <= 1e-12
@@ -400,7 +400,7 @@ def test_each_class_is_expanded_once(dh5, dh7, monkeypatch):
 def test_degree2_cores_contract_in_p_dims_with_fewer_bases_than_p(dh5, monkeypatch):
     # N = 10 < p^2 = 25: the degree-2 cores still go to S2, and every k = 6
     # class within the budget matches the literal enumeration
-    sub = Dictionary.from_bases(5, "heisenberg", 1.0, dh5.bases[:2])
+    sub = Dictionary(5, "heisenberg", 1.0, dh5.labels[:2], dh5.stack[:2])
     in_p_dims = []
     contract = paths._degree2_core_sum
 
@@ -601,7 +601,7 @@ def test_exact_moment_refuses_support_outside_the_dictionary(dh5):
 
 
 def test_weights_on_a_dictionary_without_atoms_are_refused():
-    empty = Dictionary.from_bases(5, "heisenberg", 1.0, [])
+    empty = Dictionary(5, "heisenberg", 1.0, [], np.zeros((0, 5, 5)))
     with pytest.raises(ValueError, match=r"support size n=2 invalid for \|D\|=0"):
         expected_weight(PathClass((1, 2, 1)), empty)
     with pytest.raises(ValueError, match=r"support size n=2 invalid for \|D\|=0"):

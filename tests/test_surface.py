@@ -1,9 +1,9 @@
 """The package holds what its commands run.
 
-Every public module-level function or class of ``src/srip`` is referred to
-by a command, another package module, ``scripts`` or ``perfbench``.  Code
-that only tests reach belongs in the tests, reference code in
-``tests/oracles.py``.
+Every public module-level function or class of ``src/srip``, and every
+public method or property of such a class, is referred to by a command,
+another package module, ``scripts`` or ``perfbench``.  Code that only
+tests reach belongs in the tests, reference code in ``tests/oracles.py``.
 """
 
 import ast
@@ -31,7 +31,17 @@ def _lines():
                 yield path, number, line
 
 
+def _public_members():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path, item.lineno, f"{node.name}.{item.name}"
+
+
 DEFINITIONS = list(_public_definitions())
+MEMBERS = list(_public_members())
 LINES = list(_lines())
 
 
@@ -40,5 +50,19 @@ LINES = list(_lines())
 def test_every_public_name_is_used_outside_the_tests(path, lineno, name):
     word = re.compile(rf"\b{re.escape(name)}\b")
     assert any(word.search(line) for where, number, line in LINES
+               if (where, number) != (path, lineno)), \
+        f"{path.name}:{lineno} {name} is referred to only by tests"
+
+
+@pytest.mark.parametrize("path, lineno, name", MEMBERS,
+                         ids=[f"{path.stem}.{name}" for path, _, name in MEMBERS])
+def test_every_public_method_is_used_outside_the_tests(path, lineno, name):
+    """A method or property counts as used where ``.name`` appears outside
+    its own definition line.  The match ignores the receiver, so a name
+    that some other object also carries passes on that object's use:
+    ``PrimeField.add`` would pass on ``seen.add`` in ``paths.py``, and
+    ``Dictionary.bases`` on the ``.bases`` array of ``perfbench``."""
+    attribute = re.compile(rf"\.{re.escape(name.rsplit('.', 1)[1])}\b")
+    assert any(attribute.search(line) for where, number, line in LINES
                if (where, number) != (path, lineno)), \
         f"{path.name}:{lineno} {name} is referred to only by tests"
