@@ -4,13 +4,16 @@ A dictionary is a disjoint union of orthonormal bases of C(F_p):
 
 * ``heisenberg``: one basis per line through the origin of the plane,
   the closed-form chirp eigenbasis of a translation-modulation operator,
-  checked against that operator (p+1 bases, mu = 1);
+  checked against that operator (p+1 bases, mu = 1), labelled
+  ``line:m`` by slope m and ``line:inf`` for the vertical line;
 * ``oscillator``: one basis per non-split maximal torus of SL_2(F_p),
   eigenbases of the torus generator's unitary operator (p(p-1)/2 bases,
   mu = 4); the tori come from one vectorized conjugation of the model
   torus, keyed by the projective line of the generator's traceless part,
-  and each basis is the model torus's eigenbasis carried over by the
-  Weil operator of the conjugator;
+  as two arrays of integer rows (a, b, c, d), the generators and the
+  conjugators; each basis is the model torus's eigenbasis carried over
+  by the Weil operator of the conjugator, labelled ``torus:a,b,c,d`` by
+  its generator;
 * ``extended_oscillator``: every oscillator basis translated by every
   plane element (p(p-1)p^2/2 bases, mu = 4).
 
@@ -55,7 +58,6 @@ import os
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +70,7 @@ from .errors import (
     TorusCountError,
     VersionMismatchError,
 )
-from .field import PrimeField, find_nonresidue, is_prime, norm_one_generator
+from .field import PrimeField, is_prime
 from .linalg import (
     EIGENVECTOR_RESIDUAL_TOL,
     eigen_residual,
@@ -76,13 +78,7 @@ from .linalg import (
     phase_normalize,
     unitary_eigenbasis,
 )
-from .operators import (
-    SL2Element,
-    heisenberg_action,
-    heisenberg_operators,
-    weil_operator,
-    weil_operators,
-)
+from .operators import heisenberg_action, heisenberg_operators, weil_operators
 
 COHERENCE_SLACK = 1e-9
 ORTHONORMALITY_TOL = 1e-9
@@ -100,49 +96,6 @@ KIND_MU = {"heisenberg": 1.0, "oscillator": 4.0, "extended_oscillator": 4.0}
 
 MAGIC = b"SRIPDCT1"
 FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Line:
-    """A line through the origin of F_p x F_p: slope m, or None for {(0, w)}."""
-
-    slope: int | None
-
-    @property
-    def is_vertical(self) -> bool:
-        return self.slope is None
-
-    @property
-    def label(self) -> str:
-        return "line:inf" if self.is_vertical else f"line:{self.slope}"
-
-
-def lines(p: int) -> list[Line]:
-    """All p+1 lines: slopes 0..p-1 followed by the vertical line."""
-    return [Line(m) for m in range(p)] + [Line(None)]
-
-
-@dataclass(frozen=True)
-class Torus:
-    """A non-split maximal torus, given by a generator of order p+1, and a
-    conjugator g that carries the model torus onto it: generator = g t0 g^-1."""
-
-    generator: SL2Element
-    conjugator: SL2Element
-
-    @cached_property
-    def elements(self) -> tuple[SL2Element, ...]:
-        """The powers of the generator, in lexicographic (a, b, c, d) order."""
-        g = self.generator
-        powers = [SL2Element.identity(g.p)]
-        while (acc := powers[-1] * g) != powers[0]:
-            powers.append(acc)
-        return tuple(sorted(powers, key=lambda e: (e.a, e.b, e.c, e.d)))
-
-    @property
-    def label(self) -> str:
-        g = self.generator
-        return f"torus:{g.a},{g.b},{g.c},{g.d}"
 
 
 def _orthonormality_deviations(labels, S: np.ndarray) -> np.ndarray:
@@ -286,8 +239,10 @@ def _check_residuals(labels, resid: np.ndarray, what: str) -> None:
         )
 
 
-def nonsplit_tori(field: PrimeField) -> list[Torus]:
-    """All p(p-1)/2 non-split maximal tori of SL_2(F_p).
+def nonsplit_tori(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
+    """(generators, conjugators) of all p(p-1)/2 non-split maximal tori of
+    SL_2(F_p): two (n, 4) int64 arrays of rows (a, b, c, d), one row of each
+    per torus.
 
     The model torus {[[a, b*delta], [b, a]] : a^2 - delta*b^2 = 1} is
     conjugated by every group element g at once, in lexicographic
@@ -303,13 +258,8 @@ def nonsplit_tori(field: PrimeField) -> list[Torus]:
     it is twice the torus.
     """
     p = field.p
-    t0 = _model_generator(p)
-    order = len(Torus(t0, SL2Element.identity(p)).elements)
-    if order != p + 1:
-        raise TorusCountError(f"model torus has {order} elements, expected {p + 1}")
-
     a, b, c, d = _sl2_entries(field)
-    x = _conjugate(a, b, c, d, np.array([t0.a, t0.b, t0.c, t0.d]), p)
+    x = _conjugate(a, b, c, d, _model_generator(field), p)
     # projective line of the traceless part: scale its first nonzero entry to 1
     line = np.stack([(x[0] - x[3]) % p, x[1], x[2]], axis=1)
     lead = line[np.arange(len(line)), np.argmax(line != 0, axis=1)]
@@ -319,17 +269,27 @@ def nonsplit_tori(field: PrimeField) -> list[Torus]:
     expected = p * (p - 1) // 2
     if len(first) != expected:
         raise TorusCountError(f"found {len(first)} non-split tori, expected {expected}")
-    gens = np.stack(x)[:, first].T.tolist()
-    conjugators = np.stack([a, b, c, d])[:, first].T.tolist()
-    return [Torus(SL2Element(*gen, p), SL2Element(*g, p)) for gen, g in zip(gens, conjugators)]
+    return np.stack(x, axis=1)[first], np.stack([a, b, c, d], axis=1)[first]
 
 
-def _model_generator(p: int) -> SL2Element:
-    """The generator t0 = [[a, b*delta], [b, a]] of the model torus, from a
-    generator a + b*sqrt(delta) of the norm-one circle of F_p(sqrt(delta))."""
-    delta = find_nonresidue(p)
-    g0 = norm_one_generator(p, delta)
-    return SL2Element(g0.a, (g0.b * delta) % p, g0.b, g0.a, p)
+def _model_generator(field: PrimeField) -> tuple[int, int, int, int]:
+    """The generator t0 = [[a, b*delta], [b, a]] of the model torus, delta the
+    smallest non-residue: the first (a, b) in lexicographic order with
+    a^2 - delta*b^2 = 1 whose a + b*sqrt(delta) has exact order p+1 in
+    F_p(sqrt(delta)), found in integer pair arithmetic."""
+    p = field.p
+    delta = int(np.argmax(field.legendre_table == -1))
+    for a in range(p):
+        for b in range(p):
+            if (a * a - delta * b * b) % p != 1:
+                continue
+            x, y, order = a, b, 1
+            while (x, y) != (1, 0):
+                x, y = (x * a + delta * y * b) % p, (x * b + y * a) % p
+                order += 1
+            if order == p + 1:
+                return a, delta * b % p, b, a
+    raise AssertionError("the norm-one subgroup of F_p(sqrt(delta)) is cyclic")
 
 
 def _sl2_entries(field: PrimeField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -364,9 +324,10 @@ def _conjugate(a, b, c, d, t, p: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _oscillator_stack(field: PrimeField, tori: list[Torus]) -> np.ndarray:
-    """The atom-major (len(tori), p, p) stack of the eigenbases of the torus
-    generators, from one eigensolve.
+def _oscillator_stack(field: PrimeField) -> tuple[list[str], np.ndarray]:
+    """The labels and the atom-major (n, p, p) stack of the eigenbases of the
+    n tori of ``nonsplit_tori``, from one eigensolve; a torus is labelled
+    ``torus:a,b,c,d`` by its generator row.
 
     U(g) U(t0) U(g)^-1 is U(g t0 g^-1) up to a global phase, so the Weil
     operator of a torus's conjugator g carries the model torus's eigenbasis
@@ -383,17 +344,16 @@ def _oscillator_stack(field: PrimeField, tori: list[Torus]) -> np.ndarray:
         by more than ``EIGENVECTOR_RESIDUAL_TOL``.
     """
     p = field.p
-    model = unitary_eigenbasis(weil_operator(field, _model_generator(p)))
-    conjugators, generators = (
-        np.array([(g.a, g.b, g.c, g.d) for g in elements], dtype=np.int64).reshape(-1, 4)
-        for elements in ([t.conjugator for t in tori], [t.generator for t in tori]))
-    stack = np.empty((len(tori), p, p), dtype=np.complex128)
-    for lo, hi in _chunks(len(tori), p):
+    generators, conjugators = nonsplit_tori(field)
+    labels = [f"torus:{a},{b},{c},{d}" for a, b, c, d in generators.tolist()]
+    model = unitary_eigenbasis(weil_operators(field, [_model_generator(field)])[0])
+    stack = np.empty((len(labels), p, p), dtype=np.complex128)
+    for lo, hi in _chunks(len(labels), p):
         carried = weil_operators(field, conjugators[lo:hi]) @ model
         lam, resid = eigen_residual(weil_operators(field, generators[lo:hi]), carried)
-        _check_residuals([t.label for t in tori[lo:hi]], resid, "carried")
+        _check_residuals(labels[lo:hi], resid, "carried")
         stack[lo:hi] = order_eigenbasis(carried, lam).swapaxes(1, 2)
-    return stack
+    return labels, stack
 
 
 def _cross_blocks(D: Dictionary, anchor: bool = False):
@@ -446,7 +406,7 @@ def build_heisenberg_dictionary(field: PrimeField) -> Dictionary:
     of line bases is carried to a pair that contains line 0.
     """
     p = field.p
-    labels = [ln.label for ln in lines(p)]
+    labels = [f"line:{m}" for m in range(p)] + ["line:inf"]
     stack = np.empty((p + 1, p, p), dtype=np.complex128)
     for lo, hi in _chunks(p, p):
         _chirps(field, np.arange(lo, hi), labels[lo:hi], stack[lo:hi])
@@ -466,10 +426,8 @@ def build_oscillator_dictionary(field: PrimeField) -> Dictionary:
     atom phases and order, so every pair of torus bases is carried to a
     pair that contains the first torus.
     """
-    tori = nonsplit_tori(field)
-    stack = _oscillator_stack(field, tori)
-    D = Dictionary(field.p, "oscillator", KIND_MU["oscillator"], [t.label for t in tori], stack,
-                   orbit=True)
+    labels, stack = _oscillator_stack(field)
+    D = Dictionary(field.p, "oscillator", KIND_MU["oscillator"], labels, stack, orbit=True)
     _check_coherence(D, anchor=True)
     return D
 
@@ -513,12 +471,12 @@ def build_extended_oscillator_dictionary(
         chosen = rng.choice(len(translations), size=translation_subsample, replace=False)
         translations = [translations[i] for i in sorted(chosen)]
 
-    tori = nonsplit_tori(field)
-    oscillator = _oscillator_stack(field, tori).swapaxes(1, 2)  # atoms as columns
+    tori, oscillator = _oscillator_stack(field)
+    oscillator = oscillator.swapaxes(1, 2)  # atoms as columns
     # translations are sorted, so v = 0 comes first when it is kept
     zero = int(translations[0] == (0, 0))
     shifts = heisenberg_operators(field, [(tau, w, 0) for tau, w in translations[zero:]])
-    labels = [torus.label if v == (0, 0) else f"{torus.label};v:{v[0]},{v[1]}"
+    labels = [torus if v == (0, 0) else f"{torus};v:{v[0]},{v[1]}"
               for torus in tori for v in translations]
     stack = np.empty((len(labels), p, p), dtype=np.complex128)
     for lo, hi in _chunks(len(stack), p):

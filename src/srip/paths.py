@@ -170,7 +170,7 @@ def _set_partitions(items: list[int]):
 
 
 def within_budget(vertex_count: int, atom_count: int) -> bool:
-    """Whether ``expected_weight`` evaluates a class of ``vertex_count`` vertices on
+    """Whether ``_expected_weights`` evaluates a class of ``vertex_count`` vertices on
     ``atom_count`` atoms; outside this budget it raises BudgetExceededError."""
     limit = MAX_ATOMS_SMALL_CLASS if vertex_count <= 2 else MAX_ATOMS
     return vertex_count <= MAX_VERTICES and atom_count <= limit
@@ -374,12 +374,18 @@ def _check_support(n: int, D: Dictionary) -> None:
 
 
 def _expected_weights(walks, D: Dictionary) -> list[complex]:
-    """``expected_weight`` of every walk on one dictionary.
+    """The exact average of each walk's path weight over injective atom
+    assignments on one dictionary.
 
-    A walk that is not a ``PathClass`` goes to its class by ``canonicalize``,
-    and every class is checked before any is expanded.  Expansions come from
-    the per-process cache of ``_first_visit_expansion``, and one ``_CoreSums``
-    sums every distinct core once; the Gram, S2 and memo live only for this call.
+    Class invariance of the expectation reduces the average over size-n
+    supports to an average over assignments of the path's own vertices,
+    which is what makes exact evaluation feasible.  A walk that is not a
+    ``PathClass`` is weighed as its class, which ``canonicalize`` gives; a
+    malformed one raises ValueError, as does a class with more vertices
+    than D has atoms.  Every class is checked before any is expanded.
+    Expansions come from the per-process cache of ``_first_visit_expansion``,
+    and one ``_CoreSums`` sums every distinct core once; the Gram, S2 and
+    memo live only for this call.
     """
     classes = [w if isinstance(w, PathClass) else canonicalize(w) for w in walks]
     for pc in classes:
@@ -395,18 +401,6 @@ def _expected_weights(walks, D: Dictionary) -> list[complex]:
             total += scale * core_sum(key) if key[0] else scale
         weights.append(total / math.perm(N, pc.vertex_count))
     return weights
-
-
-def expected_weight(pc: PathClass | tuple, D: Dictionary) -> complex:
-    """Exact average of the path weight over injective atom assignments.
-
-    Class invariance of the expectation reduces the average over size-n
-    supports to an average over assignments of the path's own vertices,
-    which is what makes exact evaluation feasible.  A labelled walk is
-    weighed as its class; a malformed one raises ValueError, as does a
-    class with more vertices than D has atoms.
-    """
-    return _expected_weights([pc], D)[0]
 
 
 def class_size(pc: PathClass, n: int) -> int:

@@ -69,18 +69,6 @@ def _keyed_draws(N: int, n: int):
     return draw
 
 
-@dataclass(frozen=True, eq=False)
-class GramSample:
-    """One sampled support with its Gram matrix and normalized error spectrum."""
-
-    support: np.ndarray
-    G: np.ndarray
-    E: np.ndarray
-    eigenvalues: np.ndarray  # eigenvalues of E, descending
-    p: int
-    n: int
-
-
 def _gram_stack(
     D: Dictionary, supports: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,13 +84,6 @@ def _gram_stack(
     E = math.sqrt(D.p / n) * (G - np.eye(n))
     E = (E + E.conj().swapaxes(-1, -2)) / 2  # absorb accumulation error before the eigensolve
     return G, E, hermitian_eig(E).eigenvalues
-
-
-def gram_sample(D: Dictionary, support: np.ndarray) -> GramSample:
-    """Gram matrix, normalized error, and its spectrum for a given support."""
-    support = np.asarray(support)
-    G, E, eigenvalues = _gram_stack(D, support[None])
-    return GramSample(support, G[0], E[0], eigenvalues[0], D.p, len(support))
 
 
 def campaign_size(p: int, epsilon: float, trials: int) -> int:
@@ -135,8 +116,8 @@ def _campaign(D: Dictionary, epsilon: float, trials: int, seed: int) -> tuple[in
 
     Checks ``campaign_size`` and ``check_seed``, then n <= |D|; trial i
     draws its support with the key seed + i.  Trials run ``TRIAL_CHUNK``
-    at a time through ``_gram_stack``, so row i equals ``gram_sample`` of
-    trial i's support.
+    at a time through ``_gram_stack``, so row i equals the spectrum that
+    ``_gram_stack`` gives for trial i's support alone.
     """
     n = campaign_size(D.p, epsilon, trials)
     check_seed(seed, trials)

@@ -5,14 +5,16 @@ from the package, where no command ran it, with its bodies unchanged:
 
 * from ``srip.operators``: ``scaling_operator``, ``chirp_operator``,
   ``fourier_operator``, ``jacobi_operator`` and ``jacobi_multiply``, with
-  ``ZeroScalingError`` from ``srip.errors``, and the ``SL2Element``
-  methods ``inverse``, ``apply`` and ``act_heisenberg`` (here functions
-  of the element);
+  ``ZeroScalingError`` from ``srip.errors``; the group elements
+  ``SL2Element`` and ``HeisenbergElement``, the reference group law; and
+  the ``SL2Element`` methods ``inverse``, ``apply`` and
+  ``act_heisenberg`` (here functions of the element);
 * from ``srip.dictionaries``: ``synthesize``, ``dump_dictionary``,
   ``parse_dictionary`` and ``diagonal_torus_system``, with the
   ``PrimeField.primitive_root`` method (here a function of the field) and
   ``_prime_factors`` from ``srip.field``;
-* from ``srip.spectra``: ``rip_deviation`` and ``semicircle_density``;
+* from ``srip.spectra``: ``rip_deviation`` (here a function of the Gram)
+  and ``semicircle_density``;
 * from ``srip.paths``: ``dyck_to_tree``, ``tail_bound_exponent``,
   ``delete_vertex``, ``replace_vertex``, ``completeness_residual`` and
   ``interleave``, with their helpers and ``SingleVisitError`` from
@@ -22,15 +24,15 @@ from the package, where no command ran it, with its bodies unchanged:
 import io
 import itertools
 import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from srip.dictionaries import Dictionary, _file_pieces, _read_dictionary
-from srip.errors import DimensionMismatchError, SripError
+from srip.errors import DimensionMismatchError, NotUnimodularError, SripError
 from srip.field import PrimeField
-from srip.operators import HeisenbergElement, SL2Element, heisenberg_operator, weil_operator
+from srip.operators import heisenberg_operators, weil_operators
 from srip.paths import PathClass, _distinct_indices
-from srip.spectra import GramSample
 
 
 def strict_closed_paths(n: int, k: int):
@@ -131,6 +133,38 @@ def _sl2_mul(x, y, p: int):
     return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
 
+def _legendre(a: int, p: int) -> int:
+    """The quadratic character of a nonzero a, by Euler's criterion."""
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def model_generator(p: int):
+    """The model torus generator t0 = [[a, b*delta], [b, a]] as an (a, b, c, d) tuple.
+
+    delta is the smallest non-residue by Euler's criterion; (a, b) runs in
+    lexicographic order to the first t0 of determinant a^2 - delta*b^2 = 1
+    whose powers, formed in SL_2, first return to the identity at p + 1.
+    """
+    delta = next(x for x in range(2, p) if _legendre(x, p) == -1)
+    one = (1, 0, 0, 1)
+    for a, b in itertools.product(range(p), repeat=2):
+        if (a * a - delta * b * b) % p != 1:
+            continue
+        t0 = (a, b * delta % p, b, a)
+        acc, order = t0, 1
+        while acc != one:
+            acc = _sl2_mul(acc, t0, p)
+            order += 1
+        if order == p + 1:
+            return t0
+    raise AssertionError("the norm-one subgroup is cyclic of order p + 1")
+
+
+def torus_label(generator) -> str:
+    """The label ``torus:a,b,c,d`` of the torus with the generator row (a, b, c, d)."""
+    return "torus:" + ",".join(str(x) for x in generator)
+
+
 def conjugation_tori(p: int):
     """Non-split tori of SL_2(F_p) by conjugating the model torus with every element.
 
@@ -139,11 +173,7 @@ def conjugation_tori(p: int):
     (generator, elements) pair of (a, b, c, d) tuples per torus, in order of
     first appearance; the generator is the conjugate of the model generator.
     """
-    from srip.field import find_nonresidue, norm_one_generator
-
-    delta = find_nonresidue(p)
-    g0 = norm_one_generator(p, delta)
-    t0 = (g0.a, g0.b * delta % p, g0.b, g0.a)
+    t0 = model_generator(p)
     one = (1, 0, 0, 1)
     model = [one]
     while (acc := _sl2_mul(model[-1], t0, p)) != one:
@@ -188,25 +218,26 @@ def pairwise_values(D):
     ])
 
 
-def eigensolved_oscillator_bases(field, tori, translations=((0, 0),)):
-    """(label, atoms) of pi(v) B_T for every torus T and translation v, torus-major.
+def eigensolved_oscillator_bases(field, generators, translations=((0, 0),)):
+    """(label, atoms) of pi(v) B_T for every torus T, given by its generator's
+    (a, b, c, d) row, and translation v, torus-major.
 
     B_T is solved on its own, as the eigenbasis of the Weil operator of T's
     generator (one eigensolve per torus); pi(v) B_T is phase-normalized
     again, and labelled as the extended dictionary labels it.
     """
     from srip.linalg import phase_normalize, unitary_eigenbasis
-    from srip.operators import HeisenbergElement, heisenberg_operator, weil_operator
 
     out = []
-    for torus in tori:
-        atoms = unitary_eigenbasis(weil_operator(field, torus.generator))
+    for generator in generators:
+        label = torus_label(generator)
+        atoms = unitary_eigenbasis(weil_operators(field, [generator])[0])
         for tau, w in translations:
             if tau == w == 0:
-                out.append((torus.label, atoms))
+                out.append((label, atoms))
             else:
-                shift = heisenberg_operator(field, HeisenbergElement(tau, w, 0, field.p))
-                out.append((f"{torus.label};v:{tau},{w}", phase_normalize(shift @ atoms)))
+                shift = _dense_heisenberg(field, tau, w, 0)
+                out.append((f"{label};v:{tau},{w}", phase_normalize(shift @ atoms)))
     return out
 
 
@@ -231,14 +262,14 @@ def _dense_weil(field, a: int, b: int, c: int, d: int) -> np.ndarray:
     if b == 0:
         ainv = pow(a, p - 2, p)
         M = np.zeros((p, p), dtype=np.complex128)
-        M[t, (ainv * t) % p] = field.legendre(a) * field.char_table[(-field.inv2 * c * ainv * t * t) % p]
+        M[t, (ainv * t) % p] = _legendre(a, p) * field.char_table[(-field.inv2 * c * ainv * t * t) % p]
         return M
     binv = pow(b, p - 2, p)
     tsq = (t * t) % p
     row_expo = ((-field.inv2 * d * binv) % p) * tsq
     col_expo = ((-field.inv2 * a * binv) % p) * tsq
     expo = (row_expo[:, None] + np.outer((binv * t) % p, t) + col_expo[None, :]) % p
-    return field.legendre(b) * field.char_table[expo] / np.sqrt(p)
+    return _legendre(b, p) * field.char_table[expo] / np.sqrt(p)
 
 
 def _normalized_columns(V: np.ndarray) -> np.ndarray:
@@ -264,39 +295,37 @@ def per_basis_bases(field, kind: str, translations=((0, 0),)):
     ordered by eigenvalue turn; extended bases are the dense pi(v) times
     an oscillator basis, phase-normalized again.
     """
-    from srip.dictionaries import _model_generator, lines, nonsplit_tori
+    from srip.dictionaries import nonsplit_tori
     from srip.linalg import unitary_eigenbasis
 
     p = field.p
     t = np.arange(p)
     out = []
     if kind == "heisenberg":
-        for ln in lines(p):
-            if ln.is_vertical:
-                out.append((ln.label, np.eye(p, dtype=np.complex128)))
-                continue
-            quad = ((-field.inv2 * ln.slope) % p) * ((t * t) % p)
+        for m in range(p):
+            quad = ((-field.inv2 * m) % p) * ((t * t) % p)
             atoms = field.char_table[(quad[:, None] - np.outer(t, t)) % p] / np.sqrt(p)
-            U = _dense_heisenberg(field, 1, ln.slope, 0)
+            U = _dense_heisenberg(field, 1, m, 0)
             assert np.abs(U @ atoms - atoms * field.char_table[(-t) % p]).max() <= 1e-8
-            out.append((ln.label, atoms))
+            out.append((f"line:{m}", atoms))
+        out.append(("line:inf", np.eye(p, dtype=np.complex128)))
     else:
-        t0 = _model_generator(p)
-        model = unitary_eigenbasis(_dense_weil(field, t0.a, t0.b, t0.c, t0.d))
-        for torus in nonsplit_tori(field):
-            g, h = torus.conjugator, torus.generator
-            carried = _dense_weil(field, g.a, g.b, g.c, g.d) @ model
-            UV = _dense_weil(field, h.a, h.b, h.c, h.d) @ carried
+        model = unitary_eigenbasis(_dense_weil(field, *model_generator(p)))
+        generators, conjugators = nonsplit_tori(field)
+        for h, g in zip(generators.tolist(), conjugators.tolist()):
+            label = torus_label(h)
+            carried = _dense_weil(field, *g) @ model
+            UV = _dense_weil(field, *h) @ carried
             lam = np.einsum("ij,ij->j", carried.conj(), UV)
             assert np.abs(UV - carried * lam).max() <= 1e-8
             turns = np.mod(np.round(-np.angle(lam) / (2 * np.pi), 9), 1.0)
             atoms = _normalized_columns(carried[:, np.argsort(turns, kind="stable")])
             for tau, w in (translations if kind == "extended_oscillator" else [(0, 0)]):
                 if tau == w == 0:
-                    out.append((torus.label, atoms))
+                    out.append((label, atoms))
                 else:
                     moved = _normalized_columns(_dense_heisenberg(field, tau, w, 0) @ atoms)
-                    out.append((f"{torus.label};v:{tau},{w}", moved))
+                    out.append((f"{label};v:{tau},{w}", moved))
     return [(label, atoms, float(np.abs(atoms.conj().T @ atoms - np.eye(p)).max()))
             for label, atoms in out]
 
@@ -304,6 +333,76 @@ def per_basis_bases(field, kind: str, translations=((0, 0),)):
 # ---------------------------------------------------------------------------
 # the Weil generators and the group law of SL_2 x| H
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HeisenbergElement:
+    """Group element (v, z) with v = (tau, w), twisted product via the symplectic form."""
+
+    tau: int
+    w: int
+    z: int
+    p: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "tau", self.tau % self.p)
+        object.__setattr__(self, "w", self.w % self.p)
+        object.__setattr__(self, "z", self.z % self.p)
+
+    def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
+        if other.p != self.p:
+            raise ValueError("group elements live over different primes")
+        p = self.p
+        inv2 = pow(2, p - 2, p)
+        omega = self.tau * other.w - self.w * other.tau
+        z = (self.z + other.z + inv2 * omega) % p
+        return HeisenbergElement(self.tau + other.tau, self.w + other.w, z, p)
+
+    @classmethod
+    def identity(cls, p: int) -> "HeisenbergElement":
+        return cls(0, 0, 0, p)
+
+
+@dataclass(frozen=True)
+class SL2Element:
+    """Matrix [[a, b], [c, d]] over F_p with det = 1 (checked exactly)."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    p: int
+
+    def __post_init__(self):
+        p = self.p
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, getattr(self, name) % p)
+        if (self.a * self.d - self.b * self.c) % p != 1:
+            raise NotUnimodularError(
+                f"det([[{self.a},{self.b}],[{self.c},{self.d}]]) != 1 mod {p}"
+            )
+
+    def __mul__(self, other: "SL2Element") -> "SL2Element":
+        if other.p != self.p:
+            raise ValueError("group elements live over different primes")
+        p = self.p
+        return SL2Element(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+            p,
+        )
+
+    @classmethod
+    def identity(cls, p: int) -> "SL2Element":
+        return cls(1, 0, 0, 1, p)
+
+
+def row(element) -> tuple[int, ...]:
+    """The integer row of a group element, as the stacked operators take it:
+    (a, b, c, d) of an ``SL2Element``, (tau, w, z) of a ``HeisenbergElement``."""
+    return astuple(element)[:-1]
 
 
 class ZeroScalingError(SripError):
@@ -318,7 +417,7 @@ def scaling_operator(field: PrimeField, a: int) -> np.ndarray:
     ainv = pow(a, p - 2, p)
     t = np.arange(p)
     M = np.zeros((p, p), dtype=np.complex128)
-    M[t, (ainv * t) % p] = field.legendre(a)
+    M[t, (ainv * t) % p] = _legendre(a, p)
     return M
 
 
@@ -339,7 +438,7 @@ def fourier_operator(field: PrimeField) -> np.ndarray:
 
 def jacobi_operator(field: PrimeField, g: SL2Element, h: HeisenbergElement) -> np.ndarray:
     """Operator of the pair (g, h) in the semidirect product: U(g) pi(h)."""
-    return weil_operator(field, g) @ heisenberg_operator(field, h)
+    return weil_operators(field, [row(g)])[0] @ heisenberg_operators(field, [row(h)])[0]
 
 
 def inverse(g: SL2Element) -> SL2Element:
@@ -450,16 +549,16 @@ def diagonal_torus_system(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def rip_deviation(sample: GramSample) -> float:
-    """Exact sup of | ||synthesis(f)|| - ||f|| | over unit f supported on the sample.
+def rip_deviation(G: np.ndarray) -> float:
+    """Exact sup of | ||synthesis(f)|| - ||f|| | over unit f supported on the
+    atoms whose Gram matrix is G.
 
-    Computed from the Gram spectrum: lambda_i(G) = 1 + sqrt(n/p) lambda_i(E),
-    with the smallest eigenvalue clamped at 0 before the square root.
+    Computed from the Gram spectrum, with the smallest eigenvalue clamped
+    at 0 before the square root.
     """
-    scale = math.sqrt(sample.n / sample.p)
-    lam = 1.0 + scale * sample.eigenvalues
-    lam_max = float(lam[0])
-    lam_min = max(float(lam[-1]), 0.0)
+    lam = np.linalg.eigvalsh(G)
+    lam_max = float(lam[-1])
+    lam_min = max(float(lam[0]), 0.0)
     return max(math.sqrt(lam_max) - 1.0, 1.0 - math.sqrt(lam_min), 0.0)
 
 

@@ -12,30 +12,28 @@ import pytest
 
 from srip.dictionaries import build_extended_oscillator_dictionary, coherence_report
 from srip.field import PrimeField
-from srip.operators import (
-    HeisenbergElement,
-    SL2Element,
-    heisenberg_operator,
-    weil_operator,
-)
+from srip.operators import heisenberg_operators, weil_operators
 from srip.paths import (
     PathClass,
+    _expected_weights,
     class_normalization,
     enumerate_path_classes,
     exact_spectral_moment,
-    expected_weight,
     tree_to_dyck,
 )
 from srip.spectra import catalan_number, run_spectrum
 
 from conftest import heisenberg_dict, oscillator_dict
 from oracles import (
+    HeisenbergElement,
+    SL2Element,
     act_heisenberg,
     brute_expected_weight,
     completeness_residual,
     dyck_to_tree,
     random_hermitian,
     random_sl2,
+    row,
     trace_by_path_sum,
 )
 
@@ -107,16 +105,17 @@ def test_criterion_3_representation_identities():
         for _ in range(100):
             h1, h2 = _random_heis(rng, p), _random_heis(rng, p)
             g = SL2Element(*random_sl2(rng, p), p)
-            U1 = heisenberg_operator(f, h1)
-            W = weil_operator(f, g)
+            U1 = heisenberg_operators(f, [row(h1)])[0]
+            W = weil_operators(f, [row(g)])[0]
             for U in (U1, W):
                 worst_unitary = max(worst_unitary, np.abs(U.conj().T @ U - eye).max())
             worst_hom = max(
                 worst_hom,
-                np.abs(U1 @ heisenberg_operator(f, h2) - heisenberg_operator(f, h1 * h2)).max(),
+                np.abs(U1 @ heisenberg_operators(f, [row(h2)])[0]
+                       - heisenberg_operators(f, [row(h1 * h2)])[0]).max(),
             )
             lhs = W @ U1 @ W.conj().T
-            rhs = heisenberg_operator(f, act_heisenberg(g, h1))
+            rhs = heisenberg_operators(f, [row(act_heisenberg(g, h1))])[0]
             worst_conj = max(worst_conj, np.abs(lhs - rhs).max())
     assert worst_unitary <= 1e-10
     assert worst_hom <= 1e-10
@@ -169,13 +168,15 @@ def test_criterion_6_fundamental_estimate_trajectories():
     # enumeration oracle at p = 5, increasing toward 1 along the ladder
     two_step = PathClass((1, 2, 1))
     brute = brute_expected_weight((1, 2, 1), heisenberg_dict(5).atoms_matrix)
-    value5 = class_normalization(two_step, 3, 5) * expected_weight(two_step, heisenberg_dict(5))
+    (weight5,) = _expected_weights([two_step], heisenberg_dict(5))
+    value5 = class_normalization(two_step, 3, 5) * weight5
     assert abs(value5 - 5 * brute) <= 1e-12
     assert abs(value5 - 25 / 29) <= 1e-12
 
     tree_values = []
     for p in (5, 7, 11, 31):
-        v = class_normalization(two_step, 3, p) * expected_weight(two_step, heisenberg_dict(p))
+        (weight,) = _expected_weights([two_step], heisenberg_dict(p))
+        v = class_normalization(two_step, 3, p) * weight
         assert abs(v.real - p**2 / (p**2 + p - 1)) <= 1e-12
         tree_values.append(v.real)
     assert tree_values == sorted(tree_values)
@@ -184,7 +185,8 @@ def test_criterion_6_fundamental_estimate_trajectories():
     triangle = PathClass((1, 2, 3, 1))
     mags = []
     for p in (5, 7, 11):
-        v = class_normalization(triangle, 3, p) * expected_weight(triangle, heisenberg_dict(p))
+        (weight,) = _expected_weights([triangle], heisenberg_dict(p))
+        v = class_normalization(triangle, 3, p) * weight
         mags.append(abs(v))
     assert mags[0] > mags[1] > mags[2]
     print(f"criterion 6 PASS: tree trajectory {[round(v, 6) for v in tree_values]} rises "

@@ -8,7 +8,6 @@ from srip.dictionaries import (
     build_heisenberg_dictionary,
     build_oscillator_dictionary,
     coherence_report,
-    lines,
     load_dictionary,
     nonsplit_tori,
     save_dictionary,
@@ -22,38 +21,37 @@ from srip.errors import (
 )
 from srip.field import PrimeField
 from srip.linalg import unitary_eigenbasis
-from srip.operators import (
-    HeisenbergElement,
-    SL2Element,
-    heisenberg_operator,
-    weil_operator,
-)
+from srip.operators import heisenberg_operators, weil_operators
 
 from conftest import heisenberg_dict, oscillator_dict
 from oracles import (
+    SL2Element,
     diagonal_torus_system,
     dump_dictionary,
     parse_dictionary,
+    row,
     scaling_operator,
     synthesize,
+    torus_label,
 )
 
 
 def test_lines_count_and_distinct_slopes():
-    ls = lines(5)
-    assert len(ls) == 6
-    assert len({ln.slope for ln in ls}) == 6
-    assert ls[-1].is_vertical
+    labels = heisenberg_dict(5).labels
+    assert len(labels) == 6
+    assert len(set(labels)) == 6
+    assert labels[-1] == "line:inf"
 
 
 def test_lines_partition_nonzero_points():
     p = 7
     covered = set()
-    for ln in lines(p):
-        if ln.is_vertical:
+    for label in heisenberg_dict(p).labels:
+        slope = label.removeprefix("line:")
+        if slope == "inf":
             pts = {(0, w) for w in range(1, p)}
         else:
-            pts = {(t, (ln.slope * t) % p) for t in range(1, p)}
+            pts = {(t, (int(slope) * t) % p) for t in range(1, p)}
         assert len(pts) == p - 1
         assert not (covered & pts)
         covered |= pts
@@ -66,9 +64,8 @@ def test_vertical_line_basis_is_identity():
 
 
 def test_line_bases_have_flat_magnitude():
-    for ln, atoms in zip(lines(7), heisenberg_dict(7).stack.transpose(0, 2, 1)):
-        if ln.is_vertical:
-            continue
+    # the sloped lines come first, the vertical line last
+    for atoms in heisenberg_dict(7).stack[:7].transpose(0, 2, 1):
         assert np.abs(np.abs(atoms) - 1 / np.sqrt(7)).max() <= 1e-8
 
 
@@ -77,12 +74,11 @@ def test_line_basis_fixed_atom_comes_first(p):
     # the eigenvalue-1 atom leads every line basis, whatever the sign of
     # the rounding noise in its eigenvalue's angle
     f = PrimeField(p)
-    for ln, rows in zip(lines(p), heisenberg_dict(p).stack):
-        if ln.is_vertical:
-            continue
-        U = heisenberg_operator(f, HeisenbergElement(1, ln.slope, 0, p))
+    D = heisenberg_dict(p)
+    for m, (label, rows) in enumerate(zip(D.labels[:p], D.stack)):
+        U = heisenberg_operators(f, [(1, m, 0)])[0]
         v = rows[0]
-        assert np.abs(U @ v - v).max() <= 1e-9, ln.label
+        assert np.abs(U @ v - v).max() <= 1e-9, label
 
 
 def test_heisenberg_dictionary_counts(dh7):
@@ -110,37 +106,48 @@ def test_atoms_unit_norm_and_phase_convention(dh7):
             assert v[k].real > 0
 
 
+def _torus_elements(generator, p):
+    """The powers of the generator row, as SL2Elements in lexicographic (a, b, c, d) order."""
+    g = SL2Element(*generator, p)
+    powers = [SL2Element.identity(p)]
+    while (acc := powers[-1] * g) != powers[0]:
+        powers.append(acc)
+    return tuple(sorted(powers, key=row))
+
+
 def test_nonsplit_tori_structure():
     f = PrimeField(5)
-    tori = nonsplit_tori(f)
-    assert len(tori) == 10  # p(p-1)/2 distinct subgroups
+    generators, conjugators = nonsplit_tori(f)
+    assert generators.shape == conjugators.shape == (10, 4)  # p(p-1)/2 distinct subgroups
     eye = SL2Element.identity(5)
     minus = SL2Element(4, 0, 0, 4, 5)
     keys = set()
-    for torus in tori:
-        assert len(torus.elements) == 6
-        assert eye in torus.elements
-        assert minus in torus.elements
+    for generator in generators.tolist():
+        elements = _torus_elements(generator, 5)
+        assert len(elements) == 6
+        assert eye in elements
+        assert minus in elements
         # pairwise commuting
-        for s in torus.elements:
-            for t in torus.elements:
+        for s in elements:
+            for t in elements:
                 assert s * t == t * s
         # generator has exact order p+1
-        acc = torus.generator
+        g = SL2Element(*generator, 5)
+        acc = g
         order = 1
         while acc != eye:
-            acc = acc * torus.generator
+            acc = acc * g
             order += 1
         assert order == 6
-        keys.add(tuple((t.a, t.b, t.c, t.d) for t in torus.elements))
+        keys.add(tuple(row(t) for t in elements))
     assert len(keys) == 10
 
 
 def test_oscillator_basis_eigenvector_residuals():
     f = PrimeField(7)
-    torus = nonsplit_tori(f)[0]
+    generators, _ = nonsplit_tori(f)
     atoms = oscillator_dict(7).stack[0].T
-    U = weil_operator(f, torus.generator)
+    U = weil_operators(f, generators[:1])[0]
     assert atoms.shape == (7, 7)
     lam = np.einsum("ij,ik,kj->j", atoms.conj(), U, atoms)
     assert np.abs(U @ atoms - atoms * lam).max() <= 1e-8
@@ -149,10 +156,10 @@ def test_oscillator_basis_eigenvector_residuals():
 def test_oscillator_basis_independent_of_generator():
     # p = 7: gcd(3, p+1) = 1, so t0^3 generates the same torus
     f = PrimeField(7)
-    torus = nonsplit_tori(f)[2]
+    generator = SL2Element(*nonsplit_tori(f)[0][2], 7)
     b1 = oscillator_dict(7).stack[2].T
-    cubed = torus.generator * torus.generator * torus.generator
-    b2 = unitary_eigenbasis(weil_operator(f, cubed))
+    cubed = generator * generator * generator
+    b2 = unitary_eigenbasis(weil_operators(f, [row(cubed)])[0])
     overlap = np.abs(b1.conj().T @ b2)
     # every atom of one basis matches exactly one of the other up to phase
     assert np.allclose(np.sort(overlap.max(axis=0)), 1.0, atol=1e-7)
@@ -163,8 +170,8 @@ def test_oscillator_basis_independent_of_generator():
 def test_oscillator_atoms_ordered_eigenvectors_of_torus_generator(p):
     f = PrimeField(p)
     D = oscillator_dict(p)
-    for torus, label, rows in zip(nonsplit_tori(f), D.labels, D.stack):
-        U = weil_operator(f, torus.generator)
+    for generator, label, rows in zip(nonsplit_tori(f)[0], D.labels, D.stack):
+        U = weil_operators(f, [generator])[0]
         A = rows.T
         lam = np.einsum("ij,ij->j", A.conj(), U @ A)
         assert np.abs(U @ A - A * lam).max() <= 1e-8, label
@@ -459,10 +466,10 @@ def test_mutated_file_parses_or_raises_srip_error(dh5, edits):
 def test_nonsplit_tori_match_conjugation_oracle(p):
     from oracles import conjugation_tori
 
+    generators, _ = nonsplit_tori(PrimeField(p))
     found = [
-        ((t.generator.a, t.generator.b, t.generator.c, t.generator.d),
-         tuple((e.a, e.b, e.c, e.d) for e in t.elements))
-        for t in nonsplit_tori(PrimeField(p))
+        (tuple(generator), tuple(row(e) for e in _torus_elements(generator, p)))
+        for generator in generators.tolist()
     ]
     assert found == conjugation_tori(p)
 
@@ -586,12 +593,11 @@ def test_histogram_leaves_out_pairs_above_its_range():
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_heisenberg_basis_matches_eigensolve(p):
     f = PrimeField(p)
-    for ln, rows in zip(lines(p), heisenberg_dict(p).stack):
-        if ln.is_vertical:
-            continue
-        U = heisenberg_operator(f, HeisenbergElement(1, ln.slope, 0, p))
+    D = heisenberg_dict(p)
+    for m, (label, rows) in enumerate(zip(D.labels[:p], D.stack)):
+        U = heisenberg_operators(f, [(1, m, 0)])[0]
         solved = unitary_eigenbasis(U)
-        assert np.abs(rows.T - solved).max() <= 1e-12, ln.label
+        assert np.abs(rows.T - solved).max() <= 1e-12, label
 
 
 def test_huge_atoms_raise_integrity_error_without_warnings(dh5):
@@ -673,7 +679,7 @@ def test_group_action_bases_match_per_torus_eigensolve(p):
     from oracles import eigensolved_oscillator_bases
 
     f = PrimeField(p)
-    _assert_bases_match(oscillator_dict(p), eigensolved_oscillator_bases(f, nonsplit_tori(f)))
+    _assert_bases_match(oscillator_dict(p), eigensolved_oscillator_bases(f, nonsplit_tori(f)[0]))
 
 
 def test_extended_bases_match_per_torus_eigensolve():
@@ -686,7 +692,7 @@ def test_extended_bases_match_per_torus_eigensolve():
         tuple(int(x) for x in label.split(";v:")[1].split(",")) if ";v:" in label else (0, 0)
         for label in D.labels[:8]
     ]
-    _assert_bases_match(D, eigensolved_oscillator_bases(f, nonsplit_tori(f), translations))
+    _assert_bases_match(D, eigensolved_oscillator_bases(f, nonsplit_tori(f)[0], translations))
 
 
 def test_wrong_conjugator_fails_the_build(monkeypatch):
@@ -696,13 +702,13 @@ def test_wrong_conjugator_fails_the_build(monkeypatch):
     real = dictionaries.nonsplit_tori
 
     def skewed(field):
-        tori = real(field)
+        generators, conjugators = real(field)
         # torus 3 keeps its generator but is given the conjugator of torus 5
-        tori[3] = dictionaries.Torus(tori[3].generator, tori[5].conjugator)
-        return tori
+        conjugators[3] = conjugators[5]
+        return generators, conjugators
 
     monkeypatch.setattr(dictionaries, "nonsplit_tori", skewed)
-    label = real(PrimeField(7))[3].label
+    label = torus_label(real(PrimeField(7))[0][3])
     with pytest.raises(DegenerateSpectrumError, match=label):
         build_oscillator_dictionary(PrimeField(7))
 
@@ -864,7 +870,7 @@ def test_the_monomial_chirp_check_is_the_operator(p):
     elements = np.stack([np.ones_like(slopes), slopes, 0 * slopes], axis=1)
     applied = heisenberg_action(f, elements, atoms)
     for m in range(p):
-        dense = heisenberg_operator(f, HeisenbergElement(1, m, 0, p)) @ atoms[m]
+        dense = heisenberg_operators(f, [(1, m, 0)])[0] @ atoms[m]
         assert np.abs(applied[m] - dense).max() <= 1e-15, m
 
 

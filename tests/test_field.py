@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from srip.field import Fp2Element, PrimeField, find_nonresidue, norm_one_generator
+from srip.dictionaries import _model_generator
+from srip.field import PrimeField, is_prime
 
-from oracles import primitive_root
+from oracles import SL2Element, model_generator, primitive_root
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -60,16 +61,16 @@ def test_character_is_additive_homomorphism(p, z1, z2):
 def test_legendre_matches_square_table(p):
     f = PrimeField(p)
     squares = {(a * a) % p for a in range(1, p)}
-    assert f.legendre(0) == 0
+    assert f.legendre_table[0] == 0
     for a in range(1, p):
-        assert f.legendre(a) == (1 if a in squares else -1)
+        assert f.legendre_table[a] == (1 if a in squares else -1)
 
 
 def test_legendre_mod5_examples():
     f = PrimeField(5)
-    assert f.legendre(4) == 1
-    assert f.legendre(2) == -1
-    assert f.legendre(1) == 1
+    assert f.legendre_table[4] == 1
+    assert f.legendre_table[2] == -1
+    assert f.legendre_table[1] == 1
 
 
 @given(
@@ -81,14 +82,23 @@ def test_legendre_multiplicative(p, a, b):
     f = PrimeField(p)
     if a % p == 0 or b % p == 0:
         return
-    assert f.legendre(a * b) == f.legendre(a) * f.legendre(b)
+    table = f.legendre_table
+    assert table[a * b % p] == table[a % p] * table[b % p]
+
+
+def _model_delta(p):
+    """delta of the model generator [[a, b*delta], [b, a]]: its entry b*delta over b."""
+    f = PrimeField(p)
+    _, bdelta, b, _ = _model_generator(f)
+    return bdelta * int(f.inverses[b]) % p
 
 
 def test_find_nonresidue_examples():
-    assert find_nonresidue(5) == 2
-    assert find_nonresidue(7) == 3
+    # the model torus is built on the smallest non-residue
+    assert _model_delta(5) == 2
+    assert _model_delta(7) == 3
     for p in [5, 7, 11, 13, 31]:
-        assert PrimeField(p).legendre(find_nonresidue(p)) == -1
+        assert PrimeField(p).legendre_table[_model_delta(p)] == -1
 
 
 def test_half_is_inverse_of_two():
@@ -100,13 +110,12 @@ def test_half_is_inverse_of_two():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
 def test_norm_one_generator_order(p):
-    delta = find_nonresidue(p)
-    g = norm_one_generator(p, delta)
-    assert g.norm() == 1
+    # the model generator lies in SL_2 (its norm a^2 - delta*b^2 is its determinant)
+    g = SL2Element(*_model_generator(PrimeField(p)), p)
     # exact order p+1 by repeated multiplication (integer arithmetic)
     acc = g
     order = 1
-    while not acc.is_one():
+    while acc != SL2Element.identity(p):
         acc = acc * g
         order += 1
     assert order == p + 1
@@ -114,17 +123,16 @@ def test_norm_one_generator_order(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_norm_one_generator_half_power_is_minus_one(p):
-    delta = find_nonresidue(p)
-    g = norm_one_generator(p, delta)
-    acc = Fp2Element(1, 0, delta, p)
+    g = SL2Element(*_model_generator(PrimeField(p)), p)
+    acc = SL2Element.identity(p)
     for _ in range((p + 1) // 2):
         acc = acc * g
-    assert (acc.a, acc.b) == (p - 1, 0)
+    assert (acc.a, acc.b, acc.c, acc.d) == (p - 1, 0, 0, p - 1)
 
 
-def test_norm_one_generator_rejects_residue():
-    with pytest.raises(ValueError):
-        norm_one_generator(7, 2)  # 2 = 3^2 mod 7 is a residue
+def test_model_generator_matches_the_oracle_scan():
+    for p in filter(is_prime, range(5, 400)):
+        assert _model_generator(PrimeField(p)) == model_generator(p), p
 
 
 def test_primitive_root():

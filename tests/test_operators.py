@@ -3,10 +3,14 @@ import pytest
 
 from srip.errors import NotUnimodularError
 from srip.field import PrimeField
-from srip.operators import HeisenbergElement, SL2Element, heisenberg_operator, weil_operator
+from srip.operators import heisenberg_operators, weil_operators
 
 from oracles import (
+    HeisenbergElement,
+    SL2Element,
     ZeroScalingError,
+    _dense_heisenberg,
+    _dense_weil,
     act_heisenberg,
     apply,
     chirp_operator,
@@ -15,6 +19,7 @@ from oracles import (
     jacobi_multiply,
     jacobi_operator,
     random_sl2,
+    row,
     scaling_operator,
 )
 
@@ -37,9 +42,9 @@ def _sl2(rng, p):
 
 def test_heisenberg_identity_and_center():
     f = PrimeField(7)
-    assert np.abs(heisenberg_operator(f, HeisenbergElement(0, 0, 0, 7)) - np.eye(7)).max() == 0
+    assert np.abs(heisenberg_operators(f, [(0, 0, 0)])[0] - np.eye(7)).max() == 0
     for z in range(7):
-        U = heisenberg_operator(f, HeisenbergElement(0, 0, z, 7))
+        U = heisenberg_operators(f, [(0, 0, z)])[0]
         assert np.abs(U - f.char_table[z % 7] * np.eye(7)).max() < 1e-15
 
 
@@ -50,8 +55,8 @@ def test_heisenberg_exact_homomorphism(p):
     worst = 0.0
     for _ in range(100):
         h1, h2 = _random_heis(rng, p), _random_heis(rng, p)
-        lhs = heisenberg_operator(f, h1) @ heisenberg_operator(f, h2)
-        rhs = heisenberg_operator(f, h1 * h2)
+        lhs = heisenberg_operators(f, [row(h1)])[0] @ heisenberg_operators(f, [row(h2)])[0]
+        rhs = heisenberg_operators(f, [row(h1 * h2)])[0]
         worst = max(worst, np.abs(lhs - rhs).max())
     assert worst <= 1e-10
 
@@ -94,8 +99,8 @@ def test_emitted_operators_unitary(p):
     rng = np.random.default_rng(3 * p)
     ops = [fourier_operator(f), chirp_operator(f, 3), scaling_operator(f, 2)]
     for _ in range(20):
-        ops.append(heisenberg_operator(f, _random_heis(rng, p)))
-        ops.append(weil_operator(f, _sl2(rng, p)))
+        ops.append(heisenberg_operators(f, [row(_random_heis(rng, p))])[0])
+        ops.append(weil_operators(f, [row(_sl2(rng, p))])[0])
     for U in ops:
         assert _unitary_dev(U) <= UNITARITY_TOL
 
@@ -104,12 +109,12 @@ def test_weil_on_diagonal_is_scaling_exactly():
     f = PrimeField(11)
     for a in range(1, 11):
         g = SL2Element(a, 0, 0, pow(a, 9, 11), 11)
-        assert np.abs(weil_operator(f, g) - scaling_operator(f, a)).max() == 0
+        assert np.abs(weil_operators(f, [row(g)])[0] - scaling_operator(f, a)).max() == 0
 
 
 def test_weil_on_weyl_element_is_fourier():
     f = PrimeField(7)
-    W = weil_operator(f, SL2Element(0, 1, -1, 0, 7))
+    W = weil_operators(f, [(0, 1, -1, 0)])[0]
     F = fourier_operator(f)
     # phase-free here: the decomposition reduces to F itself
     assert np.abs(W - F).max() <= 1e-12
@@ -122,7 +127,7 @@ def test_weil_matches_generator_product_oracle():
     rng = np.random.default_rng(17)
     for _ in range(25):
         g = _sl2(rng, p)
-        W = weil_operator(f, g)
+        W = weil_operators(f, [row(g)])[0]
         if g.b % p == 0:
             ref = chirp_operator(f, (g.c * pow(g.a, p - 2, p)) % p) @ scaling_operator(f, g.a)
         else:
@@ -144,9 +149,9 @@ def test_conjugation_covariance_battery(p):
     for _ in range(100):
         g = _sl2(rng, p)
         h = _random_heis(rng, p)
-        W = weil_operator(f, g)
-        lhs = W @ heisenberg_operator(f, h) @ W.conj().T
-        rhs = heisenberg_operator(f, act_heisenberg(g, h))
+        W = weil_operators(f, [row(g)])[0]
+        lhs = W @ heisenberg_operators(f, [row(h)])[0] @ W.conj().T
+        rhs = heisenberg_operators(f, [row(act_heisenberg(g, h))])[0]
         worst = max(worst, np.abs(lhs - rhs).max())
     assert worst <= 1e-9
 
@@ -154,10 +159,10 @@ def test_conjugation_covariance_battery(p):
 def test_conjugating_by_fourier_swaps_translation_and_modulation():
     p = 7
     f = PrimeField(p)
-    W = weil_operator(f, SL2Element(0, 1, -1, 0, p))
+    W = weil_operators(f, [(0, 1, -1, 0)])[0]
     for tau in range(1, p):
-        lhs = W @ heisenberg_operator(f, HeisenbergElement(tau, 0, 0, p)) @ W.conj().T
-        rhs = heisenberg_operator(f, HeisenbergElement(0, -tau, 0, p))
+        lhs = W @ heisenberg_operators(f, [(tau, 0, 0)])[0] @ W.conj().T
+        rhs = heisenberg_operators(f, [(0, -tau, 0)])[0]
         assert np.abs(lhs - rhs).max() <= 1e-9
 
 
@@ -167,8 +172,8 @@ def test_weil_multiplicative_up_to_global_phase():
     rng = np.random.default_rng(23)
     for _ in range(50):
         g1, g2 = _sl2(rng, p), _sl2(rng, p)
-        A = weil_operator(f, g1) @ weil_operator(f, g2)
-        B = weil_operator(f, g1 * g2)
+        A = weil_operators(f, [row(g1)])[0] @ weil_operators(f, [row(g2)])[0]
+        B = weil_operators(f, [row(g1 * g2)])[0]
         k = np.unravel_index(np.argmax(np.abs(A)), A.shape)
         A = A * np.conj(A[k]) / np.abs(A[k])
         B = B * np.conj(B[k]) / np.abs(B[k])
@@ -183,7 +188,7 @@ def test_jacobi_operator_basics():
     ).max() == 0
     g = SL2Element(2, 1, 1, 1, p)
     assert np.array_equal(
-        jacobi_operator(f, g, HeisenbergElement.identity(p)), weil_operator(f, g)
+        jacobi_operator(f, g, HeisenbergElement.identity(p)), weil_operators(f, [row(g)])[0]
     )
 
 
@@ -218,23 +223,20 @@ def test_sl2_inverse_and_action():
 
 @pytest.mark.parametrize("p", [5, 7, 13, 31])
 def test_stacked_operators_are_the_single_element_operators(p):
-    from srip.operators import heisenberg_operators, weil_operators
-
+    # each operator of a stack, against the dense oracle formed for its element alone
     f = PrimeField(p)
     rng = np.random.default_rng(p)
     gs = [random_sl2(rng, p) for _ in range(40)] + [(1, 0, 3 % p, 1), (p - 1, 0, 0, p - 1)]
     stack = weil_operators(f, gs)
     assert stack.shape == (len(gs), p, p)
     for g, W in zip(gs, stack):
-        assert W.tobytes() == weil_operator(f, SL2Element(*g, p)).tobytes(), g
+        assert W.tobytes() == _dense_weil(f, *g).tobytes(), g
     hs = rng.integers(0, p, size=(30, 3))
     for h, U in zip(hs.tolist(), heisenberg_operators(f, hs)):
-        assert U.tobytes() == heisenberg_operator(f, HeisenbergElement(*h, p)).tobytes(), h
+        assert U.tobytes() == _dense_heisenberg(f, *h).tobytes(), h
 
 
 def test_stacked_weil_operators_refuse_a_non_unimodular_row():
-    from srip.operators import weil_operators
-
     with pytest.raises(NotUnimodularError):
         weil_operators(PrimeField(7), [(1, 0, 0, 1), (2, 0, 0, 2)])
 
@@ -249,4 +251,4 @@ def test_heisenberg_action_is_the_operator_product(p):
     F = rng.normal(size=(12, p, 3)) + 1j * rng.normal(size=(12, p, 3))
     applied = heisenberg_action(f, hs, F)
     for h, Fk, got in zip(hs.tolist(), F, applied):
-        assert np.abs(got - heisenberg_operator(f, HeisenbergElement(*h, p)) @ Fk).max() <= 1e-15
+        assert np.abs(got - heisenberg_operators(f, [h])[0] @ Fk).max() <= 1e-15

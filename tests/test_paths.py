@@ -9,12 +9,12 @@ from srip.dictionaries import Dictionary
 from srip.errors import BudgetExceededError, NotATreeError
 from srip.paths import (
     PathClass,
+    _expected_weights,
     canonicalize,
     class_normalization,
     class_size,
     enumerate_path_classes,
     exact_spectral_moment,
-    expected_weight,
     support_size,
     trajectory_table,
     tree_to_dyck,
@@ -195,14 +195,14 @@ def test_dyck_to_tree_never_accepts_invalid(word):
 def test_expected_weight_two_step_closed_form(dh5):
     # cross pairs have |<phi, psi>|^2 = 1/p; the average over ordered pairs
     # is p / (p^2 + p - 1)
-    value = expected_weight(PathClass((1, 2, 1)), dh5)
+    value = _expected_weights([PathClass((1, 2, 1))], dh5)[0]
     assert abs(value - 5 / 29) <= 1e-12
     assert abs(value.imag) <= 1e-14
 
 
 @pytest.mark.parametrize("steps", [(1, 2, 1), (1, 2, 3, 1), (1, 2, 3, 2, 1), (1, 2, 1, 2, 1)])
 def test_expected_weight_matches_bruteforce(steps, dh5):
-    impl = expected_weight(PathClass(steps), dh5)
+    impl = _expected_weights([PathClass(steps)], dh5)[0]
     brute = brute_expected_weight(steps, dh5.atoms_matrix)
     assert abs(impl - brute) <= 1e-12
 
@@ -210,19 +210,19 @@ def test_expected_weight_matches_bruteforce(steps, dh5):
 def test_expected_weight_four_vertices_against_bruteforce(single_basis5, dh5):
     # small dictionary keeps the literal enumeration cheap
     sub = Dictionary(5, "heisenberg", 1.0, dh5.labels[:2], dh5.stack[:2])
-    impl = expected_weight(PathClass((1, 2, 3, 4, 1)), sub)
+    impl = _expected_weights([PathClass((1, 2, 3, 4, 1))], sub)[0]
     brute = brute_expected_weight((1, 2, 3, 4, 1), sub.atoms_matrix)
     assert abs(impl - brute) <= 1e-12
 
 
 def test_expected_weight_single_basis_vanishes(single_basis5):
     for steps in [(1, 2, 1), (1, 2, 3, 1), (1, 2, 3, 2, 1)]:
-        assert abs(expected_weight(PathClass(steps), single_basis5)) <= 1e-15
+        assert abs(_expected_weights([PathClass(steps)], single_basis5)[0]) <= 1e-15
 
 
 def test_expected_weight_invariant_under_relabeling(dh5):
     # the expectation depends only on the isomorphism class
-    reference = expected_weight(PathClass((1, 2, 3, 2, 1)), dh5)
+    reference = _expected_weights([PathClass((1, 2, 3, 2, 1))], dh5)[0]
     rng = np.random.default_rng(4)
     for _ in range(5):
         relabel = {v: int(x) for v, x in zip((1, 2, 3), rng.permutation(100)[:3])}
@@ -233,12 +233,12 @@ def test_expected_weight_invariant_under_relabeling(dh5):
 
 def test_expected_weight_budgets(dh5):
     with pytest.raises(BudgetExceededError):
-        expected_weight(PathClass((1, 2, 3, 4, 5, 1)), dh5)  # 5 vertices
+        _expected_weights([PathClass((1, 2, 3, 4, 5, 1))], dh5)[0]  # 5 vertices
     big = heisenberg_dict(31)
     with pytest.raises(BudgetExceededError):
-        expected_weight(PathClass((1, 2, 3, 1)), big)  # 992 atoms, 3 vertices
+        _expected_weights([PathClass((1, 2, 3, 1))], big)[0]  # 992 atoms, 3 vertices
     # but two-vertex classes are allowed on the large dictionary
-    value = expected_weight(PathClass((1, 2, 1)), big)
+    value = _expected_weights([PathClass((1, 2, 1))], big)[0]
     assert abs(value - 31 / (31 * 31 + 31 - 1)) <= 1e-12
 
 
@@ -251,10 +251,10 @@ def test_budget_predicate_agrees_with_expected_weight(p):
             allowed = within_budget(pc.vertex_count, D.atom_count)
             verdicts.add(allowed)
             if allowed:
-                expected_weight(pc, D)
+                _expected_weights([pc], D)[0]
             else:
                 with pytest.raises(BudgetExceededError):
-                    expected_weight(pc, D)
+                    _expected_weights([pc], D)[0]
     assert verdicts == {True, False}
 
 
@@ -299,7 +299,7 @@ def test_batch_weights_match_per_class_and_bruteforce(dh5):
     batch = paths._expected_weights(classes, dh5)
     assert len(batch) == len(classes)
     for pc, value in zip(classes, batch):
-        assert abs(value - expected_weight(pc, dh5)) <= 1e-12
+        assert abs(value - _expected_weights([pc], dh5)[0]) <= 1e-12
         assert abs(value - brute_expected_weight(pc.steps, dh5.atoms_matrix)) <= 1e-12
 
 
@@ -547,9 +547,9 @@ def test_reduction_relation_gap_shrinks():
     gaps = []
     for p in (5, 7, 11):
         D = heisenberg_dict(p)
-        lhs = expected_weight(PathClass((1, 2, 3, 2, 1)), D)
-        reduced = expected_weight(delete_vertex((1, 2, 3, 2, 1), 3), D)
-        rerouted = expected_weight(replace_vertex((1, 2, 3, 2, 1), 3, 1), D)
+        lhs = _expected_weights([PathClass((1, 2, 3, 2, 1))], D)[0]
+        reduced = _expected_weights([delete_vertex((1, 2, 3, 2, 1), 3)], D)[0]
+        rerouted = _expected_weights([replace_vertex((1, 2, 3, 2, 1), 3, 1)], D)[0]
         rhs = reduced / p - rerouted / (p * D.basis_count)
         gaps.append(abs(lhs - rhs) / abs(lhs))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -563,7 +563,7 @@ def test_malformed_walk_is_refused_before_any_contraction(walk, dh5, monkeypatch
 
     monkeypatch.setattr(paths, "_CoreSums", refuse)
     with pytest.raises(ValueError):
-        expected_weight(walk, dh5)
+        _expected_weights([walk], dh5)[0]
 
 
 def test_labelled_walk_is_weighed_as_its_canonical_class(dh5, monkeypatch):
@@ -586,7 +586,7 @@ def test_labelled_walk_is_weighed_as_its_canonical_class(dh5, monkeypatch):
     for walk in walks:
         pc = canonicalize(walk)
         seen.clear()
-        assert expected_weight(walk, dh5) == expected_weight(pc, dh5)
+        assert _expected_weights([walk], dh5)[0] == _expected_weights([pc], dh5)[0]
         assert seen == [pc.steps, pc.steps]
 
 
@@ -603,7 +603,7 @@ def test_exact_moment_refuses_support_outside_the_dictionary(dh5):
 def test_weights_on_a_dictionary_without_atoms_are_refused():
     empty = Dictionary(5, "heisenberg", 1.0, [], np.zeros((0, 5, 5)))
     with pytest.raises(ValueError, match=r"support size n=2 invalid for \|D\|=0"):
-        expected_weight(PathClass((1, 2, 1)), empty)
+        _expected_weights([PathClass((1, 2, 1))], empty)[0]
     with pytest.raises(ValueError, match=r"support size n=2 invalid for \|D\|=0"):
         trajectory_table({5: empty}, [PathClass((1, 2, 1))], fixed_n=1)
 

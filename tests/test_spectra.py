@@ -9,11 +9,10 @@ from srip.field import PrimeField
 from srip.linalg import hermitian_eig
 from srip.spectra import (
     TRIAL_CHUNK,
-    GramSample,
     _campaign,
+    _gram_stack,
     catalan_number,
     check_seed,
-    gram_sample,
     ks_statistic,
     run_spectrum,
     sample_support,
@@ -78,7 +77,7 @@ def test_the_last_philox_key_is_a_valid_seed(dh5):
         check_seed(2**128 - 2, 3)
     n, eigs = _campaign(dh5, 0.3, 3, 2**128 - 3)  # keys up to 2**128 - 1
     assert eigs.shape == (3, n)
-    assert np.array_equal(eigs[2], gram_sample(dh5, sample_support(dh5, n, 2**128 - 1)).eigenvalues)
+    assert np.array_equal(eigs[2], _gram_stack(dh5, sample_support(dh5, n, 2**128 - 1)[None])[2][0])
 
 
 def test_sample_support_inclusion_frequencies(dh5):
@@ -95,16 +94,16 @@ def test_sample_support_inclusion_frequencies(dh5):
 
 def test_gram_sample_single_basis(single_basis5):
     s = sample_support(single_basis5, 4, 1)
-    gs = gram_sample(single_basis5, s)
-    assert np.abs(gs.G - np.eye(4)).max() <= 1e-12
-    assert np.abs(gs.E).max() <= 1e-11
-    assert np.abs(gs.eigenvalues).max() <= 1e-11
+    (G,), (E,), (eigenvalues,) = _gram_stack(single_basis5, s[None])
+    assert np.abs(G - np.eye(4)).max() <= 1e-12
+    assert np.abs(E).max() <= 1e-11
+    assert np.abs(eigenvalues).max() <= 1e-11
 
 
 def test_gram_sample_size_one(dh5):
-    gs = gram_sample(dh5, np.array([3]))
-    assert np.abs(gs.G - 1.0).max() <= 1e-12
-    assert np.abs(gs.E).max() <= 1e-11
+    (G,), (E,), _ = _gram_stack(dh5, np.array([3])[None])
+    assert np.abs(G - 1.0).max() <= 1e-12
+    assert np.abs(E).max() <= 1e-11
 
 
 def test_records_that_hold_arrays_compare_by_identity(dh5):
@@ -112,63 +111,47 @@ def test_records_that_hold_arrays_compare_by_identity(dh5):
     # compare their arrays elementwise, which raises
     D = build_heisenberg_dictionary(PrimeField(5))
     assert (D == dh5) is False and D == D
-    gs = gram_sample(dh5, sample_support(dh5, 3, 0))
-    assert (gs == gram_sample(dh5, gs.support)) is False and gs == gs
-    eig = hermitian_eig(gs.G)
-    assert (eig == hermitian_eig(gs.G)) is False and eig == eig
+    (G,), _, _ = _gram_stack(dh5, sample_support(dh5, 3, 0)[None])
+    eig = hermitian_eig(G)
+    assert (eig == hermitian_eig(G)) is False and eig == eig
     r1, r2 = (run_spectrum(dh5, trials=3, seed=1) for _ in range(2))
     assert r1.to_dict() == r2.to_dict()
     assert (r1 == r2) is False and r1 == r1
-    assert len({D, gs, eig, r1}) == 4
+    assert len({D, eig, r1}) == 3
 
 
 def test_gram_sample_invariants(dh11):
     for seed in range(5):
         s = sample_support(dh11, 5, seed)
-        gs = gram_sample(dh11, s)
-        assert np.abs(np.diag(gs.G) - 1).max() <= 1e-9
-        assert np.abs(gs.E - gs.E.conj().T).max() == 0.0
-        scaled = math.sqrt(gs.p / gs.n) * (gs.G - np.eye(gs.n))
-        assert np.abs(gs.E - scaled).max() <= 1e-12
-        assert abs(gs.eigenvalues.sum()) <= 1e-8  # Tr E = 0, zero diagonal
+        (G,), (E,), (eigenvalues,) = _gram_stack(dh11, s[None])
+        p, n = dh11.p, len(s)
+        assert np.abs(np.diag(G) - 1).max() <= 1e-9
+        assert np.abs(E - E.conj().T).max() == 0.0
+        scaled = math.sqrt(p / n) * (G - np.eye(n))
+        assert np.abs(E - scaled).max() <= 1e-12
+        assert abs(eigenvalues.sum()) <= 1e-8  # Tr E = 0, zero diagonal
         # operator-norm identity
-        direct = np.abs(hermitian_eig(gs.G - np.eye(gs.n)).eigenvalues).max()
-        via_E = math.sqrt(gs.n / gs.p) * np.abs(gs.eigenvalues).max()
+        direct = np.abs(hermitian_eig(G - np.eye(n)).eigenvalues).max()
+        via_E = math.sqrt(n / p) * np.abs(eigenvalues).max()
         assert abs(direct - via_E) <= 1e-10
 
 
 def test_rip_deviation_examples(dh5):
     s = sample_support(dh5, 4, 3)
-    gs = gram_sample(dh5, s)
-    identity_sample = GramSample(
-        support=np.arange(3),
-        G=np.eye(3, dtype=complex),
-        E=np.zeros((3, 3), dtype=complex),
-        eigenvalues=np.zeros(3),
-        p=5,
-        n=3,
-    )
-    assert rip_deviation(identity_sample) == 0.0
+    (G,), _, _ = _gram_stack(dh5, s[None])
+    assert rip_deviation(np.eye(3, dtype=complex)) == 0.0
     # eigenvalues of G equal to {4, 1}: deviation sqrt(4) - 1 = 1
-    eigs = np.array([3.0, 0.0]) / math.sqrt(2 / 5)
-    four_one = GramSample(
-        support=np.arange(2),
-        G=np.eye(2, dtype=complex),
-        E=np.zeros((2, 2), dtype=complex),
-        eigenvalues=eigs,
-        p=5,
-        n=2,
-    )
+    four_one = np.diag([4.0, 1.0]).astype(complex)
     assert rip_deviation(four_one) == pytest.approx(1.0, abs=1e-12)
-    assert rip_deviation(gs) > 0
+    assert rip_deviation(G) > 0
 
 
 def test_rip_deviation_sandwich(dh11):
     # dev <= ||G - I|| <= 2 dev + dev^2
     for seed in range(10):
-        gs = gram_sample(dh11, sample_support(dh11, 6, seed))
-        dev = rip_deviation(gs)
-        norm = math.sqrt(gs.n / gs.p) * np.abs(gs.eigenvalues).max()
+        (G,), _, (eigenvalues,) = _gram_stack(dh11, sample_support(dh11, 6, seed)[None])
+        dev = rip_deviation(G)
+        norm = math.sqrt(6 / dh11.p) * np.abs(eigenvalues).max()
         assert dev <= norm + 1e-9
         assert norm <= 2 * dev + dev * dev + 1e-9
 
@@ -177,25 +160,25 @@ def test_rip_deviation_against_iterative_maximization(dh11):
     # random search gives a lower bound; power iteration on shifted Gram
     # matrices pushes it to the true extremum
     s = sample_support(dh11, 8, 5)
-    gs = gram_sample(dh11, s)
-    dev = rip_deviation(gs)
+    (G,), _, _ = _gram_stack(dh11, s[None])
+    dev = rip_deviation(G)
     rng = np.random.default_rng(17)
     best = 0.0
     for _ in range(10_000):
         f = rng.normal(size=8) + 1j * rng.normal(size=8)
         f /= np.linalg.norm(f)
-        val = abs(math.sqrt((f.conj() @ gs.G @ f).real) - 1.0)
+        val = abs(math.sqrt((f.conj() @ G @ f).real) - 1.0)
         best = max(best, val)
     assert best <= dev + 1e-9  # lower-bound property
     # refine toward both spectral edges
     for shift in (+4.0, -4.0):
         f = rng.normal(size=8) + 1j * rng.normal(size=8)
         f /= np.linalg.norm(f)
-        M = gs.G + shift * np.eye(8)
+        M = G + shift * np.eye(8)
         for _ in range(200):
             f = M @ f
             f /= np.linalg.norm(f)
-        best = max(best, abs(math.sqrt((f.conj() @ gs.G @ f).real) - 1.0))
+        best = max(best, abs(math.sqrt((f.conj() @ G @ f).real) - 1.0))
     assert best == pytest.approx(dev, rel=0.02)
 
 
@@ -208,8 +191,8 @@ def test_srip_single_basis_control(single_basis5):
 def test_srip_frequency_monotone_in_threshold(dh11):
     norms = []
     for seed in range(60):
-        gs = gram_sample(dh11, sample_support(dh11, 5, seed))
-        norms.append(math.sqrt(gs.n / gs.p) * np.abs(gs.eigenvalues).max())
+        _, _, (eigenvalues,) = _gram_stack(dh11, sample_support(dh11, 5, seed)[None])
+        norms.append(math.sqrt(5 / dh11.p) * np.abs(eigenvalues).max())
     norms = np.array(norms)
     grid = np.linspace(0.0, 2.0, 21)
     freqs = [(norms >= thr).mean() for thr in grid]
@@ -324,7 +307,7 @@ def test_campaign_equals_the_per_trial_gram_samples(kind, p, trials):
 
     D = (heisenberg_dict if kind == "heisenberg" else oscillator_dict)(p)
     n, eigs = _campaign(D, 0.3, trials, 17)
-    want = np.stack([gram_sample(D, sample_support(D, n, 17 + i)).eigenvalues
+    want = np.stack([_gram_stack(D, sample_support(D, n, 17 + i)[None])[2][0]
                      for i in range(trials)])
     assert eigs.shape == (trials, n) and eigs.dtype == want.dtype
     assert np.array_equal(eigs, want)
