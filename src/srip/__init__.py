@@ -9,8 +9,8 @@ numpy loads it.
 
 import os
 
-# srip's products are small (coherence blocks of at most 2**15 entries,
-# operators of at most 101 x 101): after each threaded one the extra
+# srip's products are small (blocks of at most linalg.CHUNK_ENTRIES = 2**15
+# entries, operators of at most 101 x 101): after each threaded one the extra
 # OpenBLAS workers busy-wait for about 0.1 s, which doubles CPU time and
 # barely moves wall time.
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():

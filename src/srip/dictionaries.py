@@ -29,12 +29,13 @@ atoms of basis b as columns are ``stack[b].T``, a panel of the coherence
 scan is ``stack[c0:c1].reshape(-1, p)``; the loader reads each record
 straight into its slice and the writer writes the slices as they are.  The
 builders fill the stack, and ``Dictionary`` checks it a chunk of bases at
-a time (``_chunks``), so no temporary holds much more than
-``STACK_CHUNK_ENTRIES`` entries.  A chunk of chirps comes from one
-exponent table and is checked against its operators applied as monomial
-maps; a chunk of oscillator bases comes from one stacked Weil-operator
-product, one residual check and one ordering pass; a chunk of extended
-bases from one stacked product with the translation operators.
+a time (``linalg.chunks``), a basis costing 4 p^2 entries, since a stacked
+step holds about four chunk-sized temporaries at once.  A chunk of chirps
+comes from one exponent table and is checked against its operators
+applied as monomial maps; a chunk of oscillator bases comes from one
+stacked Weil-operator product, one residual check and one ordering pass;
+a chunk of extended bases from one stacked product with the translation
+operators.
 
 Cross-basis inner products are formed by one blocked kernel,
 ``_cross_blocks``, and judged by one rule, ``within_coherence_bound``.
@@ -46,10 +47,10 @@ that contains the anchor, the first basis ``stack[0]``, and a unitary
 keeps |<phi, psi>|, so the anchor's pairs hold every value that any pair
 holds.  On an orbit the build check and ``coherence_report`` scan only
 the anchor row; on any other dictionary ``coherence_report`` scans every
-cross-basis pair.  It bins each block in one pass (``_bin_counts``),
-exactly as ``np.histogram`` on its edges would.  A file carries no proof
-of its symmetry, so a loaded dictionary is no orbit; ``identical_build``
-gives the build itself for a file that is byte for byte its own build.
+cross-basis pair.  It bins each block with ``np.histogram`` on its edges.
+A file carries no proof of its symmetry, so a loaded dictionary is no
+orbit; ``identical_build`` gives the build itself for a file that is byte
+for byte its own build.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .errors import (
 from .field import PrimeField, is_prime
 from .linalg import (
     EIGENVECTOR_RESIDUAL_TOL,
+    chunks,
     eigen_residual,
     order_eigenbasis,
     phase_normalize,
@@ -82,11 +84,6 @@ from .operators import heisenberg_action, heisenberg_operators, weil_operators
 
 COHERENCE_SLACK = 1e-9
 ORTHONORMALITY_TOL = 1e-9
-# inner products held at once by one block of the cross-basis scan
-CROSS_BLOCK_SIZE = 2**15
-# entries of one chunk of a basis stack, the most that a stacked build,
-# check or load holds in any one temporary
-STACK_CHUNK_ENTRIES = CROSS_BLOCK_SIZE // 4
 # bins of the coherence_report histogram of sqrt(p)|<phi, psi>| over [0, max(mu, 1) + 0.5]
 HISTOGRAM_BINS = 40
 
@@ -128,13 +125,6 @@ def _orthonormality_deviations(labels, S: np.ndarray) -> np.ndarray:
     return dev
 
 
-def _chunks(count: int, p: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of consecutive chunks of ``count`` p x p matrices, each
-    of at most ``STACK_CHUNK_ENTRIES`` entries, or of one matrix."""
-    step = max(1, STACK_CHUNK_ENTRIES // (p * p))
-    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
 @dataclass(eq=False)
 class Dictionary:
     """A disjoint union of pairwise mu-coherent p x p orthonormal bases: a tight frame.
@@ -164,7 +154,7 @@ class Dictionary:
             raise DimensionMismatchError(f"basis stack has shape {self.stack.shape}, "
                                          f"not {len(self.labels)} x {self.p} x {self.p}")
         self.deviations = np.empty(len(self.labels))
-        for lo, hi in _chunks(len(self.labels), self.p):
+        for lo, hi in chunks(len(self.labels), 4 * self.p * self.p):
             self.deviations[lo:hi] = _orthonormality_deviations(self.labels[lo:hi],
                                                                 self.stack[lo:hi])
         self.stack.setflags(write=False)
@@ -348,7 +338,7 @@ def _oscillator_stack(field: PrimeField) -> tuple[list[str], np.ndarray]:
     labels = [f"torus:{a},{b},{c},{d}" for a, b, c, d in generators.tolist()]
     model = unitary_eigenbasis(weil_operators(field, [_model_generator(field)])[0])
     stack = np.empty((len(labels), p, p), dtype=np.complex128)
-    for lo, hi in _chunks(len(labels), p):
+    for lo, hi in chunks(len(labels), 4 * p * p):
         carried = weil_operators(field, conjugators[lo:hi]) @ model
         lam, resid = eigen_residual(weil_operators(field, generators[lo:hi]), carried)
         _check_residuals(labels[lo:hi], resid, "carried")
@@ -356,25 +346,23 @@ def _oscillator_stack(field: PrimeField) -> tuple[list[str], np.ndarray]:
     return labels, stack
 
 
-def _cross_blocks(D: Dictionary, anchor: bool = False):
-    """Yield |<phi, psi>| over every cross-basis atom pair, block by block.
+def _cross_blocks(D: Dictionary):
+    """Yield |<phi, psi>| over the cross-basis atom pairs, block by block.
 
-    The bases after basis 0 are cut into column panels of
-    ``CROSS_BLOCK_SIZE / p^2`` bases (at least one), each a view of the
-    stack.  Every row basis x before the panel's last basis meets the
-    panel's bases after x, so a block holds at most about
-    ``CROSS_BLOCK_SIZE`` inner products: the atoms of basis x as rows
-    against those atoms as columns.  With ``anchor``, only basis 0 is a
-    row basis, so only the pairs that contain it are formed, panel by
-    panel.
+    The bases after basis 0 are cut into column panels by ``linalg.chunks``,
+    a basis costing p^2 entries, each panel a view of the stack.  Every
+    row basis x before the panel's last basis meets the panel's bases
+    after x, so a block holds at most about ``CHUNK_ENTRIES`` inner
+    products: the atoms of basis x as rows against those atoms as
+    columns.  On an orbit (``D.orbit``) only basis 0 is a row basis, so
+    only the anchor row's pairs are formed, panel by panel; on any other
+    dictionary every pair is.
     """
-    p, nb = D.p, D.basis_count
-    step = max(1, CROSS_BLOCK_SIZE // (p * p))
-    for c0 in range(1, nb, step):
-        panel = D.stack[c0:c0 + step].reshape(-1, p)
-        last = min(c0 + step, nb) - 1
-        for x in range(min(last, 1) if anchor else last):
-            yield np.abs(D.stack[x].conj() @ panel[(max(x + 1, c0) - c0) * p:].T)
+    p = D.p
+    for lo, hi in chunks(D.basis_count - 1, p * p):
+        panel = D.stack[lo + 1:hi + 1].reshape(-1, p)  # bases lo + 1 .. hi
+        for x in range(1 if D.orbit else hi):
+            yield np.abs(D.stack[x].conj() @ panel[max(x - lo, 0) * p:].T)
 
 
 def within_coherence_bound(max_abs: float, mu: float, p: int) -> bool:
@@ -382,10 +370,10 @@ def within_coherence_bound(max_abs: float, mu: float, p: int) -> bool:
     return bool(max_abs <= mu / np.sqrt(p) + COHERENCE_SLACK)
 
 
-def _check_coherence(D: Dictionary, anchor: bool = False) -> float:
+def _check_coherence(D: Dictionary) -> float:
     """Raise CoherenceViolationError unless every pair that ``_cross_blocks``
     forms obeys ``within_coherence_bound``; returns their max |<phi, psi>|."""
-    worst = max((float(block.max()) for block in _cross_blocks(D, anchor)), default=0.0)
+    worst = max((float(block.max()) for block in _cross_blocks(D)), default=0.0)
     if not within_coherence_bound(worst, D.mu, D.p):
         raise CoherenceViolationError(
             f"{D.kind} dictionary p={D.p}: cross coherence {worst:.12f} exceeds "
@@ -408,11 +396,11 @@ def build_heisenberg_dictionary(field: PrimeField) -> Dictionary:
     p = field.p
     labels = [f"line:{m}" for m in range(p)] + ["line:inf"]
     stack = np.empty((p + 1, p, p), dtype=np.complex128)
-    for lo, hi in _chunks(p, p):
+    for lo, hi in chunks(p, 4 * p * p):
         _chirps(field, np.arange(lo, hi), labels[lo:hi], stack[lo:hi])
     stack[p] = np.eye(p)
     D = Dictionary(p, "heisenberg", KIND_MU["heisenberg"], labels, stack, orbit=True)
-    _check_coherence(D, anchor=True)
+    _check_coherence(D)
     return D
 
 
@@ -428,7 +416,7 @@ def build_oscillator_dictionary(field: PrimeField) -> Dictionary:
     """
     labels, stack = _oscillator_stack(field)
     D = Dictionary(field.p, "oscillator", KIND_MU["oscillator"], labels, stack, orbit=True)
-    _check_coherence(D, anchor=True)
+    _check_coherence(D)
     return D
 
 
@@ -479,7 +467,7 @@ def build_extended_oscillator_dictionary(
     labels = [torus if v == (0, 0) else f"{torus};v:{v[0]},{v[1]}"
               for torus in tori for v in translations]
     stack = np.empty((len(labels), p, p), dtype=np.complex128)
-    for lo, hi in _chunks(len(stack), p):
+    for lo, hi in chunks(len(stack), 4 * p * p):
         which, shift = np.divmod(np.arange(lo, hi), len(translations))
         moved = shift >= zero
         chunk = stack[lo:hi].swapaxes(1, 2)
@@ -487,7 +475,7 @@ def build_extended_oscillator_dictionary(
         chunk[moved] = phase_normalize(shifts[shift[moved] - zero] @ oscillator[which[moved]])
     D = Dictionary(p, "extended_oscillator", KIND_MU["extended_oscillator"], labels, stack,
                    orbit=translation_subsample is None)
-    _check_coherence(D, anchor=D.orbit)
+    _check_coherence(D)
     return D
 
 
@@ -513,47 +501,6 @@ class CoherenceReport:
     scan: str = "pairwise"
 
 
-# a scaled value this close to an integer may sit on either side of the edge
-# it stands for; 1e-9 is far above the few ulps by which the two can differ
-_EDGE_MARGIN = 1e-9
-
-
-def _bin_counts(block: np.ndarray, edges: np.ndarray, counts: np.ndarray) -> float:
-    """Add ``np.histogram(block, bins=edges)[0]`` to ``counts``; return ``block.min()``.
-
-    ``edges`` are uniform from 0 (a ``linspace``).  A block with a negative
-    or NaN entry, which no |<phi, psi>| has, is left to ``np.histogram``.
-    A block whose minimum and maximum lie in one bin, judged against the
-    edges themselves, adds its size to that bin.  Otherwise each value is
-    scaled to edge units and truncated to its bin index; the values that
-    scaling cannot place for certain, those within ``_EDGE_MARGIN`` of an
-    interior edge or of the last one, are binned by ``np.histogram`` on
-    the edges.
-    """
-    bins = len(counts)
-    least, most = block.min(), block.max()
-    if not least >= 0:
-        counts += np.histogram(block, bins=edges)[0]
-        return float(least)
-    k = int(np.searchsorted(edges[:-1], least, side="right")) - 1
-    if most < edges[k + 1] or (k == bins - 1 and most <= edges[-1]):
-        counts[k] += block.size
-        return float(least)
-    values = block.ravel()
-    scaled = values * (bins / edges[-1])
-    # below 0.5 lies in bin 0, whose lower edge 0 no value can miss; at or
-    # above bins + 0.5 lies past the range, and stays a valid index
-    np.clip(scaled, 0.5, bins + 0.5, out=scaled)
-    index = scaled.astype(np.intp)
-    scaled -= index + 0.5
-    unsure = np.abs(scaled, out=scaled) >= 0.5 - _EDGE_MARGIN
-    if unsure.any():
-        counts += np.histogram(values[unsure], bins=edges)[0]
-        index = index[~unsure]
-    counts += np.bincount(index, minlength=bins + 1)[:bins]
-    return float(least)
-
-
 def coherence_report(D: Dictionary) -> CoherenceReport:
     """Max, min and histogram of sqrt(p)*|<phi, psi>| over every cross-basis pair.
 
@@ -573,11 +520,12 @@ def coherence_report(D: Dictionary) -> CoherenceReport:
     raw_worst = 0.0
     least = float("inf")
     pairs = 0
-    for block in _cross_blocks(D, anchor=D.orbit):
+    for block in _cross_blocks(D):
         raw_worst = max(raw_worst, float(block.max()))
         block *= sqrt_p
         pairs += block.size
-        least = min(least, _bin_counts(block, edges, counts))
+        counts += np.histogram(block, bins=edges)[0]
+        least = min(least, float(block.min()))
     if D.orbit:
         pairs = pairs * nb // 2
         counts = counts * nb // 2

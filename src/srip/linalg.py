@@ -6,6 +6,9 @@ diagonalized by reducing to the Hermitian problem through a fixed linear
 combination of U and its adjoint; the resulting vectors are verified
 against U directly, ordered by descending eigenvalue phase in (0, 2pi]
 and phase-normalized column by column.
+
+Every blocked loop of the package takes its block bounds from ``chunks``,
+so one budget, ``CHUNK_ENTRIES``, decides how much any block holds.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 EIGENVECTOR_RESIDUAL_TOL = 1e-8
 ANCHOR_RTOL = 1e-9
+# entries that one block of a blocked loop may hold at once, its temporaries together
+CHUNK_ENTRIES = 2**15
 
 # arbitrary fixed phase for the unitary-to-Hermitian reduction; doubled on
 # retry when two distinct unitary eigenvalues land on the same real part
@@ -33,6 +38,14 @@ class HermitianEig:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+def chunks(count: int, entries: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive blocks of ``count`` items that cost
+    ``entries`` entries each: a block holds at most ``CHUNK_ENTRIES``
+    entries, or one item."""
+    step = max(1, CHUNK_ENTRIES // max(entries, 1))
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _as_square_complex(A: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .errors import BudgetExceededError, NotATreeError
-from .linalg import gram
+from .linalg import chunks, gram
 
 MAX_LENGTH = 10
 MAX_VERTICES = 4
@@ -42,8 +42,6 @@ MAX_VERTICES = 4
 # atom_count^3 once three or more vertices are free
 MAX_ATOMS_SMALL_CLASS = 2000  # |V| <= 2
 MAX_ATOMS = 400  # |V| in {3, 4}
-# Gram entries held at once by one row block of a two-block walk sum
-_ROW_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -222,13 +220,13 @@ def _merged_walk_sum(edges, blocks: int, G: np.ndarray) -> complex:
 
 
 def _two_block_sum(G: np.ndarray, x: int, y: int) -> complex:
-    """sum_{a,b} G[a, b]^x G[b, a]^y, taken over row blocks of G so that no
-    temporary holds more than ``_ROW_BLOCK_ENTRIES`` entries."""
+    """sum_{a,b} G[a, b]^x G[b, a]^y, taken over row blocks of G from
+    ``linalg.chunks``, a row costing 2N entries: a block forms two
+    temporaries of its rows."""
     N = G.shape[0]
-    step = max(1, _ROW_BLOCK_ENTRIES // max(N, 1))
     total = 0j
-    for r in range(0, N, step):
-        total += complex((G[r:r + step] ** x * G[:, r:r + step].T ** y).sum())
+    for lo, hi in chunks(N, 2 * N):
+        total += complex((G[lo:hi] ** x * G[:, lo:hi].T ** y).sum())
     return total
 
 

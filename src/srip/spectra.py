@@ -11,9 +11,11 @@ trials >= 1, 0 < eps < 1, 2 <= n <= |D| and
 0 <= seed <= seed + trials - 1 < 2^128 (``check_seed``).  The moment and
 tail tables add kmax >= 1 (``check_kmax``) and a finite delta exponent
 e > -2 (``check_delta_exponent``).
-The core runs the trials in chunks of ``TRIAL_CHUNK``: each chunk's
-Gram and error matrices come from one stacked product and its spectra
-from one stacked eigensolve, and only the eigenvalues are kept.
+The core runs the trials in chunks from ``linalg.chunks``, a trial
+costing 4 p n entries, about what its gathered atoms, their conjugate and
+its n x n matrices take together: each chunk's Gram and error matrices
+come from one stacked product and its spectra from one stacked
+eigensolve, and only the eigenvalues are kept.
 
 Randomness comes from numpy's Philox counter-based 64-bit generator;
 trial i uses the key seed + i, so each trial's draw is independent of
@@ -30,11 +32,10 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .errors import SupportTooLargeError
-from .linalg import gram, hermitian_eig
+from .linalg import chunks, gram, hermitian_eig
 from .paths import _check_support, _distinct_indices, support_size
 
 HISTOGRAM_EDGES = np.linspace(-3.0, 3.0, 61)
-TRIAL_CHUNK = 32  # trials per stacked eigensolve of the campaign core
 
 
 def sample_support(D: Dictionary, n: int, seed: int) -> np.ndarray:
@@ -115,8 +116,8 @@ def _campaign(D: Dictionary, epsilon: float, trials: int, seed: int) -> tuple[in
     """(n, eigs): the support size and the (trials, n) normalized-error eigenvalues.
 
     Checks ``campaign_size`` and ``check_seed``, then n <= |D|; trial i
-    draws its support with the key seed + i.  Trials run ``TRIAL_CHUNK``
-    at a time through ``_gram_stack``, so row i equals the spectrum that
+    draws its support with the key seed + i.  Trials run a chunk at a time
+    through ``_gram_stack``, so row i equals the spectrum that
     ``_gram_stack`` gives for trial i's support alone.
     """
     n = campaign_size(D.p, epsilon, trials)
@@ -124,8 +125,7 @@ def _campaign(D: Dictionary, epsilon: float, trials: int, seed: int) -> tuple[in
     _check_support(n, D)
     draw = _keyed_draws(D.atom_count, n)
     eigs = np.empty((trials, n))
-    for lo in range(0, trials, TRIAL_CHUNK):
-        hi = min(lo + TRIAL_CHUNK, trials)
+    for lo, hi in chunks(trials, 4 * D.p * n):
         supports = np.stack([draw(seed + i) for i in range(lo, hi)])
         eigs[lo:hi] = _gram_stack(D, supports)[2]
     return n, eigs

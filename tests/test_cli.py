@@ -511,15 +511,15 @@ def test_p_zero_is_a_given_p(tmp_path, monkeypatch, capsys, command, source, mes
 
 
 def _spy_scans(monkeypatch):
-    """Record the ``anchor`` argument of every ``_cross_blocks`` call."""
+    """Record the ``orbit`` marker of the dictionary of every ``_cross_blocks`` call."""
     import srip.dictionaries as dictionaries
 
     anchors = []
     real = dictionaries._cross_blocks
 
-    def spy(D, anchor=False):
-        anchors.append(anchor)
-        return real(D, anchor)
+    def spy(D):
+        anchors.append(D.orbit)
+        return real(D)
 
     monkeypatch.setattr(dictionaries, "_cross_blocks", spy)
     return anchors

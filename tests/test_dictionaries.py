@@ -504,12 +504,18 @@ def test_coherence_report_matches_pairwise_oracle(make):
     assert abs(rep.min_scaled_coherence - least) <= 1e-14
 
 
-def test_cross_blocks_are_bounded_and_cover_every_pair():
-    from srip.dictionaries import CROSS_BLOCK_SIZE, _cross_blocks
+def _pairwise(D):
+    """The bases of ``D`` as a dictionary that is no orbit, so every pair is scanned."""
+    return Dictionary(D.p, D.kind, D.mu, D.labels, D.stack)
 
-    D = _heisenberg(61)  # 8 bases per group, so several groups per basis
+
+def test_cross_blocks_are_bounded_and_cover_every_pair():
+    from srip.dictionaries import _cross_blocks
+    from srip.linalg import CHUNK_ENTRIES
+
+    D = _pairwise(_heisenberg(61))  # 8 bases per group, so several groups per basis
     sizes = [block.size for block in _cross_blocks(D)]
-    assert max(sizes) <= CROSS_BLOCK_SIZE
+    assert max(sizes) <= CHUNK_ENTRIES
     assert sum(sizes) == 62 * 61 // 2 * 61 * 61
     assert len(sizes) > D.basis_count
 
@@ -521,14 +527,15 @@ def test_cross_blocks_are_bounded_and_cover_every_pair():
 )
 def test_column_panels_form_each_pair_once(monkeypatch, make, panels):
     import srip.dictionaries as dictionaries
+    import srip.linalg as linalg
     from oracles import pairwise_coherence, pairwise_values
 
     D = make()
     # 5 oscillator p = 13 bases, or 20 extended p = 7 bases, per panel
-    monkeypatch.setattr(dictionaries, "CROSS_BLOCK_SIZE", 1000)
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 1000)
     step = 1000 // (D.p * D.p)
     assert -(-(D.basis_count - 1) // step) == panels
-    blocks = list(dictionaries._cross_blocks(D))
+    blocks = list(dictionaries._cross_blocks(_pairwise(D)))
     values = np.sort(np.concatenate([block.ravel() for block in blocks]))
     # a pair formed twice in place of another moves the sorted values by far
     # more than the last-bit differences between product shapes
@@ -543,41 +550,10 @@ def test_column_panels_form_each_pair_once(monkeypatch, make, panels):
     assert abs(rep.min_scaled_coherence - least) <= 1e-14
 
 
-def test_heisenberg_report_bins_every_block_at_once(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a block of the heisenberg p = 61 report reached np.histogram")
-
+def test_heisenberg_report_bins_every_block_at_once():
     D = _heisenberg(61)
-    monkeypatch.setattr(np, "histogram", refuse)
     rep = coherence_report(D)
     assert rep.histogram_counts[26] == rep.cross_pairs_checked == 62 * 61 // 2 * 61 * 61
-
-
-def _bin_count_cases():
-    rng = np.random.default_rng(7)
-    for top in (1.5, 4.5):
-        edges = np.linspace(0.0, top, 41)
-        interior = edges[17]
-        yield edges, edges.reshape(1, -1)
-        yield edges, np.nextafter(edges, -np.inf)
-        yield edges, np.nextafter(edges, np.inf)
-        yield edges, np.array([[edges[-1], np.nextafter(edges[-1], np.inf)],
-                               [top + 1.0, 1e300]])
-        yield edges, np.full((3, 4), edges[-1])
-        yield edges, np.zeros((3, 4))
-        yield edges, np.full((3, 4), interior)
-        yield edges, np.full((3, 4), np.nextafter(interior, -np.inf))
-        yield edges, rng.uniform(0.0, top + 0.5, size=(31, 33))
-
-
-@pytest.mark.parametrize("edges, block", list(_bin_count_cases()))
-def test_bin_counts_equals_histogram_on_the_edges(edges, block):
-    from srip.dictionaries import _bin_counts
-
-    counts = np.arange(40, dtype=np.int64)
-    least = _bin_counts(block.copy(), edges, counts)
-    assert counts.tolist() == (np.arange(40) + np.histogram(block, bins=edges)[0]).tolist()
-    assert least == block.min()
 
 
 def test_histogram_leaves_out_pairs_above_its_range():
@@ -728,7 +704,7 @@ def test_anchor_maximum_equals_pairwise_maximum(kind, p):
              "oscillator": build_oscillator_dictionary,
              "extended_oscillator": build_extended_oscillator_dictionary}
     D = build[kind](PrimeField(p))
-    anchor = np.sqrt(p) * _check_coherence(D, anchor=True)
+    anchor = np.sqrt(p) * _check_coherence(D)
     assert abs(anchor - pairwise_coherence(D)[1]) <= 1e-12
 
 
@@ -834,12 +810,12 @@ def _record_offset(D, k):
 def test_a_bad_basis_mid_chunk_fails_the_load_by_its_label(tmp_path, fault):
     import re
 
-    from srip.dictionaries import _chunks
+    from srip.linalg import chunks
 
     D = oscillator_dict(13)
-    chunks = _chunks(D.basis_count, 13)
-    assert len(chunks) > 1
-    lo, hi = chunks[1]
+    blocks = chunks(D.basis_count, 4 * 13 * 13)
+    assert len(blocks) > 1
+    lo, hi = blocks[1]
     k = (lo + hi) // 2
     assert lo < k < hi - 1
     data = bytearray(dump_dictionary(D))
@@ -893,7 +869,7 @@ def test_a_chirp_with_one_corrupted_entry_fails_its_check():
 def test_build_memory_is_the_dictionary_plus_a_few_chunks(build, p):
     import tracemalloc
 
-    from srip.dictionaries import STACK_CHUNK_ENTRIES
+    from srip.linalg import CHUNK_ENTRIES
 
     f = PrimeField(p)
     build(PrimeField(5))  # first-call caches
@@ -904,7 +880,7 @@ def test_build_memory_is_the_dictionary_plus_a_few_chunks(build, p):
     finally:
         tracemalloc.stop()
     # the anchor coherence check holds about ten chunks' worth at once
-    assert peak <= 16 * D.basis_count * p * p + 16 * (16 * STACK_CHUNK_ENTRIES)
+    assert peak <= 16 * D.basis_count * p * p + 16 * (4 * CHUNK_ENTRIES)
 
 
 def test_dictionary_bases_are_immutable(dh5):
@@ -915,7 +891,7 @@ def test_dictionary_bases_are_immutable(dh5):
 def test_load_memory_is_the_dictionary_plus_a_few_chunks(tmp_path):
     import tracemalloc
 
-    from srip.dictionaries import STACK_CHUNK_ENTRIES
+    from srip.linalg import CHUNK_ENTRIES
 
     p = 61
     path = tmp_path / "h61.srip"
@@ -929,7 +905,35 @@ def test_load_memory_is_the_dictionary_plus_a_few_chunks(tmp_path):
     finally:
         tracemalloc.stop()
     assert M.shape == (p, D.atom_count)
-    assert peak <= 16 * D.basis_count * p * p + 16 * (16 * STACK_CHUNK_ENTRIES)
+    assert peak <= 16 * D.basis_count * p * p + 16 * (4 * CHUNK_ENTRIES)
+
+
+@pytest.mark.parametrize("budget", [1, 200, 2**22])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _heisenberg(61), lambda: build_oscillator_dictionary(PrimeField(13)),
+     lambda: build_oscillator_dictionary(PrimeField(17)), _extended7],
+    ids=["heisenberg61", "oscillator13", "oscillator17", "extended7"],
+)
+def test_the_chunk_budget_sets_memory_not_results(monkeypatch, make, budget):
+    import srip.linalg as linalg
+    from srip.spectra import _campaign
+
+    def run():
+        D = make()
+        return D, coherence_report(D), _campaign(D, 0.3, 40, 7)[1]
+
+    D0, rep0, eigs0 = run()
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", budget)
+    D, rep, eigs = run()
+    assert D.labels == D0.labels
+    assert D.stack.tobytes() == D0.stack.tobytes()
+    assert D.deviations.tobytes() == D0.deviations.tobytes()
+    assert eigs.tobytes() == eigs0.tobytes()
+    assert rep.cross_pairs_checked == rep0.cross_pairs_checked
+    assert rep.histogram_counts == rep0.histogram_counts
+    assert abs(rep.max_scaled_coherence - rep0.max_scaled_coherence) <= 1e-14
+    assert abs(rep.min_scaled_coherence - rep0.min_scaled_coherence) <= 1e-14
 
 
 # orbit dictionaries: reports through the anchor row
@@ -989,9 +993,9 @@ def test_orbit_report_reads_the_anchor_row_only(monkeypatch):
     anchors = []
     real = dictionaries._cross_blocks
 
-    def spy(D, anchor=False):
-        anchors.append(anchor)
-        return real(D, anchor)
+    def spy(D):
+        anchors.append(D.orbit)
+        return real(D)
 
     monkeypatch.setattr(dictionaries, "_cross_blocks", spy)
     rep = coherence_report(D)

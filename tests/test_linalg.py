@@ -271,3 +271,22 @@ def test_stacked_eigenbasis_steps_are_the_per_matrix_steps():
         assert ordered[k].tobytes() == order_eigenbasis(Vs[k], lam_k).tobytes()
         assert normalized[k].tobytes() == phase_normalize(Vs[k]).tobytes()
         assert np.array_equal(anchor_index(Vs)[k], anchor_index(Vs[k]))
+
+
+@pytest.mark.parametrize(
+    "budget, count, entries",
+    [(2**15, 0, 5), (2**15, 1, 2**20), (2**15, 62, 4 * 61 * 61), (2**15, 77, 13 * 13),
+     (2**15, 200, 4 * 31 * 11), (10, 7, 3), (10, 7, 10), (10, 7, 11), (1, 5, 1)],
+)
+def test_chunks_cover_every_item_once_within_the_budget(monkeypatch, budget, count, entries):
+    import srip.linalg as linalg
+
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", budget)
+    blocks = linalg.chunks(count, entries)
+    assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(count))
+    sizes = [hi - lo for lo, hi in blocks]
+    assert all(size * entries <= budget or size == 1 for size in sizes)
+    # every block but the last is as large as the budget allows
+    assert all(size == max(1, budget // entries) for size in sizes[:-1])
+    if count == 0:
+        assert blocks == []

@@ -8,7 +8,6 @@ from srip.errors import SupportTooLargeError
 from srip.field import PrimeField
 from srip.linalg import hermitian_eig
 from srip.spectra import (
-    TRIAL_CHUNK,
     _campaign,
     _gram_stack,
     catalan_number,
@@ -301,11 +300,15 @@ def test_run_spectrum_deterministic(dh11):
 
 
 @pytest.mark.parametrize("kind, p", [("heisenberg", 11), ("oscillator", 7)])
-@pytest.mark.parametrize("trials", [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1])
-def test_campaign_equals_the_per_trial_gram_samples(kind, p, trials):
+@pytest.mark.parametrize("trials", [1, 31, 32, 33])
+def test_campaign_equals_the_per_trial_gram_samples(monkeypatch, kind, p, trials):
+    import srip.linalg as linalg
     from conftest import heisenberg_dict, oscillator_dict
+    from srip.paths import support_size
 
     D = (heisenberg_dict if kind == "heisenberg" else oscillator_dict)(p)
+    # 32 trials to a chunk, so the trial counts straddle a chunk boundary
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 32 * 4 * p * support_size(p, 0.3))
     n, eigs = _campaign(D, 0.3, trials, 17)
     want = np.stack([_gram_stack(D, sample_support(D, n, 17 + i)[None])[2][0]
                      for i in range(trials)])
@@ -343,3 +346,20 @@ def test_one_rekeyed_philox_draws_what_a_fresh_generator_draws(N, n):
         got = draw(key)
         assert got.dtype == want.dtype and np.array_equal(got, want), key
         assert np.array_equal(sample_support(_Size, n, key), want), key
+
+
+def test_campaign_memory_is_the_eigenvalues_plus_a_few_chunks():
+    import tracemalloc
+
+    from conftest import heisenberg_dict
+
+    D = heisenberg_dict(101)
+    _campaign(D, 0.1, 2, 0)  # first-call caches
+    tracemalloc.start()
+    try:
+        n, eigs = _campaign(D, 0.1, 200, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 63
+    assert peak - eigs.nbytes <= 2 * 2**20
