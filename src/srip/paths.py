@@ -12,10 +12,13 @@ cycle.  Expectations of these weights over uniformly random injective
 assignments are computed exactly (by Moebius inversion over vertex
 coincidence patterns, reduced through the tight-frame identity
 sum_a phi_a phi_a^H = (basis count) * I; each class is expanded once per
-process, keyed by its first-visit form, and a core of three or more
-degree-2 blocks is contracted in p dimensions on the degree-2 moment
-operator, any other on the Gram matrix), which ties the Monte Carlo spectral statistics to closed
-combinatorial quantities.
+process, keyed by its first-visit form).  The cores the reduction leaves
+are summed without the Gram where the structure allows: on an orbit
+dictionary a two-block core, sum |G_ab|^(2x), is read from the anchor row
+of |<phi, psi>| values, a core of three or more degree-2 blocks is
+contracted in p dimensions on the degree-2 moment operator, and any other
+on the Gram matrix.  This ties the Monte Carlo spectral statistics to
+closed combinatorial quantities.
 
 The rest of the combinatorics that the engine is checked against (Dyck
 decoding of tree classes, vertex surgery, the completeness identity and
@@ -32,7 +35,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .dictionaries import Dictionary
+from .dictionaries import Dictionary, _cross_blocks
 from .errors import BudgetExceededError, NotATreeError
 from .linalg import chunks, gram
 
@@ -230,6 +233,18 @@ def _two_block_sum(G: np.ndarray, x: int, y: int) -> complex:
     return total
 
 
+def _two_block_orbit_sum(D: Dictionary, power: int) -> complex:
+    """sum_{a,b} |G[a, b]|^power on an orbit dictionary, from its anchor row.
+
+    A two-block core of ``power`` edges, x = power/2 each way, sums
+    G[a, b]^x G[b, a]^x = |G[a, b]|^power.  A basis meets itself in p unit
+    entries, and every basis's row of |<phi, psi>| values holds the anchor
+    row's (``_cross_blocks``), so the sum is nb * (p + the anchor row's sum).
+    """
+    row = sum(float((block**power).sum()) for block in _cross_blocks(D))
+    return complex(D.basis_count * (D.p + row))
+
+
 def _walk_key(edges, blocks: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Canonical form of a merged walk: the block count and the directed edge
     list, sorted and minimised over every relabelling of the blocks.
@@ -303,10 +318,11 @@ def _degree2_core_sum(edges, blocks: int, S2: np.ndarray) -> complex:
 class _CoreSums:
     """Memoised free sums of merged-walk cores on one dictionary.
 
-    Keyed by ``_walk_key``.  A core of three or more degree-2 blocks is
-    ``_degree2_core_sum`` on S2, whatever the basis count; every other core
-    is ``_merged_walk_sum`` on the Gram.  The Gram and S2 are formed on
-    first use.
+    Keyed by ``_walk_key``.  On an orbit (``D.orbit``) a two-block core is
+    ``_two_block_orbit_sum``, read from the anchor row.  A core of three or
+    more degree-2 blocks is ``_degree2_core_sum`` on S2, whatever the basis
+    count; every other core is ``_merged_walk_sum`` on the Gram.  The Gram
+    and S2 are formed on first use.
     """
 
     def __init__(self, D: Dictionary):
@@ -329,7 +345,9 @@ class _CoreSums:
         if key not in self.memo:
             blocks, edges = key
             out_degrees = {sum(u == b for u, _ in edges) for b in range(blocks)}
-            if blocks >= 3 and out_degrees == {2}:
+            if blocks == 2 and self.D.orbit:
+                self.memo[key] = _two_block_orbit_sum(self.D, len(edges))
+            elif blocks >= 3 and out_degrees == {2}:
                 self.memo[key] = _degree2_core_sum(edges, blocks, self.s2)
             else:
                 self.memo[key] = _merged_walk_sum(edges, blocks, self.gram)

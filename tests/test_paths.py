@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from srip import paths
-from srip.dictionaries import Dictionary
+from srip.cli import main
+from srip.dictionaries import Dictionary, build_extended_oscillator_dictionary
 from srip.errors import BudgetExceededError, NotATreeError
+from srip.field import PrimeField
 from srip.paths import (
     PathClass,
     _expected_weights,
@@ -303,8 +305,22 @@ def test_batch_weights_match_per_class_and_bruteforce(dh5):
         assert abs(value - brute_expected_weight(pc.steps, dh5.atoms_matrix)) <= 1e-12
 
 
+def _gram_route_copy(D: Dictionary) -> Dictionary:
+    """D's stack as a dictionary that is no orbit, so every core it sums that
+    is not a degree-2 one goes through the Gram."""
+    return Dictionary(D.p, D.kind, D.mu, D.labels, D.stack)
+
+
+def _two_block_key(x: int):
+    """The ``_walk_key`` of the two-block core with x edges each way:
+    sum_{a,b} |G[a, b]|^(2x)."""
+    return paths._walk_key([(0, 1)] * x + [(1, 0)] * x, 2)
+
+
 def test_trajectory_table_contracts_each_distinct_walk_once(dh5, monkeypatch):
-    # 352 vertex-merge patterns over the k = 6 classes, 21 distinct merged walks
+    # 352 vertex-merge patterns over the k = 6 classes, 21 distinct merged walks;
+    # on a dictionary that is no orbit, the two-block cores reach the Gram
+    D = _gram_route_copy(dh5)
     calls = []
     contract = paths._merged_walk_sum
 
@@ -314,10 +330,92 @@ def test_trajectory_table_contracts_each_distinct_walk_once(dh5, monkeypatch):
 
     monkeypatch.setattr(paths, "_merged_walk_sum", counting)
     usable = [
+        pc for pc in enumerate_path_classes(6) if within_budget(pc.vertex_count, D.atom_count)
+    ]
+    trajectory_table({5: D}, usable, fixed_n=3)
+    assert 0 < len(calls) <= 21
+
+
+def test_orbit_reads_each_two_block_core_from_the_anchor_row_once(dh5, monkeypatch):
+    # k = 6 leaves two two-block cores, S4 and S6: on an orbit each scans the
+    # anchor row once, and no core reaches the Gram
+    gram_walks = []
+    scans = []
+    contract = paths._merged_walk_sum
+    cross_blocks = paths._cross_blocks
+
+    def counting(edges, blocks, G):
+        gram_walks.append(blocks)
+        return contract(edges, blocks, G)
+
+    def scanning(D):
+        scans.append(D.orbit)
+        return cross_blocks(D)
+
+    monkeypatch.setattr(paths, "_merged_walk_sum", counting)
+    monkeypatch.setattr(paths, "_cross_blocks", scanning)
+    usable = [
         pc for pc in enumerate_path_classes(6) if within_budget(pc.vertex_count, dh5.atom_count)
     ]
     trajectory_table({5: dh5}, usable, fixed_n=3)
-    assert 0 < len(calls) <= 21
+    assert gram_walks == []
+    assert scans == [True, True]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_orbit_two_block_cores_equal_the_heisenberg_closed_forms(p):
+    # S4 = N + N(N-p)/p^2 and S6 = N + N(N-p)/p^3 on the p+1 mutually unbiased bases
+    D = heisenberg_dict(p)
+    N = D.atom_count
+    core_sum = paths._CoreSums(D)
+    for x, exact in ((2, N + N * (N - p) / p**2), (3, N + N * (N - p) / p**3)):
+        value = core_sum(_two_block_key(x))
+        assert abs(value - exact) <= 1e-13 * exact
+
+
+def _orbit_build(kind: str, p: int) -> Dictionary:
+    if kind == "heisenberg":
+        return heisenberg_dict(p)
+    if kind == "oscillator":
+        return oscillator_dict(p)
+    return build_extended_oscillator_dictionary(PrimeField(p))
+
+
+@pytest.mark.parametrize("kind, p", [("heisenberg", p) for p in (5, 7, 11, 13, 17, 19)]
+                         + [("oscillator", p) for p in (5, 7, 13)]
+                         + [("extended_oscillator", 5)])
+def test_orbit_two_block_cores_equal_the_gram_route(kind, p):
+    D = _orbit_build(kind, p)
+    assert D.orbit
+    orbit_sum = paths._CoreSums(D)
+    gram_sum = paths._CoreSums(_gram_route_copy(D))
+    for x in (2, 3, 4):
+        key = _two_block_key(x)
+        assert abs(orbit_sum(key) - gram_sum(key)) <= 1e-13 * abs(gram_sum(key))
+
+
+@pytest.mark.parametrize("kind, p", [("heisenberg", p) for p in (5, 7, 11, 13, 17, 19)]
+                         + [("oscillator", 7)])
+def test_orbit_exact_moments_equal_the_gram_route(kind, p):
+    D = _orbit_build(kind, p)
+    copy = _gram_route_copy(D)
+    for n in (3, support_size(D.p, 0.3)):
+        for k in (2, 3, 4):
+            orbit = exact_spectral_moment(D, n, k)
+            assert abs(orbit - exact_spectral_moment(copy, n, k)) <= 1e-12
+
+
+def test_orbit_moments_and_paths_verify_form_no_gram(tmp_path, monkeypatch):
+    def refuse(M):
+        raise AssertionError("an N x N Gram was formed")
+
+    monkeypatch.setattr(paths, "gram", refuse)
+    for D in (heisenberg_dict(5), heisenberg_dict(19), oscillator_dict(7)):
+        assert exact_spectral_moment(D, 3, 4) > 0
+    argv = ["paths-verify", "--k", "6", "--ladder", "5,7", "--fixed-n", "3",
+            "--out-prefix", str(tmp_path / "pv")]
+    assert main(argv) == 0
+    assert (tmp_path / "pv.estimates.csv").exists()
 
 
 def test_reduced_walk_sums_match_the_atom_space_contraction(dh5, monkeypatch):
