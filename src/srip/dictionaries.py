@@ -365,6 +365,14 @@ def _cross_blocks(D: Dictionary):
             yield np.abs(D.stack[x].conj() @ panel[max(x - lo, 0) * p:].T)
 
 
+def _pair_weight(D: Dictionary) -> int:
+    """How many ordered basis pairs each pair that ``_cross_blocks`` forms
+    stands for: nb on an orbit, whose every basis's row holds the anchor
+    row's values, and 2 on any other dictionary, whose unordered pairs are
+    each formed once."""
+    return D.basis_count if D.orbit else 2
+
+
 def within_coherence_bound(max_abs: float, mu: float, p: int) -> bool:
     """The coherence rule: max|<phi, psi>| <= mu/sqrt(p) + COHERENCE_SLACK."""
     return bool(max_abs <= mu / np.sqrt(p) + COHERENCE_SLACK)
@@ -504,13 +512,12 @@ class CoherenceReport:
 def coherence_report(D: Dictionary) -> CoherenceReport:
     """Max, min and histogram of sqrt(p)*|<phi, psi>| over every cross-basis pair.
 
-    An orbit dictionary is scanned through its anchor row: each basis's
-    row of pairs holds the anchor row's values, and each pair lies in two
-    rows, so the pair count and every histogram count are nb/2 times the
-    row's, and the row's max and min are those of every pair.  Any other
-    dictionary is scanned pair by pair.  Violations are reported, not
-    raised.  A single-basis dictionary has no cross pairs and is flagged
-    as a vacuous pass.
+    An orbit dictionary is scanned through its anchor row, whose max and
+    min are those of every pair; any other dictionary is scanned pair by
+    pair.  Each formed pair stands for ``_pair_weight(D)`` ordered pairs,
+    so the pair count and every histogram count are weight/2 times the
+    formed ones.  Violations are reported, not raised.  A single-basis
+    dictionary has no cross pairs and is flagged as a vacuous pass.
     """
     p = D.p
     sqrt_p = np.sqrt(p)
@@ -526,9 +533,9 @@ def coherence_report(D: Dictionary) -> CoherenceReport:
         pairs += block.size
         counts += np.histogram(block, bins=edges)[0]
         least = min(least, float(block.min()))
-    if D.orbit:
-        pairs = pairs * nb // 2
-        counts = counts * nb // 2
+    weight = _pair_weight(D)
+    pairs = pairs * weight // 2
+    counts = counts * weight // 2
     # rounding is monotone, so this is the largest scaled entry bit for bit
     worst = float(raw_worst * sqrt_p)
     vacuous = nb < 2

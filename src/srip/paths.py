@@ -13,12 +13,12 @@ assignments are computed exactly (by Moebius inversion over vertex
 coincidence patterns, reduced through the tight-frame identity
 sum_a phi_a phi_a^H = (basis count) * I; each class is expanded once per
 process, keyed by its first-visit form).  The cores the reduction leaves
-are summed without the Gram where the structure allows: on an orbit
-dictionary a two-block core, sum |G_ab|^(2x), is read from the anchor row
-of |<phi, psi>| values, a core of three or more degree-2 blocks is
-contracted in p dimensions on the degree-2 moment operator, and any other
-on the Gram matrix.  This ties the Monte Carlo spectral statistics to
-closed combinatorial quantities.
+are summed without the Gram where the structure allows: a two-block
+core, sum |G_ab|^(2x), over the cross-basis scan of |<phi, psi>| values
+on every dictionary, a core of three or more degree-2 blocks in p
+dimensions on the degree-2 moment operator, and any other on the Gram
+matrix.  This ties the Monte Carlo spectral statistics to closed
+combinatorial quantities.
 
 The rest of the combinatorics that the engine is checked against (Dyck
 decoding of tree classes, vertex surgery, the completeness identity and
@@ -35,9 +35,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .dictionaries import Dictionary, _cross_blocks
+from .dictionaries import Dictionary, _cross_blocks, _pair_weight
 from .errors import BudgetExceededError, NotATreeError
-from .linalg import chunks, gram
+from .linalg import gram
 
 MAX_LENGTH = 10
 MAX_VERTICES = 4
@@ -190,12 +190,9 @@ def _merged_walk_sum(edges, blocks: int, G: np.ndarray) -> complex:
     """Sum over all (unrestricted) block assignments of the walk weight.
 
     ``edges`` lists directed block pairs; equal pairs contribute diagonal
-    factors.  A walk on two blocks without loops is ``_two_block_sum``;
-    any other walk is one einsum contraction of the Gram matrix.
+    factors.  One einsum contraction of the Gram matrix, whatever the walk:
+    the reference for every core route of ``_CoreSums``.
     """
-    if blocks == 2 and edges and all(u != v for u, v in edges):
-        forward = sum(u == 0 for u, _ in edges)
-        return _two_block_sum(G, forward, len(edges) - forward)
     letters = "abcd"
     pair_factors: dict[tuple[int, int], np.ndarray] = {}
     loop_counts = [0] * blocks
@@ -222,27 +219,18 @@ def _merged_walk_sum(edges, blocks: int, G: np.ndarray) -> complex:
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
 
 
-def _two_block_sum(G: np.ndarray, x: int, y: int) -> complex:
-    """sum_{a,b} G[a, b]^x G[b, a]^y, taken over row blocks of G from
-    ``linalg.chunks``, a row costing 2N entries: a block forms two
-    temporaries of its rows."""
-    N = G.shape[0]
-    total = 0j
-    for lo, hi in chunks(N, 2 * N):
-        total += complex((G[lo:hi] ** x * G[:, lo:hi].T ** y).sum())
-    return total
-
-
-def _two_block_orbit_sum(D: Dictionary, power: int) -> complex:
-    """sum_{a,b} |G[a, b]|^power on an orbit dictionary, from its anchor row.
+def _two_block_core_sum(D: Dictionary, power: int) -> complex:
+    """sum_{a,b} |G[a, b]|^power, from the cross-basis scan of ``_cross_blocks``.
 
     A two-block core of ``power`` edges, x = power/2 each way, sums
-    G[a, b]^x G[b, a]^x = |G[a, b]|^power.  A basis meets itself in p unit
-    entries, and every basis's row of |<phi, psi>| values holds the anchor
-    row's (``_cross_blocks``), so the sum is nb * (p + the anchor row's sum).
+    G[a, b]^x G[b, a]^x = |G[a, b]|^power.  The bases meet themselves in N
+    unit entries, and each scanned pair stands for w = ``_pair_weight(D)``
+    ordered basis pairs, so the sum is w * (N/w + the scanned sum).  With
+    w = nb this is nb * (p + the anchor row's sum), term for term.
     """
-    row = sum(float((block**power).sum()) for block in _cross_blocks(D))
-    return complex(D.basis_count * (D.p + row))
+    w = _pair_weight(D)
+    scanned = sum(float((block**power).sum()) for block in _cross_blocks(D))
+    return complex(w * (D.atom_count / w + scanned))
 
 
 def _walk_key(edges, blocks: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -318,11 +306,12 @@ def _degree2_core_sum(edges, blocks: int, S2: np.ndarray) -> complex:
 class _CoreSums:
     """Memoised free sums of merged-walk cores on one dictionary.
 
-    Keyed by ``_walk_key``.  On an orbit (``D.orbit``) a two-block core is
-    ``_two_block_orbit_sum``, read from the anchor row.  A core of three or
-    more degree-2 blocks is ``_degree2_core_sum`` on S2, whatever the basis
-    count; every other core is ``_merged_walk_sum`` on the Gram.  The Gram
-    and S2 are formed on first use.
+    Keyed by ``_walk_key``; the route depends on the core's shape alone.
+    A two-block core is ``_two_block_core_sum``, from the cross-basis scan
+    on every dictionary.  A core of three or more degree-2 blocks is
+    ``_degree2_core_sum`` on S2, whatever the basis count; every other core
+    is ``_merged_walk_sum`` on the Gram.  The Gram and S2 are formed on
+    first use, so no core of k <= 6 forms a Gram.
     """
 
     def __init__(self, D: Dictionary):
@@ -345,8 +334,8 @@ class _CoreSums:
         if key not in self.memo:
             blocks, edges = key
             out_degrees = {sum(u == b for u, _ in edges) for b in range(blocks)}
-            if blocks == 2 and self.D.orbit:
-                self.memo[key] = _two_block_orbit_sum(self.D, len(edges))
+            if blocks == 2:
+                self.memo[key] = _two_block_core_sum(self.D, len(edges))
             elif blocks >= 3 and out_degrees == {2}:
                 self.memo[key] = _degree2_core_sum(edges, blocks, self.s2)
             else:

@@ -9,6 +9,7 @@ from srip.cli import main
 from srip.dictionaries import Dictionary, build_extended_oscillator_dictionary
 from srip.errors import BudgetExceededError, NotATreeError
 from srip.field import PrimeField
+from srip.linalg import gram
 from srip.paths import (
     PathClass,
     _expected_weights,
@@ -306,8 +307,8 @@ def test_batch_weights_match_per_class_and_bruteforce(dh5):
 
 
 def _gram_route_copy(D: Dictionary) -> Dictionary:
-    """D's stack as a dictionary that is no orbit, so every core it sums that
-    is not a degree-2 one goes through the Gram."""
+    """D's stack as a dictionary that is no orbit, so its two-block cores are
+    summed over every pair of bases (the pairwise scan), not the anchor row."""
     return Dictionary(D.p, D.kind, D.mu, D.labels, D.stack)
 
 
@@ -319,16 +320,17 @@ def _two_block_key(x: int):
 
 def test_trajectory_table_contracts_each_distinct_walk_once(dh5, monkeypatch):
     # 352 vertex-merge patterns over the k = 6 classes, 21 distinct merged walks;
-    # on a dictionary that is no orbit, the two-block cores reach the Gram
+    # every distinct core reaches one of the three core routes once
     D = _gram_route_copy(dh5)
     calls = []
-    contract = paths._merged_walk_sum
+    for name in ("_two_block_core_sum", "_degree2_core_sum", "_merged_walk_sum"):
+        route = getattr(paths, name)
 
-    def counting(edges, blocks, G):
-        calls.append(blocks)
-        return contract(edges, blocks, G)
+        def counting(*args, name=name, route=route):
+            calls.append(name)
+            return route(*args)
 
-    monkeypatch.setattr(paths, "_merged_walk_sum", counting)
+        monkeypatch.setattr(paths, name, counting)
     usable = [
         pc for pc in enumerate_path_classes(6) if within_budget(pc.vertex_count, D.atom_count)
     ]
@@ -416,6 +418,53 @@ def test_orbit_moments_and_paths_verify_form_no_gram(tmp_path, monkeypatch):
             "--out-prefix", str(tmp_path / "pv")]
     assert main(argv) == 0
     assert (tmp_path / "pv.estimates.csv").exists()
+
+
+def _extended7_subsample() -> Dictionary:
+    # 3 translations: nb = 63 and N = 441 are odd, so N/2 is no integer
+    return build_extended_oscillator_dictionary(PrimeField(7), translation_subsample=3)
+
+
+def _scan_dictionary(kind: str, p: int, form: str) -> Dictionary:
+    if form == "subsample":
+        return _extended7_subsample()
+    D = _orbit_build(kind, p)
+    if form == "reversed":
+        return Dictionary(p, kind, D.mu, D.labels[::-1], D.stack[::-1])
+    if form == "one basis":
+        return Dictionary(p, kind, D.mu, D.labels[:1], D.stack[:1])
+    return D if form == "orbit" else _gram_route_copy(D)
+
+
+@pytest.mark.parametrize("kind, p, form", [
+    (kind, p, form)
+    for kind, p in [("heisenberg", p) for p in (5, 7, 11, 13, 17, 19)]
+    + [("oscillator", 7), ("oscillator", 13), ("extended_oscillator", 5)]
+    for form in ("orbit", "copy")
+] + [("extended_oscillator", 7, "subsample"), ("heisenberg", 7, "reversed"),
+     ("heisenberg", 5, "one basis")])
+def test_two_block_scan_equals_the_gram_reference(kind, p, form):
+    D = _scan_dictionary(kind, p, form)
+    core_sum = paths._CoreSums(D)
+    G = gram(D.atoms_matrix)
+    for x in (2, 3, 4, 5):
+        key = blocks, edges = _two_block_key(x)
+        reference = paths._merged_walk_sum(edges, blocks, G)
+        assert abs(core_sum(key) - reference) <= 1e-13 * abs(reference)
+        if D.basis_count == 1:
+            assert core_sum(key) == p
+
+
+def test_non_orbit_cores_up_to_k6_form_no_gram(monkeypatch):
+    def refuse(M):
+        raise AssertionError("an N x N Gram was formed")
+
+    monkeypatch.setattr(paths, "gram", refuse)
+    for D in (heisenberg_dict(5), heisenberg_dict(19), oscillator_dict(7)):
+        assert exact_spectral_moment(_gram_route_copy(D), 3, 4) > 0
+    # two vertices on 441 atoms: within the budget of a class of at most 2 vertices
+    (weight,) = _expected_weights([PathClass((1, 2, 1, 2, 1))], _extended7_subsample())
+    assert weight.real > 0
 
 
 def test_reduced_walk_sums_match_the_atom_space_contraction(dh5, monkeypatch):
