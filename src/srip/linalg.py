@@ -1,19 +1,17 @@
 """Dense complex matrix kernel.
 
-Hermitian eigenproblems go to LAPACK through ``np.linalg.eigh``, with the
-result flipped to descending eigenvalue order.  Unitary operators are
-diagonalized by reducing to the Hermitian problem through a fixed linear
-combination of U and its adjoint; the resulting vectors are verified
-against U directly, ordered by descending eigenvalue phase in (0, 2pi]
-and phase-normalized column by column.
+Hermitian spectra come from LAPACK through ``np.linalg.eigvalsh``,
+eigenvalues only, flipped to descending order.  Unitary operators are
+diagonalized by ``np.linalg.eigh`` of a fixed linear combination of U
+and its adjoint, the one place eigenvectors are computed; the resulting
+vectors are verified against U directly, ordered by descending eigenvalue
+phase in (0, 2pi] and phase-normalized column by column.
 
 Every blocked loop of the package takes its block bounds from ``chunks``,
 so one budget, ``CHUNK_ENTRIES``, decides how much any block holds.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +28,6 @@ CHUNK_ENTRIES = 2**15
 # retry when two distinct unitary eigenvalues land on the same real part
 _BASE_PHASE = 0.5371
 _MAX_RETRIES = 3
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianEig:
-    """Spectral decomposition: eigenvalues descending, eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def chunks(count: int, entries: int) -> list[tuple[int, int]]:
@@ -66,8 +56,8 @@ def _check_hermitian(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def hermitian_eig(A: np.ndarray) -> HermitianEig:
-    """Full spectral decomposition of a Hermitian matrix by LAPACK.
+def hermitian_eig(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix by LAPACK, descending; no eigenvectors.
 
     A (..., n, n) stack is solved in one call, matrix by matrix, with the
     same checks and the same results as solving each matrix alone.
@@ -77,8 +67,7 @@ def hermitian_eig(A: np.ndarray) -> HermitianEig:
     NotHermitianError
         If ``max |A - A^H|`` exceeds 1e-12 in any matrix.
     """
-    w, V = np.linalg.eigh(_check_hermitian(A))
-    return HermitianEig(w[..., ::-1].copy(), np.ascontiguousarray(V[..., ::-1]))
+    return np.linalg.eigvalsh(_check_hermitian(A))[..., ::-1].copy()
 
 
 def gram(vectors: np.ndarray) -> np.ndarray:
@@ -165,8 +154,11 @@ def order_eigenbasis(V: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def unitary_eigenbasis(U: np.ndarray) -> np.ndarray:
     """Orthonormal eigenbasis of a unitary matrix with distinct eigenvalues.
 
-    Diagonalizes H = alpha*U + conj(alpha)*U^H for a fixed phase alpha and
-    checks every resulting vector against U itself (``eigen_residual``).
+    Diagonalizes H = alpha*U + conj(alpha)*U^H for a fixed phase alpha with
+    ``np.linalg.eigh`` and checks every resulting vector against U itself
+    (``eigen_residual``).  H needs no Hermitian check: it is Hermitian bit
+    for bit, since each entry and the conjugate of its mirror entry are
+    sums of the same two products.
     When two distinct unitary eigenvalues collapse onto one real part of H,
     the phase is doubled and the reduction retried (at most 3 retries).
     Columns are ordered and phase-normalized by ``order_eigenbasis``.
@@ -192,7 +184,7 @@ def unitary_eigenbasis(U: np.ndarray) -> np.ndarray:
     for attempt in range(_MAX_RETRIES + 1):
         alpha = np.exp(1j * _BASE_PHASE * (2**attempt))
         H = alpha * U + np.conj(alpha) * Uh
-        vecs = hermitian_eig(H).eigenvectors
+        vecs = np.linalg.eigh(H)[1]
         lam, worst = eigen_residual(U, vecs)
         if worst <= EIGENVECTOR_RESIDUAL_TOL:
             return order_eigenbasis(vecs, lam)

@@ -84,7 +84,7 @@ def _gram_stack(
     G = gram(D.atoms_matrix[:, supports].swapaxes(0, 1))  # (k, p, n): atoms as columns
     E = math.sqrt(D.p / n) * (G - np.eye(n))
     E = (E + E.conj().swapaxes(-1, -2)) / 2  # absorb accumulation error before the eigensolve
-    return G, E, hermitian_eig(E).eigenvalues
+    return G, E, hermitian_eig(E)
 
 
 def campaign_size(p: int, epsilon: float, trials: int) -> int:

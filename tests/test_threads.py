@@ -60,7 +60,8 @@ def test_a_thread_variable_set_by_the_user_is_honoured(var, expected):
 
 # the same relative paths in each directory, so the `input` echoes agree too;
 # the ladder stops at 7 because exact estimates on the rungs p = 11 and 13
-# differ between thread counts in the last digits
+# differ between thread counts in the last digits; the `big` campaign solves
+# supports of n = 63, past the n = 25 of the reproduction
 RUNS = """
 from srip.cli import main
 for argv in [
@@ -71,6 +72,7 @@ for argv in [
     "build --kind extended_oscillator --p 7 --translations 8 --out e7.srip",
     "coherence --in e7.srip --out e7.json",
     "spectrum --in h13.srip --trials 20 --out-prefix spec",
+    "spectrum --kind heisenberg --p 101 --epsilon 0.1 --trials 30 --out-prefix big",
     "paths-verify --k 6 --ladder 5,7 --fixed-n 3 --out-prefix pv",
 ]:
     assert main(argv.split()) == 0, argv
