@@ -289,31 +289,31 @@ def _cmd_paths_verify(args, started: float) -> int:
     for pc in classes:
         dyck = "".join("+" if d == 1 else "-" for d in tree_to_dyck(pc)) if pc.is_tree else ""
         rows.append(f"{pc},{pc.k},{pc.vertex_count},{int(pc.is_tree)},{dyck}")
-    if args.out_prefix:
-        _write_csv(f"{args.out_prefix}.classes.csv", "class,k,vertices,is_tree,dyck", rows)
-
-    expected = catalan_number(args.k // 2) if args.k % 2 == 0 else 0
-    print(f"k={args.k}: {len(classes)} classes, {len(trees)} trees "
-          f"(catalan count {expected}) -> {'ok' if len(trees) == expected else 'MISMATCH'}")
-
-    if ladder:
+    table = []
+    if ladder:  # the table raises before either file is written
         dicts = {f.p: build_heisenberg_dictionary(f) for f in ladder}
         usable = [
             pc for pc in classes
             if all(within_budget(pc.vertex_count, d.atom_count) for d in dicts.values())
         ]
         table = trajectory_table(dicts, usable, epsilon=args.epsilon, fixed_n=args.fixed_n)
-        if args.out_prefix:
+    if args.out_prefix:
+        _write_csv(f"{args.out_prefix}.classes.csv", "class,k,vertices,is_tree,dyck", rows)
+        if ladder:
             _write_csv(
                 f"{args.out_prefix}.estimates.csv", "class,p,n_tau_Ew_real,n_tau_Ew_imag",
                 [f"{row.path_class},{pt.p},{pt.value.real!r},{pt.value.imag!r}"
                  for row in table for pt in row.points],
             )
-        for row in table:
-            trend = "->1" if row.is_tree else "->0"
-            print(f"  {row.path_class}: tree={row.is_tree} {trend} "
-                  f"final={row.final_value.real:.6f}{row.final_value.imag:+.2e}i "
-                  f"converging={row.converging}")
+
+    expected = catalan_number(args.k // 2) if args.k % 2 == 0 else 0
+    print(f"k={args.k}: {len(classes)} classes, {len(trees)} trees "
+          f"(catalan count {expected}) -> {'ok' if len(trees) == expected else 'MISMATCH'}")
+    for row in table:
+        trend = "->1" if row.is_tree else "->0"
+        print(f"  {row.path_class}: tree={row.is_tree} {trend} "
+              f"final={row.final_value.real:.6f}{row.final_value.imag:+.2e}i "
+              f"converging={row.converging}")
     return EXIT_OK if len(trees) == expected else EXIT_CONTRACT
 
 

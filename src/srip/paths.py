@@ -191,7 +191,7 @@ def _merged_walk_sum(edges, blocks: int, G: np.ndarray) -> complex:
 
     ``edges`` lists directed block pairs; equal pairs contribute diagonal
     factors.  One einsum contraction of the Gram matrix, whatever the walk:
-    the reference for every core route of ``_CoreSums``.
+    the reference for every core route of ``_core_sums``.
     """
     letters = "abcd"
     pair_factors: dict[tuple[int, int], np.ndarray] = {}
@@ -217,20 +217,6 @@ def _merged_walk_sum(edges, blocks: int, G: np.ndarray) -> complex:
             operands.append(d**loop_counts[u])
             subs.append(letters[u])
     return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
-
-
-def _two_block_core_sum(D: Dictionary, power: int) -> complex:
-    """sum_{a,b} |G[a, b]|^power, from the cross-basis scan of ``_cross_blocks``.
-
-    A two-block core of ``power`` edges, x = power/2 each way, sums
-    G[a, b]^x G[b, a]^x = |G[a, b]|^power.  The bases meet themselves in N
-    unit entries, and each scanned pair stands for w = ``_pair_weight(D)``
-    ordered basis pairs, so the sum is w * (N/w + the scanned sum).  With
-    w = nb this is nb * (p + the anchor row's sum), term for term.
-    """
-    w = _pair_weight(D)
-    scanned = sum(float((block**power).sum()) for block in _cross_blocks(D))
-    return complex(w * (D.atom_count / w + scanned))
 
 
 def _walk_key(edges, blocks: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -303,44 +289,51 @@ def _degree2_core_sum(edges, blocks: int, S2: np.ndarray) -> complex:
     return complex(np.einsum(*operands, [], optimize=True))
 
 
-class _CoreSums:
-    """Memoised free sums of merged-walk cores on one dictionary.
+def _s2(D: Dictionary) -> np.ndarray:
+    """sum_a (phi_a (x) phi_a)(phi_a (x) phi_a)^H as a p x p x p x p tensor."""
+    p = D.p
+    A = D.stack.reshape(-1, p)  # atoms as rows
+    Y = (A[:, :, None] * A[:, None, :]).reshape(-1, p * p)
+    return (Y.T @ Y.conj()).reshape(p, p, p, p)
 
-    Keyed by ``_walk_key``; the route depends on the core's shape alone.
-    A two-block core is ``_two_block_core_sum``, from the cross-basis scan
-    on every dictionary.  A core of three or more degree-2 blocks is
-    ``_degree2_core_sum`` on S2, whatever the basis count; every other core
-    is ``_merged_walk_sum`` on the Gram.  The Gram and S2 are formed on
-    first use, so no core of k <= 6 forms a Gram.
+
+def _core_sums(D: Dictionary, keys) -> dict:
+    """The free sum on D of every merged-walk core in ``keys``, a set of
+    ``_walk_key`` forms, keyed by its form.
+
+    The route depends on the core's shape alone.  A two-block core of
+    ``power`` edges, x = power/2 each way, sums G[a, b]^x G[b, a]^x =
+    |G[a, b]|^power; every power is accumulated in one pass of
+    ``_cross_blocks``.  The bases meet themselves in N unit entries, and
+    each scanned pair stands for w = ``_pair_weight(D)`` ordered basis
+    pairs, so the sum is w * (N/w + the scanned sum).  With w = nb this is
+    nb * (p + the anchor row's sum), term for term.  A core of three or
+    more degree-2 blocks is ``_degree2_core_sum`` on one S2, whatever the
+    basis count; every other core is ``_merged_walk_sum`` on one Gram.  S2
+    and the Gram are formed only when some key needs them, so no core of
+    k <= 6 forms a Gram.
     """
-
-    def __init__(self, D: Dictionary):
-        self.D = D
-        self.memo: dict = {}
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return gram(self.D.atoms_matrix)
-
-    @cached_property
-    def s2(self) -> np.ndarray:
-        """sum_a (phi_a (x) phi_a)(phi_a (x) phi_a)^H as a p x p x p x p tensor."""
-        p = self.D.p
-        A = self.D.stack.reshape(-1, p)  # atoms as rows
-        Y = (A[:, :, None] * A[:, None, :]).reshape(-1, p * p)
-        return (Y.T @ Y.conj()).reshape(p, p, p, p)
-
-    def __call__(self, key) -> complex:
-        if key not in self.memo:
-            blocks, edges = key
-            out_degrees = {sum(u == b for u, _ in edges) for b in range(blocks)}
-            if blocks == 2:
-                self.memo[key] = _two_block_core_sum(self.D, len(edges))
-            elif blocks >= 3 and out_degrees == {2}:
-                self.memo[key] = _degree2_core_sum(edges, blocks, self.s2)
-            else:
-                self.memo[key] = _merged_walk_sum(edges, blocks, self.gram)
-        return self.memo[key]
+    if not keys:
+        return {}
+    powers = {key: len(key[1]) for key in keys if key[0] == 2}
+    scanned = dict.fromkeys(powers.values(), 0.0)
+    for block in (_cross_blocks(D) if scanned else ()):
+        for power in scanned:
+            scanned[power] += float((block**power).sum())
+    w = _pair_weight(D)
+    sums = {key: complex(w * (D.atom_count / w + scanned[power])) for key, power in powers.items()}
+    degree2 = [
+        (blocks, edges) for blocks, edges in keys - sums.keys()
+        if blocks >= 3 and {sum(u == b for u, _ in edges) for b in range(blocks)} == {2}
+    ]
+    if degree2:
+        S2 = _s2(D)
+        sums.update({(b, e): _degree2_core_sum(e, b, S2) for b, e in degree2})
+    rest = keys - sums.keys()
+    if rest:
+        G = gram(D.atoms_matrix)
+        sums.update({(b, e): _merged_walk_sum(e, b, G) for b, e in rest})
+    return sums
 
 
 @cache
@@ -389,21 +382,22 @@ def _expected_weights(walks, D: Dictionary) -> list[complex]:
     malformed one raises ValueError, as does a class with more vertices
     than D has atoms.  Every class is checked before any is expanded.
     Expansions come from the per-process cache of ``_first_visit_expansion``,
-    and one ``_CoreSums`` sums every distinct core once; the Gram, S2 and
-    memo live only for this call.
+    and one ``_core_sums`` call sums every distinct core they leave once;
+    the Gram and S2 live only for that call.
     """
     classes = [w if isinstance(w, PathClass) else canonicalize(w) for w in walks]
     for pc in classes:
         _check_budget(pc.vertex_count, D.atom_count)
         _check_support(pc.vertex_count, D)
-    core_sum = _CoreSums(D)
+    expansions = [_first_visit_expansion(pc.steps) for pc in classes]
+    sums = _core_sums(D, {key for terms in expansions for (_, _, key), _ in terms if key[0]})
     N, nb = D.atom_count, D.basis_count
     weights = []
-    for pc in classes:
+    for pc, terms in zip(classes, expansions):
         total = 0.0 + 0.0j
-        for (summed, isolated, key), coefficient in _first_visit_expansion(pc.steps):
+        for (summed, isolated, key), coefficient in terms:
             scale = coefficient * nb**summed * N**isolated
-            total += scale * core_sum(key) if key[0] else scale
+            total += scale * sums[key] if key[0] else scale
         weights.append(total / math.perm(N, pc.vertex_count))
     return weights
 
@@ -479,14 +473,17 @@ def trajectory_table(
     per ladder point.  Tree normalizations are n-free; for other classes
     the floor makes n jump at desk-scale primes, so ``fixed_n`` pins one n
     across the whole ladder, which isolates the pure p-dependence that the
-    vanishing estimates describe.
+    vanishing estimates describe.  Raises ValueError, before any class is
+    expanded, unless 1 <= n <= |D| on every rung.
     """
     ps = sorted(dictionaries)
     sizes = ladder_support_sizes(ps, epsilon, fixed_n)
     classes = list(classes)
-    for p in ps:
+    for p, n in zip(ps, sizes):
         for pc in classes:
             _check_budget(pc.vertex_count, dictionaries[p].atom_count)
+            _check_support(pc.vertex_count, dictionaries[p])
+        _check_support(n, dictionaries[p])
     weights = [_expected_weights(classes, dictionaries[p]) for p in ps]
     rows = []
     for i, pc in enumerate(classes):

@@ -249,6 +249,20 @@ def test_bad_ladder_exits_2_before_writing_or_building(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
+
+@pytest.mark.parametrize("fixed_n, code", [("31", 2), ("30", 0)])
+def test_fixed_n_beyond_the_smallest_rung_exits_2_writing_nothing(tmp_path, capsys, fixed_n, code):
+    # the heisenberg p = 5 rung has 30 atoms, so no support of 31 distinct atoms
+    assert _run("paths-verify", "--k", "4", "--ladder", "5,7", "--fixed-n", fixed_n,
+                "--out-prefix", str(tmp_path / "pv")) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err == "error: support size n=31 invalid for |D|=30\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["pv.classes.csv", "pv.estimates.csv"]
+
 def test_non_finite_atom_is_contract_violation(tmp_path):
     dict_file = tmp_path / "d5.srip"
     assert _run("build", "--kind", "heisenberg", "--p", "5", "--out", str(dict_file)) == 0

@@ -320,27 +320,27 @@ def _two_block_key(x: int):
 
 def test_trajectory_table_contracts_each_distinct_walk_once(dh5, monkeypatch):
     # 352 vertex-merge patterns over the k = 6 classes, 21 distinct merged walks;
-    # every distinct core reaches one of the three core routes once
+    # the one dictionary sums its distinct cores in one call
     D = _gram_route_copy(dh5)
     calls = []
-    for name in ("_two_block_core_sum", "_degree2_core_sum", "_merged_walk_sum"):
-        route = getattr(paths, name)
+    core_sums = paths._core_sums
 
-        def counting(*args, name=name, route=route):
-            calls.append(name)
-            return route(*args)
+    def counting(D, keys):
+        calls.append(len(keys))
+        return core_sums(D, keys)
 
-        monkeypatch.setattr(paths, name, counting)
+    monkeypatch.setattr(paths, "_core_sums", counting)
     usable = [
         pc for pc in enumerate_path_classes(6) if within_budget(pc.vertex_count, D.atom_count)
     ]
     trajectory_table({5: D}, usable, fixed_n=3)
-    assert 0 < len(calls) <= 21
+    assert len(calls) == 1
+    assert 0 < calls[0] <= 21
 
 
 def test_orbit_reads_each_two_block_core_from_the_anchor_row_once(dh5, monkeypatch):
-    # k = 6 leaves two two-block cores, S4 and S6: on an orbit each scans the
-    # anchor row once, and no core reaches the Gram
+    # k = 6 leaves two two-block cores, S4 and S6: on an orbit both are summed
+    # in one scan of the anchor row, and no core reaches the Gram
     gram_walks = []
     scans = []
     contract = paths._merged_walk_sum
@@ -361,17 +361,55 @@ def test_orbit_reads_each_two_block_core_from_the_anchor_row_once(dh5, monkeypat
     ]
     trajectory_table({5: dh5}, usable, fixed_n=3)
     assert gram_walks == []
-    assert scans == [True, True]
+    assert scans == [True]
 
+
+@pytest.mark.parametrize("form", ["orbit", "copy"])
+def test_k8_sums_every_core_from_one_scan(dh5, form, monkeypatch):
+    # S4, S6 and S8 share one pass of _cross_blocks; S2 and the Gram are
+    # each formed at most once for all the cores that need them
+    D = dh5 if form == "orbit" else _gram_route_copy(dh5)
+    calls = []
+    for name in ("_cross_blocks", "_s2", "gram"):
+        real = getattr(paths, name)
+
+        def counting(M, name=name, real=real):
+            calls.append(name)
+            return real(M)
+
+        monkeypatch.setattr(paths, name, counting)
+    usable = [
+        pc for pc in enumerate_path_classes(8) if within_budget(pc.vertex_count, D.atom_count)
+    ]
+    _expected_weights(usable, D)
+    assert calls.count("_cross_blocks") == 1
+    assert calls.count("_s2") <= 1
+    assert calls.count("gram") <= 1
+
+
+def test_core_sums_do_not_depend_on_the_keys_that_share_the_call(dh5):
+    keys = {
+        key
+        for k in range(2, 9)
+        for pc in enumerate_path_classes(k)
+        if pc.vertex_count <= paths.MAX_VERTICES
+        for (_, _, key), _ in paths._first_visit_expansion(pc.steps)
+        if key[0]
+    }
+    for D in (dh5, oscillator_dict(7), _extended7_subsample()):
+        together = paths._core_sums(D, keys)
+        assert together.keys() == keys
+        for key in keys:
+            assert together[key] == paths._core_sums(D, {key})[key]
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_orbit_two_block_cores_equal_the_heisenberg_closed_forms(p):
     # S4 = N + N(N-p)/p^2 and S6 = N + N(N-p)/p^3 on the p+1 mutually unbiased bases
     D = heisenberg_dict(p)
     N = D.atom_count
-    core_sum = paths._CoreSums(D)
     for x, exact in ((2, N + N * (N - p) / p**2), (3, N + N * (N - p) / p**3)):
-        value = core_sum(_two_block_key(x))
+        key = _two_block_key(x)
+        value = paths._core_sums(D, {key})[key]
         assert abs(value - exact) <= 1e-13 * exact
 
 
@@ -389,11 +427,11 @@ def _orbit_build(kind: str, p: int) -> Dictionary:
 def test_orbit_two_block_cores_equal_the_gram_route(kind, p):
     D = _orbit_build(kind, p)
     assert D.orbit
-    orbit_sum = paths._CoreSums(D)
-    gram_sum = paths._CoreSums(_gram_route_copy(D))
     for x in (2, 3, 4):
         key = _two_block_key(x)
-        assert abs(orbit_sum(key) - gram_sum(key)) <= 1e-13 * abs(gram_sum(key))
+        orbit_sum = paths._core_sums(D, {key})[key]
+        gram_sum = paths._core_sums(_gram_route_copy(D), {key})[key]
+        assert abs(orbit_sum - gram_sum) <= 1e-13 * abs(gram_sum)
 
 
 @pytest.mark.parametrize("kind, p", [("heisenberg", p) for p in (5, 7, 11, 13, 17, 19)]
@@ -445,14 +483,14 @@ def _scan_dictionary(kind: str, p: int, form: str) -> Dictionary:
      ("heisenberg", 5, "one basis")])
 def test_two_block_scan_equals_the_gram_reference(kind, p, form):
     D = _scan_dictionary(kind, p, form)
-    core_sum = paths._CoreSums(D)
     G = gram(D.atoms_matrix)
     for x in (2, 3, 4, 5):
         key = blocks, edges = _two_block_key(x)
         reference = paths._merged_walk_sum(edges, blocks, G)
-        assert abs(core_sum(key) - reference) <= 1e-13 * abs(reference)
+        core_sum = paths._core_sums(D, {key})[key]
+        assert abs(core_sum - reference) <= 1e-13 * abs(reference)
         if D.basis_count == 1:
-            assert core_sum(key) == p
+            assert core_sum == p
 
 
 def test_non_orbit_cores_up_to_k6_form_no_gram(monkeypatch):
@@ -479,7 +517,6 @@ def test_reduced_walk_sums_match_the_atom_space_contraction(dh5, monkeypatch):
         return contract(edges, blocks, S2)
 
     monkeypatch.setattr(paths, "_degree2_core_sum", counting)
-    core_sum = paths._CoreSums(dh5)
     oracle = {}
     for edges, blocks in _merged_walks(8):
         key = paths._walk_key(edges, blocks)
@@ -488,7 +525,8 @@ def test_reduced_walk_sums_match_the_atom_space_contraction(dh5, monkeypatch):
         summed, isolated, core, m = paths._reduce_walk(edges, blocks)
         value = dh5.basis_count**summed * dh5.atom_count**isolated
         if m:
-            value *= core_sum(paths._walk_key(core, m))
+            core_key = paths._walk_key(core, m)
+            value *= paths._core_sums(dh5, {core_key})[core_key]
         assert abs(value - oracle[key]) <= 1e-12 * abs(oracle[key])
     assert sorted(set(in_p_dims)) == [3, 4]
 
@@ -705,10 +743,10 @@ def test_reduction_relation_gap_shrinks():
 @pytest.mark.parametrize("walk", [(1, 2, 1, 3), (1, 2, 2, 1), (3,)])
 def test_malformed_walk_is_refused_before_any_contraction(walk, dh5, monkeypatch):
     # an open walk, a non-strict walk and a walk too short to close
-    def refuse(D):
+    def refuse(D, keys):
         raise AssertionError("a contraction was set up for a malformed walk")
 
-    monkeypatch.setattr(paths, "_CoreSums", refuse)
+    monkeypatch.setattr(paths, "_core_sums", refuse)
     with pytest.raises(ValueError):
         _expected_weights([walk], dh5)[0]
 
