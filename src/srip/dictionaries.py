@@ -42,10 +42,14 @@ Cross-basis inner products are formed by one blocked kernel,
 The kernel multiplies every earlier row basis against a column panel of
 bases, a view of the stack.  The builders of the full kinds mark their
 dictionaries as orbits (``Dictionary.orbit``): the Heisenberg-Weil group
-carries every pair of their bases, up to atom phases and order, to a pair
-that contains the anchor, the first basis ``stack[0]``, and a unitary
-keeps |<phi, psi>|, so the anchor's pairs hold every value that any pair
-holds.  On an orbit the build check and ``coherence_report`` scan only
+acts on each of them by unitaries that permute its atoms up to phases,
+transitively on its bases.  So every pair of bases is carried, up to atom
+phases and order, to a pair that contains the anchor, the first basis
+``stack[0]``, and a unitary keeps |<phi, psi>|, so the anchor's pairs hold
+every value that any pair holds; and a sum over all atoms of a quantity
+the group keeps is nb times its sum over the anchor's atoms, which the
+triangle cores of ``paths`` use.  On an orbit the build check and
+``coherence_report`` scan only
 the anchor row; on any other dictionary ``coherence_report`` scans every
 cross-basis pair.  It bins each block with ``np.histogram`` on its edges.
 A file carries no proof of its symmetry, so a loaded dictionary is no
@@ -133,10 +137,13 @@ class Dictionary:
     of the basis ``labels[b]``.  Construction checks it a chunk of bases at
     a time (``_orthonormality_deviations``), keeps each basis's deviation
     in ``deviations`` and makes the stack read-only; ``atoms_matrix`` is
-    a view of it.  ``orbit`` marks a dictionary whose every basis pair a
-    unitary carries, up to atom phases and order, onto a pair that
-    contains the first basis, ``stack[0]``; only the builders of the full
-    kinds set it, and files do not record it.
+    a view of it.  ``orbit`` marks a dictionary that a group of unitaries
+    maps onto itself, permuting its atoms up to phases and acting
+    transitively on its bases.  Then a unitary carries every basis pair,
+    up to atom phases and order, onto a pair that contains the first
+    basis, ``stack[0]``, and any atom sum of a quantity the group keeps is
+    nb times its sum over that basis's atoms.  Only the builders of the
+    full kinds set it, and files do not record it.
     """
 
     p: int

@@ -15,8 +15,10 @@ sum_a phi_a phi_a^H = (basis count) * I; each class is expanded once per
 process, keyed by its first-visit form).  The cores the reduction leaves
 are summed without the Gram where the structure allows: a two-block
 core, sum |G_ab|^(2x), over the cross-basis scan of |<phi, psi>| values
-on every dictionary, a core of three or more degree-2 blocks in p
-dimensions on the degree-2 moment operator, and any other on the Gram
+on every dictionary; on an orbit dictionary the two triangle cores,
+sum |G_ab G_bc G_ca|^2 and sum (G_ab G_bc G_ca)^2, from the anchor row
+in the same scan; any other core of three or more degree-2 blocks in p
+dimensions on the degree-2 moment operator; and any other on the Gram
 matrix.  This ties the Monte Carlo spectral statistics to closed
 combinatorial quantities.
 
@@ -37,12 +39,13 @@ import numpy as np
 
 from .dictionaries import Dictionary, _cross_blocks, _pair_weight
 from .errors import BudgetExceededError, NotATreeError
-from .linalg import gram
+from .linalg import chunks, gram
 
 MAX_LENGTH = 10
 MAX_VERTICES = 4
-# atom budgets for the exact expectation: contraction work grows like
-# atom_count^3 once three or more vertices are free
+# atom budgets for the exact expectation, set when every class of three or
+# more vertices contracted the N x N Gram; no core of k <= 6 forms a Gram now,
+# and only the cores of k >= 7 with a block of degree 3 or more do
 MAX_ATOMS_SMALL_CLASS = 2000  # |V| <= 2
 MAX_ATOMS = 400  # |V| in {3, 4}
 
@@ -297,31 +300,83 @@ def _s2(D: Dictionary) -> np.ndarray:
     return (Y.T @ Y.conj()).reshape(p, p, p, p)
 
 
+# the two three-block cores of degree-2 blocks: T1 = sum |G_ab G_bc G_ca|^2, every
+# edge of the triangle once each way, and T2 = sum (G_ab G_bc G_ca)^2, the cycle twice
+_T1 = _walk_key([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)], 3)
+_T2 = _walk_key([(0, 1), (1, 2), (2, 0)] * 2, 3)
+
+
+def _add_triangle_terms(anchor: np.ndarray, atoms: np.ndarray, block: np.ndarray,
+                        tri: dict) -> None:
+    """Add one panel of an orbit's anchor row to the triangle accumulators ``tri``.
+
+    ``block`` holds |G[a, b]| of the anchor atoms a (rows of ``anchor``)
+    against the panel atoms b (rows of ``atoms``), as ``_cross_blocks``
+    forms it.  ``tri[_T1][a]`` gains sum_b |G[a, b]|^2 phi_b phi_b^H and
+    ``tri[_T2][a]`` gains sum_b conj(G[a, b]^2 phi_b phi_b^T); the phases
+    of G that T2 needs cost one more p x P product of the panel's P atoms.
+    Anchor atoms are taken a chunk at a time (``linalg.chunks``), one
+    costing about p (P + p) entries: its weighted copy of the panel and
+    its p x p term.
+    """
+    p = len(anchor)
+    bra = atoms.conj()
+    for lo, hi in chunks(p, p * (len(atoms) + p)):
+        if _T1 in tri:
+            tri[_T1][lo:hi] += ((block[lo:hi] ** 2)[:, :, None] * atoms).swapaxes(1, 2) @ bra
+        if _T2 in tri:
+            conj_g = anchor[lo:hi].conj() @ atoms.T
+            tri[_T2][lo:hi] += ((conj_g**2)[:, :, None] * bra).swapaxes(1, 2) @ bra
+
+
 def _core_sums(D: Dictionary, keys) -> dict:
     """The free sum on D of every merged-walk core in ``keys``, a set of
     ``_walk_key`` forms, keyed by its form.
 
-    The route depends on the core's shape alone.  A two-block core of
-    ``power`` edges, x = power/2 each way, sums G[a, b]^x G[b, a]^x =
-    |G[a, b]|^power; every power is accumulated in one pass of
+    The route depends on the core's shape and on ``D.orbit``.  A two-block
+    core of ``power`` edges, x = power/2 each way, sums G[a, b]^x G[b, a]^x
+    = |G[a, b]|^power; every power is accumulated in one pass of
     ``_cross_blocks``.  The bases meet themselves in N unit entries, and
     each scanned pair stands for w = ``_pair_weight(D)`` ordered basis
     pairs, so the sum is w * (N/w + the scanned sum).  With w = nb this is
-    nb * (p + the anchor row's sum), term for term.  A core of three or
-    more degree-2 blocks is ``_degree2_core_sum`` on one S2, whatever the
-    basis count; every other core is ``_merged_walk_sum`` on one Gram.  S2
-    and the Gram are formed only when some key needs them, so no core of
-    k <= 6 forms a Gram.
+    nb * (p + the anchor row's sum), term for term.
+
+    On an orbit the two three-block cores of degree-2 blocks come from the
+    anchor row in the same pass.  With M_a = sum_b |G[a, b]|^2 phi_b phi_b^H
+    and u_a = sum_b G[a, b]^2 phi_b phi_b^T over every atom b, T1 =
+    sum_{a,b,c} |G[a, b] G[b, c] G[c, a]|^2 is sum_a ||M_a||_F^2 and T2 =
+    sum_{a,b,c} (G[a, b] G[b, c] G[c, a])^2 is sum_a ||u_a||_F^2, and the
+    orbit's group makes each nb times its sum over the anchor atoms a.  The
+    anchor's own basis adds the term b = a, and the panels the rest
+    (``_add_triangle_terms``): p^3 N work, with no product over N atoms.
+    Every other core of three or more degree-2 blocks is
+    ``_degree2_core_sum`` on one S2, N p^4 work, and every other core is
+    ``_merged_walk_sum`` on one Gram.  S2 and the Gram are formed only when
+    some key needs them, so no core of k <= 6 forms a Gram, and on an orbit
+    none forms S2.
     """
     if not keys:
         return {}
     powers = {key: len(key[1]) for key in keys if key[0] == 2}
     scanned = dict.fromkeys(powers.values(), 0.0)
-    for block in (_cross_blocks(D) if scanned else ()):
+    tri = {}
+    if D.orbit and keys & {_T1, _T2}:
+        # each anchor atom a's M_a and conj(u_a), seeded with the term of the
+        # one atom of the anchor's own basis that meets a, a itself
+        anchor = D.stack[0]
+        kets = {_T1: anchor, _T2: anchor.conj()}
+        tri = {key: kets[key][:, :, None] * anchor.conj()[:, None, :] for key in keys & kets.keys()}
+        row = D.stack.reshape(-1, D.p)[D.p:]  # the anchor row's panel atoms, in scan order
+    for block in (_cross_blocks(D) if scanned or tri else ()):
         for power in scanned:
             scanned[power] += float((block**power).sum())
+        if tri:
+            atoms, row = row[:block.shape[1]], row[block.shape[1]:]
+            _add_triangle_terms(anchor, atoms, block, tri)
     w = _pair_weight(D)
     sums = {key: complex(w * (D.atom_count / w + scanned[power])) for key, power in powers.items()}
+    sums.update({key: complex(D.basis_count * float((acc.real**2 + acc.imag**2).sum()))
+                 for key, acc in tri.items()})
     degree2 = [
         (blocks, edges) for blocks, edges in keys - sums.keys()
         if blocks >= 3 and {sum(u == b for u, _ in edges) for b in range(blocks)} == {2}

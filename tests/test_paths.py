@@ -434,6 +434,71 @@ def test_orbit_two_block_cores_equal_the_gram_route(kind, p):
         assert abs(orbit_sum - gram_sum) <= 1e-13 * abs(gram_sum)
 
 
+# T1 = sum |G_ab G_bc G_ca|^2, every triangle edge once each way, and
+# T2 = sum (G_ab G_bc G_ca)^2, the cycle twice
+_TRIANGLE_KEYS = {
+    "T1": paths._walk_key([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)], 3),
+    "T2": paths._walk_key([(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)], 3),
+}
+
+
+@pytest.mark.parametrize("kind, p", [("heisenberg", p) for p in (5, 7, 11, 13, 17, 19)]
+                         + [("oscillator", p) for p in (5, 7, 13)]
+                         + [("extended_oscillator", 5)])
+def test_orbit_triangle_cores_equal_the_gram_route(kind, p):
+    D = _orbit_build(kind, p)
+    assert D.orbit
+    keys = set(_TRIANGLE_KEYS.values())
+    anchor = paths._core_sums(D, keys)
+    reference = paths._core_sums(_gram_route_copy(D), keys)
+    for key in keys:
+        assert abs(anchor[key] - reference[key]) <= 1e-13 * abs(reference[key])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_orbit_triangle_cores_equal_the_heisenberg_closed_forms(p):
+    # the p + 1 mutually unbiased bases form a 2-design: T1 = N + 3N(N-p)/p^2
+    # + N(N-p)(N-2p)/p^3 and T2 = 4p(p+1), so 240 and 120 at p = 5
+    D = heisenberg_dict(p)
+    N = D.atom_count
+    closed = {"T1": N + 3 * N * (N - p) / p**2 + N * (N - p) * (N - 2 * p) / p**3,
+              "T2": 4 * p * (p + 1)}
+    sums = paths._core_sums(D, set(_TRIANGLE_KEYS.values()))
+    for name, key in _TRIANGLE_KEYS.items():
+        assert abs(sums[key] - closed[name]) <= 1e-13 * closed[name]
+
+
+def test_orbit_k6_forms_no_s2(dh5, tmp_path, monkeypatch):
+    # on an orbit every k = 6 core comes from the anchor row; the non-orbit
+    # copy still forms S2, once, for its two triangle cores
+    real = paths._s2
+
+    def refuse(D):
+        raise AssertionError("S2 was formed")
+
+    monkeypatch.setattr(paths, "_s2", refuse)
+    argv = ["paths-verify", "--k", "6", "--ladder", "5,7", "--fixed-n", "3",
+            "--out-prefix", str(tmp_path / "pv")]
+    assert main(argv) == 0
+    assert (tmp_path / "pv.estimates.csv").exists()
+    for D in (heisenberg_dict(19), oscillator_dict(7)):
+        usable = [pc for pc in enumerate_path_classes(6)
+                  if within_budget(pc.vertex_count, D.atom_count)]
+        assert len(_expected_weights(usable, D)) == len(usable)
+
+    formed = []
+
+    def counting(D):
+        formed.append(D.orbit)
+        return real(D)
+
+    monkeypatch.setattr(paths, "_s2", counting)
+    D = _gram_route_copy(dh5)
+    _expected_weights([pc for pc in enumerate_path_classes(6)
+                       if within_budget(pc.vertex_count, D.atom_count)], D)
+    assert formed == [False]
+
+
 @pytest.mark.parametrize("kind, p", [("heisenberg", p) for p in (5, 7, 11, 13, 17, 19)]
                          + [("oscillator", 7)])
 def test_orbit_exact_moments_equal_the_gram_route(kind, p):
@@ -506,8 +571,10 @@ def test_non_orbit_cores_up_to_k6_form_no_gram(monkeypatch):
 
 
 def test_reduced_walk_sums_match_the_atom_space_contraction(dh5, monkeypatch):
-    # every merge pattern up to k = 8: the tight-frame reduction, and the S2
-    # contraction of the degree-2 cores it leaves, against the unreduced einsum
+    # every merge pattern up to k = 8: the tight-frame reduction, and the
+    # routes of the cores it leaves, against the unreduced einsum; the orbit
+    # sums its three-block degree-2 cores from the anchor row, so only its
+    # four-block ones reach S2, while its non-orbit copy sends both to S2
     G = dh5.atoms_matrix.T @ dh5.atoms_matrix.conj()
     in_p_dims = []
     contract = paths._degree2_core_sum
@@ -518,17 +585,19 @@ def test_reduced_walk_sums_match_the_atom_space_contraction(dh5, monkeypatch):
 
     monkeypatch.setattr(paths, "_degree2_core_sum", counting)
     oracle = {}
-    for edges, blocks in _merged_walks(8):
-        key = paths._walk_key(edges, blocks)
-        if key not in oracle:
-            oracle[key] = paths._merged_walk_sum(edges, blocks, G)
-        summed, isolated, core, m = paths._reduce_walk(edges, blocks)
-        value = dh5.basis_count**summed * dh5.atom_count**isolated
-        if m:
-            core_key = paths._walk_key(core, m)
-            value *= paths._core_sums(dh5, {core_key})[core_key]
-        assert abs(value - oracle[key]) <= 1e-12 * abs(oracle[key])
-    assert sorted(set(in_p_dims)) == [3, 4]
+    for D, routed in ((dh5, [4]), (_gram_route_copy(dh5), [3, 4])):
+        in_p_dims.clear()
+        for edges, blocks in _merged_walks(8):
+            key = paths._walk_key(edges, blocks)
+            if key not in oracle:
+                oracle[key] = paths._merged_walk_sum(edges, blocks, G)
+            summed, isolated, core, m = paths._reduce_walk(edges, blocks)
+            value = D.basis_count**summed * D.atom_count**isolated
+            if m:
+                core_key = paths._walk_key(core, m)
+                value *= paths._core_sums(D, {core_key})[core_key]
+            assert abs(value - oracle[key]) <= 1e-12 * abs(oracle[key])
+        assert sorted(set(in_p_dims)) == routed
 
 
 def test_k8_contracts_no_degree2_core_in_atom_space(dh5, monkeypatch):

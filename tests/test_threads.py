@@ -59,9 +59,11 @@ def test_a_thread_variable_set_by_the_user_is_honoured(var, expected):
 
 
 # the same relative paths in each directory, so the `input` echoes agree too;
-# the ladder stops at 7 because exact estimates on the rungs p = 11 and 13
-# differ between thread counts in the last digits; the `big` campaign solves
-# supports of n = 63, past the n = 25 of the reproduction
+# the ladder stops at 7 because at k = 8 exact estimates on the rungs p = 11
+# and 13 still differ between thread counts in the last digits, through the
+# S2 product of the four-block cores (k = 6, which forms no S2 on the built
+# ladder, is checked up to p = 13 below); the `big` campaign solves supports
+# of n = 63, past the n = 25 of the reproduction
 RUNS = """
 from srip.cli import main
 for argv in [
@@ -99,3 +101,18 @@ def test_outputs_do_not_depend_on_the_thread_count(tmp_path):
             "pv.estimates.csv"} <= set(names)
     for name in names:
         assert content(dirs["1"] / name) == content(dirs["2"] / name), name
+
+
+def test_k6_estimates_do_not_depend_on_the_thread_count(tmp_path):
+    # every k = 6 core of the built ladder comes from products whose inner
+    # dimension is p or one panel of the anchor row, never all N atoms
+    argv = "paths-verify --k 6 --ladder 5,7,11,13 --fixed-n 3 --out-prefix pv"
+    run = f"from srip.cli import main\nassert main({argv.split()!r}) == 0"
+    outputs = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        _python(run, cwd=cwd, OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = [(cwd / f"pv.{name}.csv").read_bytes()
+                            for name in ("classes", "estimates")]
+    assert outputs["1"] == outputs["2"]
