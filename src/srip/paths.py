@@ -48,6 +48,9 @@ MAX_VERTICES = 4
 # and only the cores of k >= 7 with a block of degree 3 or more do
 MAX_ATOMS_SMALL_CLASS = 2000  # |V| <= 2
 MAX_ATOMS = 400  # |V| in {3, 4}
+# a non-tree trajectory whose last normalized estimate (of order 1 where it
+# is not zero) is at most this in modulus has reached 0 to rounding
+ZERO_ESTIMATE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -522,7 +525,9 @@ def trajectory_table(
     For each class, evaluates the exact normalized expectation on every
     dictionary (keyed by p, visited in increasing order); flags whether
     the trajectory moves toward 1 (tree classes) or toward 0 in magnitude
-    (everything else) over the final step of the ladder.
+    (everything else) over the final step of the ladder.  A non-tree class
+    whose last value is within ``ZERO_ESTIMATE_FLOOR`` of 0 converges:
+    there the last step compares rounding noise.
 
     The normalization needs a support size: by default n = floor(p^(1-eps))
     per ladder point.  Tree normalizations are n-free; for other classes
@@ -550,7 +555,8 @@ def trajectory_table(
             if pc.is_tree:
                 converging = abs(pts[-1].value - 1) < abs(pts[-2].value - 1)
             else:
-                converging = abs(pts[-1].value) < abs(pts[-2].value)
+                last = abs(pts[-1].value)
+                converging = last <= ZERO_ESTIMATE_FLOOR or last < abs(pts[-2].value)
         else:
             converging = True
         rows.append(ClassTrajectory(pc, pc.is_tree, tuple(pts), converging))
@@ -577,6 +583,12 @@ def _distinct_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
     The draws come from one ``rng.integers(np.arange(n), N)`` call, which
     consumes the stream exactly as the n scalar draws would.  Positions the
     shuffle has moved live in a dict, so the memory is O(n), not O(N).
+
+    This is the reference draw of a support for every N, on a shared
+    stream too.  A campaign chunk (``spectra._keyed_draws``) reproduces it
+    from raw Philox words where N <= 2^32, for the rows where numpy's 32-bit
+    Lemire step cannot reject and no draw repeats; it calls this for the
+    rest, so the stream each call consumes is part of its contract.
     """
     moved: dict[int, int] = {}  # position -> index now held there, where not itself
     out = []

@@ -21,6 +21,18 @@ Randomness comes from numpy's Philox counter-based 64-bit generator;
 trial i uses the key seed + i, so each trial's draw is independent of
 every other trial and of the order the trials run in.  A campaign
 builds one Philox and re-keys it for each trial (``_keyed_draws``).
+The support of one key is ``paths._distinct_indices``: a partial
+Fisher-Yates shuffle whose draw i is ``integers(i, N)``.  A campaign
+chunk takes each trial's first ceil(n/2) raw 64-bit words instead and
+draws all its supports in one uint64 pass, with numpy's 32-bit Lemire
+step j = i + ((w (N - i)) >> 32), w the i-th 32-bit half (low half
+first).  A row is kept only where that step is exactly what
+``integers`` does and the shuffle moves nothing: N <= 2^32, no low half
+(w (N - i)) mod 2^32 falls below N - i (so Lemire's rejection cannot
+fire) and the n indices are distinct.  Every other row, about n^2/2N of
+them, is drawn per key, so the chunk equals the per-key draws bit for
+bit.  100 draws at heisenberg p = 31 (n = 11) cost 0.32 ms this way
+against 1.07 ms per key (2 cores, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -52,21 +64,52 @@ def sample_support(D: Dictionary, n: int, seed: int) -> np.ndarray:
 
 def _keyed_draws(N: int, n: int):
     """The function of a Philox key k that draws ``sample_support``'s support
-    of size n from range(N) with key k.
+    of size n from range(N) with key k.  Its ``rows(keys)`` draws the
+    supports of a range of keys as one (len(keys), n) stack, row for row
+    the same as the function's.
 
     Every draw comes from one Philox, re-keyed by setting its state to the
     fresh stream of key k, which costs a sixth of building a generator.
+    ``rows`` takes the first ceil(n/2) raw words of each key and applies
+    numpy's 32-bit Lemire step to all rows at once; a row where that step
+    could reject, or whose indices collide so that the shuffle would move
+    one, is drawn again through the function (see the module docstring).
     """
     bits = np.random.Philox(key=0)
     rng = np.random.Generator(bits)
     state = bits.state  # a fresh stream: counter 0, nothing buffered
+    key_words = state["state"]["key"]
+    words = -(-n // 2)  # two 32-bit draws to a raw word
+
+    def rekey(key: int) -> None:
+        # the 128-bit key as two 64-bit words, low word first, as Philox(key=k) splits it
+        key_words[0], key_words[1] = key & (2**64 - 1), key >> 64
+        bits.state = state
 
     def draw(key: int) -> np.ndarray:
-        # the 128-bit key as two 64-bit words, low word first, as Philox(key=k) splits it
-        state["state"]["key"] = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
-        bits.state = state
+        rekey(key)
         return _distinct_indices(rng, N, n)
 
+    def rows(keys: range) -> np.ndarray:
+        if N > 2**32:  # integers(i, N) takes 64-bit draws here
+            return np.stack([draw(key) for key in keys])
+        raw = np.empty((len(keys), words), dtype=np.uint64)
+        for r, key in enumerate(keys):
+            rekey(key)
+            raw[r] = bits.random_raw(words)
+        # next_uint32 hands out the low half of each word, then the high half
+        w = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=-1).reshape(len(keys), -1)[:, :n]
+        span = N - np.arange(n, dtype=np.uint64)  # draw i is uniform on range(N - i)
+        m = w * span  # < 2^64, as w < 2^32 and N - i <= 2^32
+        out = (m >> 32).astype(np.int_) + np.arange(n)
+        ordered = np.sort(out, axis=1)
+        exact = ((m & 0xFFFFFFFF) >= span).all(axis=1) & (
+            ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+        for r in np.flatnonzero(~exact):
+            out[r] = draw(keys[r])
+        return out
+
+    draw.rows = rows
     return draw
 
 
@@ -126,8 +169,7 @@ def _campaign(D: Dictionary, epsilon: float, trials: int, seed: int) -> tuple[in
     draw = _keyed_draws(D.atom_count, n)
     eigs = np.empty((trials, n))
     for lo, hi in chunks(trials, 4 * D.p * n):
-        supports = np.stack([draw(seed + i) for i in range(lo, hi)])
-        eigs[lo:hi] = _gram_stack(D, supports)[2]
+        eigs[lo:hi] = _gram_stack(D, draw.rows(range(seed + lo, seed + hi)))[2]
     return n, eigs
 
 

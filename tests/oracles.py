@@ -99,6 +99,26 @@ def trace_by_path_sum(M: np.ndarray, k: int) -> complex:
     return total
 
 
+def tight_frame_m2(p: int, nb: int, n: int) -> float:
+    """E m_2 = p(n-1)(nb-1) / (n(N-1)) of the normalized error of n random
+    atoms from nb orthonormal bases of C^p (N = p nb atoms).
+
+    The frame is tight, so tr G^2 = p nb^2 and the mean |G_ab|^2 over
+    distinct atoms is (nb-1)/(N-1).
+    """
+    N = p * nb
+    return p * (n - 1) * (nb - 1) / (n * (N - 1))
+
+
+def tight_frame_m3(p: int, nb: int, n: int) -> float:
+    """E m_3 = (p/n)^(3/2) (n-1)(n-2)(nb-1)(nb-2) / ((N-1)(N-2)) for the same
+    frame: the triangles over distinct atoms sum to
+    tr G^3 - 3 tr G^2 + 2N = p nb (nb-1)(nb-2), so m_3 vanishes at nb = 2.
+    """
+    N = p * nb
+    return (p / n) ** 1.5 * (n - 1) * (n - 2) * (nb - 1) * (nb - 2) / ((N - 1) * (N - 2))
+
+
 def dense_fisher_yates(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
     """n distinct indices of range(N), uniform and ordered: a partial Fisher-Yates
     shuffle, one ``rng.integers(i, N)`` draw per position i < n."""

@@ -39,6 +39,8 @@ from oracles import (
     replace_vertex,
     strict_closed_paths,
     tail_bound_exponent,
+    tight_frame_m2,
+    tight_frame_m3,
     trace_by_path_sum,
 )
 
@@ -715,6 +717,34 @@ def test_exact_moment_closed_form(dh7):
         exact_spectral_moment(dh7, n, 5)
 
 
+# every built kind, and the first nb bases of a build, which are no orbit:
+# (kind, p, nb), nb None for the whole dictionary
+TIGHT_FRAME_CASES = (
+    [("heisenberg", p, None) for p in (5, 7, 11, 13, 17, 19)]
+    + [("oscillator", 5, None), ("oscillator", 7, None), ("extended", 5, None),
+       ("extended-subsample", 7, None)]
+    + [(kind, 7, nb) for kind in ("heisenberg", "oscillator") for nb in (2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("kind, p, nb", TIGHT_FRAME_CASES)
+def test_exact_moments_equal_the_tight_frame_closed_forms(kind, p, nb):
+    D = _extended7_subsample() if kind == "extended-subsample" else _orbit_build(kind, p)
+    if nb is not None:
+        D = Dictionary(D.p, D.kind, D.mu, D.labels[:nb], D.stack[:nb])
+    nb = D.basis_count
+    for n in sorted({2, 3, support_size(p, 0.3)}):
+        assert abs(exact_spectral_moment(D, n, 2) - tight_frame_m2(p, nb, n)) <= 1e-12
+        try:
+            m3 = exact_spectral_moment(D, n, 3)
+        except BudgetExceededError:  # the triangle class on more atoms than the budget
+            assert n >= 3 and not within_budget(3, D.atom_count)
+            continue
+        assert abs(m3 - tight_frame_m3(p, nb, n)) <= 1e-12
+        if nb == 2:  # every triangle has two atoms in one basis
+            assert tight_frame_m3(p, nb, n) == 0.0
+
+
 def test_exact_moment_matches_monte_carlo(dh11):
     trials = 1500
     stats = run_spectrum(dh11, epsilon=0.3, kmax=3, trials=trials, seed=11).moments
@@ -750,6 +780,21 @@ def test_trajectory_nontree_decays_at_fixed_n():
     mags = [abs(pt.value) for pt in row.points]
     assert mags[0] > mags[1] > mags[2]
     assert row.converging
+
+
+@pytest.mark.parametrize("values, converging", [
+    ((1e-17, 1e-16), True),  # at rounding level: reached 0, whatever the last step did
+    ((1e-3, 2e-3), False),
+    ((2e-3, 1e-3), True),
+])
+def test_trajectory_nontree_at_rounding_level_converges(dh5, dh7, monkeypatch, values,
+                                                        converging):
+    weights = iter([[v / class_normalization(PathClass((1, 2, 3, 1)), 3, p)]
+                    for v, p in zip(values, (5, 7))])
+    monkeypatch.setattr(paths, "_expected_weights", lambda classes, D: next(weights))
+    (row,) = trajectory_table({5: dh5, 7: dh7}, [PathClass((1, 2, 3, 1))], fixed_n=3)
+    assert [pt.value for pt in row.points] == pytest.approx(values, rel=1e-12)
+    assert row.converging is converging
 
 
 # ---------------------------------------------------------------------------

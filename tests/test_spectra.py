@@ -44,6 +44,45 @@ def test_sample_support_draws_are_pinned(dh5):
     assert sample_support(dh5, 7, 123).tolist() == [8, 15, 13, 7, 9, 10, 4]
 
 
+def test_the_support_stream_of_a_campaign_is_pinned():
+    import hashlib
+
+    from conftest import heisenberg_dict
+    from srip.spectra import _keyed_draws
+
+    D = heisenberg_dict(31)
+    draws = np.stack([sample_support(D, 11, 42 + i) for i in range(200)])
+    digest = hashlib.sha256(draws.astype("<i8").tobytes()).hexdigest()
+    assert digest == "b944da24d453f18bac8418986a85cf271d7b3638998dc4b9cedeb37ff43d42b4"
+    assert np.array_equal(_keyed_draws(D.atom_count, 11).rows(range(42, 242)), draws)
+
+
+@pytest.mark.parametrize("N, n", [
+    (5, 5), (60, 20), (992, 11), (1014, 6), (10302, 25),
+    (3 * 2**30, 5), (2**31 + 1, 7), (2**32, 9), (2**33, 9),
+])
+def test_chunk_draws_equal_the_per_key_draws(monkeypatch, N, n):
+    import srip.spectra
+    from srip.spectra import _keyed_draws
+
+    key_ranges = (range(2000), range(2**64 - 1, 2**64 + 1), range(2**128 - 1, 2**128))
+    per_key = _keyed_draws(N, n)
+    wants = [np.stack([per_key(key) for key in keys]) for keys in key_ranges]
+    redrawn = []  # the rows that the chunk draws per key
+    distinct_indices = srip.spectra._distinct_indices
+    monkeypatch.setattr(srip.spectra, "_distinct_indices",
+                        lambda *args: redrawn.append(args) or distinct_indices(*args))
+    chunk = _keyed_draws(N, n)
+    for keys, want in zip(key_ranges, wants):
+        got = chunk.rows(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want), keys
+    if (N, n) in [(992, 11), (1014, 6), (10302, 25)]:
+        # most rows come from the raw words, and the collisions go per key
+        assert 0 < len(redrawn) < 300
+    if N > 2**32:
+        assert len(redrawn) == 2003
+
+
 @pytest.mark.parametrize("e", [-2.0, -3.0, math.nan, math.inf])
 def test_bad_delta_exponent_raises_before_any_trial(dh11, monkeypatch, e):
     import srip.spectra

@@ -116,3 +116,14 @@ def test_k6_estimates_do_not_depend_on_the_thread_count(tmp_path):
         outputs[threads] = [(cwd / f"pv.{name}.csv").read_bytes()
                             for name in ("classes", "estimates")]
     assert outputs["1"] == outputs["2"]
+
+
+def test_a_zero_weight_class_converges_on_one_and_two_threads():
+    # 1-2-3-1-2-3-1 has exact weight 0 on heisenberg dictionaries, so its
+    # estimates are rounding noise whose last step may go either way
+    run = ("from srip.cli import main\n"
+           "assert main(['paths-verify', '--k', '6', '--ladder', '5,7', '--fixed-n', '3']) == 0")
+    for threads in ("1", "2"):
+        out = _python(run, OPENBLAS_NUM_THREADS=threads)
+        (line,) = [ln for ln in out.splitlines() if ln.lstrip().startswith("1-2-3-1-2-3-1:")]
+        assert line.endswith("converging=True"), (threads, line)
