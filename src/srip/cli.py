@@ -9,13 +9,14 @@ Exactly one subcommand runs per invocation::
     srip moments --in d.srip --kmax 6 --out-prefix runs/mom
     srip paths-verify --k 8 --out-prefix runs/classes
 
-Exit status: 0 on success, 2 on validation errors (nothing is written),
-3 on contract violations such as a coherence bound failure.  Output files
-are written atomically (temp file + rename) and input files are never
-modified: a command whose output path resolves to its ``--in`` file
-exits 2 before any work.  Every JSON report echoes the config, the seed,
-the package version, and the wall-clock duration; rerunning with the same
-config and seed reproduces every payload byte for byte (durations aside).
+Exit status: 0 on success, 2 on validation errors and on requests too
+large to allocate (nothing is written), 3 on contract violations such as
+a coherence bound failure.  Output files are written atomically (temp
+file + rename) and input files are never modified: a command whose
+output path resolves to its ``--in`` file exits 2 before any work.
+Every JSON report echoes the config, the seed, the package version, and
+the wall-clock duration; rerunning with the same config and seed
+reproduces every payload byte for byte (durations aside).
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         return args.run(args, started)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SripError as exc:

@@ -51,7 +51,7 @@ the group keeps is nb times its sum over the anchor's atoms, which the
 triangle cores of ``paths`` use.  On an orbit the build check and
 ``coherence_report`` scan only
 the anchor row; on any other dictionary ``coherence_report`` scans every
-cross-basis pair.  It bins each block with ``np.histogram`` on its edges.
+cross-basis pair.  It bins each block's moduli with ``np.histogram``.
 A file carries no proof of its symmetry, so a loaded dictionary is no
 orbit; ``identical_build`` gives the build itself for a file that is byte
 for byte its own build.
@@ -354,7 +354,7 @@ def _oscillator_stack(field: PrimeField) -> tuple[list[str], np.ndarray]:
 
 
 def _cross_blocks(D: Dictionary):
-    """Yield |<phi, psi>| over the cross-basis atom pairs, block by block.
+    """Yield <phi, psi> = phi^H psi over the cross-basis atom pairs, block by block.
 
     The bases after basis 0 are cut into column panels by ``linalg.chunks``,
     a basis costing p^2 entries, each panel a view of the stack.  Every
@@ -363,13 +363,13 @@ def _cross_blocks(D: Dictionary):
     products: the atoms of basis x as rows against those atoms as
     columns.  On an orbit (``D.orbit``) only basis 0 is a row basis, so
     only the anchor row's pairs are formed, panel by panel; on any other
-    dictionary every pair is.
+    dictionary every pair is.  Callers of the moduli map ``np.abs`` over it.
     """
     p = D.p
     for lo, hi in chunks(D.basis_count - 1, p * p):
         panel = D.stack[lo + 1:hi + 1].reshape(-1, p)  # bases lo + 1 .. hi
         for x in range(1 if D.orbit else hi):
-            yield np.abs(D.stack[x].conj() @ panel[max(x - lo, 0) * p:].T)
+            yield D.stack[x].conj() @ panel[max(x - lo, 0) * p:].T
 
 
 def _pair_weight(D: Dictionary) -> int:
@@ -388,7 +388,7 @@ def within_coherence_bound(max_abs: float, mu: float, p: int) -> bool:
 def _check_coherence(D: Dictionary) -> float:
     """Raise CoherenceViolationError unless every pair that ``_cross_blocks``
     forms obeys ``within_coherence_bound``; returns their max |<phi, psi>|."""
-    worst = max((float(block.max()) for block in _cross_blocks(D)), default=0.0)
+    worst = max((float(block.max()) for block in map(np.abs, _cross_blocks(D))), default=0.0)
     if not within_coherence_bound(worst, D.mu, D.p):
         raise CoherenceViolationError(
             f"{D.kind} dictionary p={D.p}: cross coherence {worst:.12f} exceeds "
@@ -534,7 +534,7 @@ def coherence_report(D: Dictionary) -> CoherenceReport:
     raw_worst = 0.0
     least = float("inf")
     pairs = 0
-    for block in _cross_blocks(D):
+    for block in map(np.abs, _cross_blocks(D)):
         raw_worst = max(raw_worst, float(block.max()))
         block *= sqrt_p
         pairs += block.size

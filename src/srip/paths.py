@@ -14,10 +14,10 @@ coincidence patterns, reduced through the tight-frame identity
 sum_a phi_a phi_a^H = (basis count) * I; each class is expanded once per
 process, keyed by its first-visit form).  The cores the reduction leaves
 are summed without the Gram where the structure allows: a two-block
-core, sum |G_ab|^(2x), over the cross-basis scan of |<phi, psi>| values
+core, sum |G_ab|^(2x), over the cross-basis scan of <phi, psi> values
 on every dictionary; on an orbit dictionary the two triangle cores,
-sum |G_ab G_bc G_ca|^2 and sum (G_ab G_bc G_ca)^2, from the anchor row
-in the same scan; any other core of three or more degree-2 blocks in p
+sum |G_ab G_bc G_ca|^2 and sum (G_ab G_bc G_ca)^2, from the anchor row's
+inner products alone, in the same scan; any other core of three or more degree-2 blocks in p
 dimensions on the degree-2 moment operator; and any other on the Gram
 matrix.  This ties the Monte Carlo spectral statistics to closed
 combinatorial quantities.
@@ -309,27 +309,24 @@ _T1 = _walk_key([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)], 3)
 _T2 = _walk_key([(0, 1), (1, 2), (2, 0)] * 2, 3)
 
 
-def _add_triangle_terms(anchor: np.ndarray, atoms: np.ndarray, block: np.ndarray,
-                        tri: dict) -> None:
+def _add_triangle_terms(g: np.ndarray, block: np.ndarray, tri: dict) -> None:
     """Add one panel of an orbit's anchor row to the triangle accumulators ``tri``.
 
-    ``block`` holds |G[a, b]| of the anchor atoms a (rows of ``anchor``)
-    against the panel atoms b (rows of ``atoms``), as ``_cross_blocks``
-    forms it.  ``tri[_T1][a]`` gains sum_b |G[a, b]|^2 phi_b phi_b^H and
-    ``tri[_T2][a]`` gains sum_b conj(G[a, b]^2 phi_b phi_b^T); the phases
-    of G that T2 needs cost one more p x P product of the panel's P atoms.
+    ``g`` is the panel's block of ``_cross_blocks`` and ``block`` its
+    modulus; column g_b is panel atom b in anchor coordinates.  There
+    ``tri[_T1][a]`` gains sum_b |g[a, b]|^2 g_b g_b^H and ``tri[_T2][a]``
+    gains sum_b g[a, b]^2 conj(g_b g_b^T): M_a and conj(u_a) of ``_core_sums``.
     Anchor atoms are taken a chunk at a time (``linalg.chunks``), one
-    costing about p (P + p) entries: its weighted copy of the panel and
-    its p x p term.
+    costing about p (P + p) entries: its weighted copy of the panel's P
+    columns and its p x p term.
     """
-    p = len(anchor)
-    bra = atoms.conj()
-    for lo, hi in chunks(p, p * (len(atoms) + p)):
+    p = len(g)
+    bra = g.conj()
+    for lo, hi in chunks(p, p * (g.shape[1] + p)):
         if _T1 in tri:
-            tri[_T1][lo:hi] += ((block[lo:hi] ** 2)[:, :, None] * atoms).swapaxes(1, 2) @ bra
+            tri[_T1][lo:hi] += ((block[lo:hi] ** 2)[:, None, :] * g) @ bra.T
         if _T2 in tri:
-            conj_g = anchor[lo:hi].conj() @ atoms.T
-            tri[_T2][lo:hi] += ((conj_g**2)[:, :, None] * bra).swapaxes(1, 2) @ bra
+            tri[_T2][lo:hi] += ((g[lo:hi] ** 2)[:, None, :] * bra) @ bra.T
 
 
 def _core_sums(D: Dictionary, keys) -> dict:
@@ -349,9 +346,10 @@ def _core_sums(D: Dictionary, keys) -> dict:
     and u_a = sum_b G[a, b]^2 phi_b phi_b^T over every atom b, T1 =
     sum_{a,b,c} |G[a, b] G[b, c] G[c, a]|^2 is sum_a ||M_a||_F^2 and T2 =
     sum_{a,b,c} (G[a, b] G[b, c] G[c, a])^2 is sum_a ||u_a||_F^2, and the
-    orbit's group makes each nb times its sum over the anchor atoms a.  The
-    anchor's own basis adds the term b = a, and the panels the rest
-    (``_add_triangle_terms``): p^3 N work, with no product over N atoms.
+    orbit's group makes each nb times its sum over the anchor atoms a.  In
+    anchor coordinates the anchor's own basis adds e_a e_a^T, the term b = a,
+    and the panels the rest (``_add_triangle_terms``): p^3 N work, with no
+    product over N atoms.
     Every other core of three or more degree-2 blocks is
     ``_degree2_core_sum`` on one S2, N p^4 work, and every other core is
     ``_merged_walk_sum`` on one Gram.  S2 and the Gram are formed only when
@@ -363,19 +361,17 @@ def _core_sums(D: Dictionary, keys) -> dict:
     powers = {key: len(key[1]) for key in keys if key[0] == 2}
     scanned = dict.fromkeys(powers.values(), 0.0)
     tri = {}
-    if D.orbit and keys & {_T1, _T2}:
+    if D.orbit:
         # each anchor atom a's M_a and conj(u_a), seeded with the term of the
         # one atom of the anchor's own basis that meets a, a itself
-        anchor = D.stack[0]
-        kets = {_T1: anchor, _T2: anchor.conj()}
-        tri = {key: kets[key][:, :, None] * anchor.conj()[:, None, :] for key in keys & kets.keys()}
-        row = D.stack.reshape(-1, D.p)[D.p:]  # the anchor row's panel atoms, in scan order
-    for block in (_cross_blocks(D) if scanned or tri else ()):
+        eye = np.eye(D.p, dtype=complex)
+        tri = {key: eye[:, :, None] * eye[:, None, :] for key in keys & {_T1, _T2}}
+    for g in (_cross_blocks(D) if scanned or tri else ()):
+        block = np.abs(g)
         for power in scanned:
             scanned[power] += float((block**power).sum())
         if tri:
-            atoms, row = row[:block.shape[1]], row[block.shape[1]:]
-            _add_triangle_terms(anchor, atoms, block, tri)
+            _add_triangle_terms(g, block, tri)
     w = _pair_weight(D)
     sums = {key: complex(w * (D.atom_count / w + scanned[power])) for key, power in powers.items()}
     sums.update({key: complex(D.basis_count * float((acc.real**2 + acc.imag**2).sum()))

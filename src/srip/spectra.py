@@ -9,7 +9,7 @@ comparison against the semicircle law from the per-trial eigenvalues,
 which one core, ``_campaign``, draws under the campaign rules:
 trials >= 1, 0 < eps < 1, 2 <= n <= |D| and
 0 <= seed <= seed + trials - 1 < 2^128 (``check_seed``).  The moment and
-tail tables add kmax >= 1 (``check_kmax``) and a finite delta exponent
+tail tables add 1 <= kmax <= 10 (``check_kmax``) and a finite delta exponent
 e > -2 (``check_delta_exponent``).
 The core runs the trials in chunks from ``linalg.chunks``, a trial
 costing 4 p n entries, about what its gathered atoms, their conjugate and
@@ -45,7 +45,7 @@ import numpy as np
 from .dictionaries import Dictionary
 from .errors import SupportTooLargeError
 from .linalg import chunks, gram, hermitian_eig
-from .paths import _check_support, _distinct_indices, support_size
+from .paths import MAX_LENGTH, _check_support, _distinct_indices, support_size
 
 HISTOGRAM_EDGES = np.linspace(-3.0, 3.0, 61)
 
@@ -214,9 +214,11 @@ class MomentStatistics:
 
 
 def check_kmax(kmax: int) -> None:
-    """The moment-table rule: raises ValueError unless kmax >= 1."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    """The moment-table rule: raises ValueError unless 1 <= kmax <= ``paths.MAX_LENGTH``,
+    the range of the exact path classes, in which every eigenvalue power and
+    semicircle moment is a finite float."""
+    if not 1 <= kmax <= MAX_LENGTH:
+        raise ValueError(f"kmax must be between 1 and {MAX_LENGTH}, got {kmax}")
 
 
 def _moment_rows(eigs: np.ndarray, kmax: int) -> list[MomentStatistics]:

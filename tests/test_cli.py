@@ -291,6 +291,14 @@ def test_build_onto_directory_exits_2_without_temp_file(tmp_path):
     assert list(tmp_path.glob("*.tmp.*")) == []
 
 
+def test_build_too_large_to_allocate_exits_2_writing_nothing(tmp_path, capsys):
+    # numpy refuses the 14.2 PiB stack at once, before anything is allocated
+    out = tmp_path / "x.srip"
+    assert _run("build", "--kind", "heisenberg", "--p", "100003", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_epsilon_exits_2_before_building(tmp_path, monkeypatch):
     import srip.cli
 
@@ -347,10 +355,12 @@ def test_kmax_zero_exits_2_before_loading_or_building(tmp_path, monkeypatch, com
 
     monkeypatch.setattr(srip.cli, "build_oscillator_dictionary", refuse)
     monkeypatch.setattr(srip.cli, "load_dictionary", refuse)
-    code = _run(command, *source, "--kmax", "0", "--trials", "5",
-                "--out-prefix", str(tmp_path / "k0"))
-    assert code == 2
-    assert list(tmp_path.iterdir()) == []
+    # kmax runs to paths.MAX_LENGTH = 10; far past it a semicircle moment overflows a float
+    for kmax in ("0", "11"):
+        code = _run(command, *source, "--kmax", kmax, "--trials", "5",
+                    "--out-prefix", str(tmp_path / f"k{kmax}"))
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("e", ["-2", "-3", "nan", "inf"])

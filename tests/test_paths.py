@@ -470,6 +470,25 @@ def test_orbit_triangle_cores_equal_the_heisenberg_closed_forms(p):
         assert abs(sums[key] - closed[name]) <= 1e-13 * closed[name]
 
 
+@pytest.mark.parametrize("make, panels", [(lambda: oscillator_dict(13), 16),
+                                          (lambda: heisenberg_dict(13), 3)],
+                         ids=["oscillator13", "heisenberg13"])
+def test_orbit_cores_summed_over_several_panels(monkeypatch, make, panels):
+    # 5 bases of p = 13 per panel; at heisenberg p = 13 one anchor atom per chunk
+    import srip.linalg as linalg
+
+    D = make()
+    keys = {_two_block_key(2), _two_block_key(3), *_TRIANGLE_KEYS.values()}
+    uncut = paths._core_sums(D, keys)
+    reference = paths._core_sums(_gram_route_copy(D), keys)
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", 1000)
+    assert len(linalg.chunks(D.basis_count - 1, D.p * D.p)) == panels
+    cut = paths._core_sums(D, keys)
+    for key in keys:
+        assert abs(cut[key] - uncut[key]) <= 1e-13 * abs(uncut[key])
+        assert abs(cut[key] - reference[key]) <= 1e-13 * abs(reference[key])
+
+
 def test_orbit_k6_forms_no_s2(dh5, tmp_path, monkeypatch):
     # on an orbit every k = 6 core comes from the anchor row; the non-orbit
     # copy still forms S2, once, for its two triangle cores
