@@ -13,7 +13,8 @@ Exit status: 0 on success, 2 on validation errors and on requests too
 large to allocate (nothing is written), 3 on contract violations such as
 a coherence bound failure.  Output files are written atomically (temp
 file + rename) and input files are never modified: a command whose
-output path resolves to its ``--in`` file exits 2 before any work.
+output path resolves to its ``--in`` file, or exists and is not a regular
+file (a FIFO, a device, a directory), exits 2 before any work.
 Every JSON report echoes the config, the seed, the package version, and
 the wall-clock duration; rerunning with the same config and seed
 reproduces every payload byte for byte (durations aside).
@@ -174,6 +175,7 @@ def _validate_dict_source(args) -> None:
 
 
 def _cmd_build(args, started: float) -> int:
+    _check_outputs(None, [args.out])
     extended_only = (args.translations is not None or args.subsample_seed is not None
                      or args.allow_large)
     if extended_only and args.kind != "extended_oscillator":
@@ -195,18 +197,20 @@ def _cmd_build(args, started: float) -> int:
     return EXIT_OK
 
 
-def _check_input_kept(input_path: str | None, outputs) -> None:
-    """Raise ValueError if any output path resolves to the input file."""
-    if input_path is None:
-        return
-    source = os.path.realpath(input_path)
+def _check_outputs(input_path: str | None, outputs) -> None:
+    """Raise ValueError if any output path resolves to the input file, or
+    exists and, symlinks followed, is not a regular file (a FIFO, a device,
+    a directory), which the rename of ``write_atomic`` would replace."""
+    source = input_path and os.path.realpath(input_path)
     for out in outputs:
+        if os.path.exists(out) and not os.path.isfile(out):
+            raise ValueError(f"output {out} exists and is not a regular file")
         if os.path.realpath(out) == source:
             raise ValueError(f"output {out} would overwrite the input file {input_path}")
 
 
 def _cmd_coherence(args, started: float) -> int:
-    _check_input_kept(args.input, [args.out] if args.out else [])
+    _check_outputs(args.input, [args.out] if args.out else [])
     # a file that is its own build is reported through the build's anchor row;
     # any other file is loaded and scanned pair by pair
     D = identical_build(args.input, partial(_build, allow_large=True))
@@ -237,7 +241,7 @@ def _run_campaign(args, started: float) -> int:
                           if hasattr(args, f.name)})
     outputs = {suffix: f"{args.out_prefix}.{suffix}"
                for suffix in _CAMPAIGN_OUTPUTS[config.command]}
-    _check_input_kept(config.input, outputs.values())  # fail before the load or the build
+    _check_outputs(config.input, outputs.values())  # fail before the load or the build
     check_kmax(config.kmax)
     check_delta_exponent(config.delta_exponent)
     check_seed(config.seed, config.trials)
@@ -284,6 +288,9 @@ def _cmd_paths_verify(args, started: float) -> int:
         if len(set(ps)) < len(ps):
             raise ValueError(f"--ladder repeats a prime: {args.ladder}")
         ladder_support_sizes(ps, args.epsilon, args.fixed_n)
+    if args.out_prefix:
+        names = ("classes", "estimates") if ladder else ("classes",)
+        _check_outputs(None, [f"{args.out_prefix}.{name}.csv" for name in names])
     classes = enumerate_path_classes(args.k)
     trees = [pc for pc in classes if pc.is_tree]
     rows = []

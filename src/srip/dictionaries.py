@@ -48,13 +48,17 @@ phases and order, to a pair that contains the anchor, the first basis
 ``stack[0]``, and a unitary keeps |<phi, psi>|, so the anchor's pairs hold
 every value that any pair holds; and a sum over all atoms of a quantity
 the group keeps is nb times its sum over the anchor's atoms, which the
-triangle cores of ``paths`` use.  On an orbit the build check and
-``coherence_report`` scan only
-the anchor row; on any other dictionary ``coherence_report`` scans every
-cross-basis pair.  It bins each block's moduli with ``np.histogram``.
-A file carries no proof of its symmetry, so a loaded dictionary is no
-orbit; ``identical_build`` gives the build itself for a file that is byte
-for byte its own build.
+triangle cores of ``paths`` use, with the anchor's diagonal stabilizer
+(``Dictionary.orbit``): on the heisenberg kind pi(1, 0, 0), with the
+eigenvalue psi(-j) on atom j of ``line:0``; on the oscillator and full
+extended kinds the Weil operator of the anchor torus's generator, whose
+carried basis is checked as its eigenbasis and whose p eigenvalues are
+the model torus's distinct ones, up to a phase.  On an orbit the build
+check and ``coherence_report`` scan only the anchor row; on any other
+dictionary ``coherence_report`` scans every cross-basis pair.  It bins
+each block's moduli with ``np.histogram``.  A file carries no proof of its
+symmetry, so a loaded dictionary is no orbit; ``identical_build`` gives
+the build itself for a file that is byte for byte its own build.
 """
 
 from __future__ import annotations
@@ -142,8 +146,11 @@ class Dictionary:
     transitively on its bases.  Then a unitary carries every basis pair,
     up to atom phases and order, onto a pair that contains the first
     basis, ``stack[0]``, and any atom sum of a quantity the group keeps is
-    nb times its sum over that basis's atoms.  Only the builders of the
-    full kinds set it, and files do not record it.
+    nb times its sum over that basis's atoms.  The group also holds a
+    unitary that fixes that basis, acting on its atoms as a diagonal with p
+    distinct eigenvalues, so a matrix in its coordinates that the unitary
+    keeps is diagonal: the triangle cores of ``paths`` rest on this.  Only
+    the builders of the full kinds set it, and files do not record it.
     """
 
     p: int

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dictionaries import Dictionary, _cross_blocks, _pair_weight
 from .errors import BudgetExceededError, NotATreeError
-from .linalg import chunks, gram
+from .linalg import gram
 
 MAX_LENGTH = 10
 MAX_VERTICES = 4
@@ -309,26 +309,6 @@ _T1 = _walk_key([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)], 3)
 _T2 = _walk_key([(0, 1), (1, 2), (2, 0)] * 2, 3)
 
 
-def _add_triangle_terms(g: np.ndarray, block: np.ndarray, tri: dict) -> None:
-    """Add one panel of an orbit's anchor row to the triangle accumulators ``tri``.
-
-    ``g`` is the panel's block of ``_cross_blocks`` and ``block`` its
-    modulus; column g_b is panel atom b in anchor coordinates.  There
-    ``tri[_T1][a]`` gains sum_b |g[a, b]|^2 g_b g_b^H and ``tri[_T2][a]``
-    gains sum_b g[a, b]^2 conj(g_b g_b^T): M_a and conj(u_a) of ``_core_sums``.
-    Anchor atoms are taken a chunk at a time (``linalg.chunks``), one
-    costing about p (P + p) entries: its weighted copy of the panel's P
-    columns and its p x p term.
-    """
-    p = len(g)
-    bra = g.conj()
-    for lo, hi in chunks(p, p * (g.shape[1] + p)):
-        if _T1 in tri:
-            tri[_T1][lo:hi] += ((block[lo:hi] ** 2)[:, None, :] * g) @ bra.T
-        if _T2 in tri:
-            tri[_T2][lo:hi] += ((g[lo:hi] ** 2)[:, None, :] * bra) @ bra.T
-
-
 def _core_sums(D: Dictionary, keys) -> dict:
     """The free sum on D of every merged-walk core in ``keys``, a set of
     ``_walk_key`` forms, keyed by its form.
@@ -347,9 +327,16 @@ def _core_sums(D: Dictionary, keys) -> dict:
     sum_{a,b,c} |G[a, b] G[b, c] G[c, a]|^2 is sum_a ||M_a||_F^2 and T2 =
     sum_{a,b,c} (G[a, b] G[b, c] G[c, a])^2 is sum_a ||u_a||_F^2, and the
     orbit's group makes each nb times its sum over the anchor atoms a.  In
-    anchor coordinates the anchor's own basis adds e_a e_a^T, the term b = a,
-    and the panels the rest (``_add_triangle_terms``): p^3 N work, with no
-    product over N atoms.
+    anchor coordinates, where column g_b of a scanned block g is panel atom
+    b, the anchor's diagonal stabilizer Lambda (``Dictionary.orbit``, with
+    distinct eigenvalues l_j, permuting the other atoms up to phases) keeps
+    each M_a, so M_a is diagonal with (M_a)_jj = sum_b |g_ab|^2 |g_jb|^2;
+    and u_a = conj(l_a)^2 Lambda u_a Lambda, so (u_a)_ij = 0 unless
+    l_i l_j = l_a^2, one entry a row at most, and ||u_a||_F = ||u_a 1||,
+    where conj(u_a 1)_j = sum_b conj(g_jb) (sum_i conj(g_ib)) g_ab^2.  The
+    anchor's own basis adds 1 at j = a to both, and each block one
+    two-operand ``np.einsum`` (no BLAS, so no thread dependence) to a
+    p x p accumulator per core: p^2 N work.
     Every other core of three or more degree-2 blocks is
     ``_degree2_core_sum`` on one S2, N p^4 work, and every other core is
     ``_merged_walk_sum`` on one Gram.  S2 and the Gram are formed only when
@@ -362,16 +349,19 @@ def _core_sums(D: Dictionary, keys) -> dict:
     scanned = dict.fromkeys(powers.values(), 0.0)
     tri = {}
     if D.orbit:
-        # each anchor atom a's M_a and conj(u_a), seeded with the term of the
-        # one atom of the anchor's own basis that meets a, a itself
-        eye = np.eye(D.p, dtype=complex)
-        tri = {key: eye[:, :, None] * eye[:, None, :] for key in keys & {_T1, _T2}}
+        # row a holds the diagonal of M_a (T1) and column a the conjugate of
+        # u_a 1 (T2), seeded with the anchor's own basis, whose atom a alone meets a
+        tri = {key: np.eye(D.p, dtype=complex) for key in keys & {_T1, _T2}}
     for g in (_cross_blocks(D) if scanned or tri else ()):
         block = np.abs(g)
         for power in scanned:
             scanned[power] += float((block**power).sum())
-        if tri:
-            _add_triangle_terms(g, block, tri)
+        if _T1 in tri:
+            W = block**2
+            tri[_T1] += np.einsum("ab,jb->aj", W, W)
+        if _T2 in tri:
+            bra = g.conj()
+            tri[_T2] += np.einsum("jb,ab->ja", bra * bra.sum(axis=0), g**2)
     w = _pair_weight(D)
     sums = {key: complex(w * (D.atom_count / w + scanned[power])) for key, power in powers.items()}
     sums.update({key: complex(D.basis_count * float((acc.real**2 + acc.imag**2).sum()))

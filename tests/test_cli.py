@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 import struct
 
 import pytest
@@ -488,6 +490,23 @@ def test_output_onto_the_input_exits_2_and_keeps_the_input(tmp_path, monkeypatch
     assert _run(command, "--in", source, *out) == 2
     assert _sha(dict_file) == before
     assert [f.name for f in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("argv, fifo", [
+    ("build --kind heisenberg --p 5 --out out", "out"),
+    ("coherence --in h5.srip --out out", "out"),
+    ("spectrum --kind heisenberg --p 5 --trials 5 --out-prefix run", "run.report.json"),
+    ("paths-verify --k 4 --ladder 5 --out-prefix pv", "pv.estimates.csv"),
+], ids=["build", "coherence", "spectrum", "paths-verify"])
+def test_output_that_is_not_a_regular_file_exits_2_and_is_kept(tmp_path, monkeypatch, argv, fifo):
+    # the FIFO is never opened, since an open would block; a rename over it
+    # would leave a regular file in its place
+    monkeypatch.chdir(tmp_path)
+    assert _run("build", "--kind", "heisenberg", "--p", "5", "--out", "h5.srip") == 0
+    os.mkfifo(fifo)
+    assert _run(*argv.split()) == 2
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(["h5.srip", fifo])
 
 
 @pytest.mark.parametrize("seed, trials", [("-1", "3"), (str(2**128 - 2), "3")])

@@ -474,7 +474,7 @@ def test_orbit_triangle_cores_equal_the_heisenberg_closed_forms(p):
                                           (lambda: heisenberg_dict(13), 3)],
                          ids=["oscillator13", "heisenberg13"])
 def test_orbit_cores_summed_over_several_panels(monkeypatch, make, panels):
-    # 5 bases of p = 13 per panel; at heisenberg p = 13 one anchor atom per chunk
+    # 5 bases of p = 13 per panel, each adding its own term to the triangle sums
     import srip.linalg as linalg
 
     D = make()

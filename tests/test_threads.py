@@ -104,8 +104,8 @@ def test_outputs_do_not_depend_on_the_thread_count(tmp_path):
 
 
 def test_k6_estimates_do_not_depend_on_the_thread_count(tmp_path):
-    # every k = 6 core of the built ladder comes from products whose inner
-    # dimension is p or one panel of the anchor row, never all N atoms
+    # every k = 6 core of the built ladder comes from the anchor row's
+    # products, whose inner dimension is p, and BLAS-free sums over its panels
     argv = "paths-verify --k 6 --ladder 5,7,11,13 --fixed-n 3 --out-prefix pv"
     run = f"from srip.cli import main\nassert main({argv.split()!r}) == 0"
     outputs = {}
@@ -116,6 +116,23 @@ def test_k6_estimates_do_not_depend_on_the_thread_count(tmp_path):
         outputs[threads] = [(cwd / f"pv.{name}.csv").read_bytes()
                             for name in ("classes", "estimates")]
     assert outputs["1"] == outputs["2"]
+
+
+# the triangle cores on rungs above the CI ladder, which `paths-verify --k 6`
+# cannot reach: its budget admits 3- and 4-vertex classes up to 400 atoms only
+CORES = """
+from srip import paths
+from srip.dictionaries import build_heisenberg_dictionary, build_oscillator_dictionary
+from srip.field import PrimeField
+for build, p in [(build_heisenberg_dictionary, 31), (build_oscillator_dictionary, 17)]:
+    sums = paths._core_sums(build(PrimeField(p)), {paths._T1, paths._T2})
+    print(repr(sums[paths._T1]), repr(sums[paths._T2]))
+"""
+
+
+def test_triangle_cores_do_not_depend_on_the_thread_count():
+    outputs = [_python(CORES, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert outputs[0] == outputs[1]
 
 
 def test_a_zero_weight_class_converges_on_one_and_two_threads():
